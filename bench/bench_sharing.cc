@@ -116,7 +116,11 @@ std::unique_ptr<Instance> MakeServer(int records) {
 
   ServerOptions sopt;
   sopt.port = 0;
-  sopt.worker_threads = 4;
+  // A worker serves one keep-alive connection until it closes, and the
+  // churn phase holds two connections per tenant open at once: fewer
+  // workers than connections parks the grantee logins in the admission
+  // queue until they are shed.
+  sopt.worker_threads = 8;
   sopt.admission.max_queue = 64;
   sopt.api_secret = kSecret;
   sopt.session_entropy = "bench-sharing-session-entropy";

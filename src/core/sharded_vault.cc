@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <functional>
 #include <thread>
 #include <utility>
 
@@ -78,44 +77,6 @@ Status ShardedVault::Init() {
     cache_ = std::make_unique<RecordCache>(options_.cache_bytes);
   }
 
-  shards_.resize(options_.num_shards);
-  quarantine_reasons_.resize(options_.num_shards);
-  for (uint32_t k = 0; k < options_.num_shards; ++k) {
-    if (options_.open_mode == OpenMode::kDegraded) {
-      // Scrub before opening. Vault::Open tolerates torn tails and does
-      // not deep-verify, so a shard with a flipped segment byte would
-      // "open" and then fail clinical reads; the structural scan spots
-      // the damage up front without mutating the directory. A NotFound
-      // scrub means a fresh shard directory — open will create it.
-      Result<ScrubReport> scrub = Scrubber::ScrubVaultDir(
-          env, ShardRouter::ShardDir(options_.dir, k), options_.clock->Now());
-      if (!scrub.ok() && !scrub.status().IsNotFound()) {
-        quarantine_reasons_[k] =
-            "scrub failed: " + scrub.status().ToString();
-        continue;
-      }
-      if (scrub.ok() && !scrub->structurally_clean()) {
-        std::string reason = "failed structural scrub: " +
-                             std::to_string(scrub->corrupt_files) +
-                             " damaged file(s)";
-        const auto damaged = scrub->DamagedFiles();
-        if (!damaged.empty()) reason += ", first: " + damaged[0];
-        quarantine_reasons_[k] = std::move(reason);
-        continue;
-      }
-      Result<std::unique_ptr<Vault>> shard = OpenShard(k);
-      if (!shard.ok()) {
-        quarantine_reasons_[k] =
-            "open failed: " + shard.status().ToString();
-        continue;
-      }
-      shards_[k] = std::move(*shard);
-    } else {
-      MEDVAULT_ASSIGN_OR_RETURN(shards_[k], OpenShard(k));
-    }
-  }
-  PublishQuarantineGauge();
-
   unsigned threads = options_.ingest_threads;
   if (threads == 0) {
     unsigned hw = std::thread::hardware_concurrency();
@@ -124,6 +85,48 @@ Status ShardedVault::Init() {
   }
   // One thread means "sequential": no pool workers, RunAll runs inline.
   pool_ = std::make_unique<WorkerPool>(threads > 1 ? threads : 0);
+
+  // Shards recover independently, so each shard's scrub-then-open is one
+  // task on the pool; a task touches only its own slot. A failed strict
+  // open still lets the other shards finish opening (as a parallel open
+  // would) before the lowest-index error is returned.
+  shards_.resize(options_.num_shards);
+  quarantine_reasons_.resize(options_.num_shards);
+  const bool degraded = options_.open_mode == OpenMode::kDegraded;
+  MEDVAULT_RETURN_IF_ERROR(ForEachShard([&](uint32_t k) -> Status {
+    // Scrub before a degraded open. Vault::Open tolerates torn tails and
+    // does not deep-verify, so a shard with a flipped segment byte would
+    // "open" and then fail clinical reads; the structural scan spots
+    // the damage up front without mutating the directory. A NotFound
+    // scrub means a fresh shard directory — open will create it.
+    if (degraded) {
+      Result<ScrubReport> scrub =
+          Scrubber::ScrubVaultDir(env, ShardDirPath(k), Now());
+      if (!scrub.ok() && !scrub.status().IsNotFound()) {
+        quarantine_reasons_[k] = "scrub failed: " + scrub.status().ToString();
+        return Status::OK();
+      }
+      if (scrub.ok() && !scrub->structurally_clean()) {
+        std::string reason = "failed structural scrub: " +
+                             std::to_string(scrub->corrupt_files) +
+                             " damaged file(s)";
+        const auto damaged = scrub->DamagedFiles();
+        if (!damaged.empty()) reason += ", first: " + damaged[0];
+        quarantine_reasons_[k] = std::move(reason);
+        return Status::OK();
+      }
+    }
+    Result<std::unique_ptr<Vault>> shard = OpenShard(k);
+    if (shard.ok()) {
+      shards_[k] = std::move(*shard);
+    } else if (degraded) {
+      quarantine_reasons_[k] = "open failed: " + shard.status().ToString();
+    } else {
+      return Status::WithContext(shard.status(), "shard " + std::to_string(k));
+    }
+    return Status::OK();
+  }));
+  PublishQuarantineGauge();
 
   GroupCommitter::Options commit_options;
   commit_options.window_micros = options_.commit_window_micros;
@@ -134,23 +137,24 @@ Status ShardedVault::Init() {
   return Status::OK();
 }
 
-Status ShardedVault::SyncShardsWave() {
-  // One wave: every healthy shard's SyncAll fans out over the pool and
-  // the wave completes when the slowest shard lands. Inline (0-thread)
-  // pools run shard order deterministically for the crash matrix.
-  const uint32_t n = num_shards();
-  std::vector<Status> statuses(n, Status::OK());
+Status ShardedVault::ForEachShard(
+    const std::function<Status(uint32_t)>& fn) const {
+  std::vector<Status> statuses(num_shards(), Status::OK());
   TaskGroup group(pool_.get());
-  for (uint32_t k = 0; k < n; ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;  // quarantined: nothing mounted to sync
-    group.Submit([s, &statuses, k] { statuses[k] = s->SyncAll(); });
+  for (uint32_t k = 0; k < num_shards(); ++k) {
+    group.Submit([&fn, &statuses, k] { statuses[k] = fn(k); });
   }
   group.Wait();
-  for (uint32_t k = 0; k < n; ++k) {
-    if (!statuses[k].ok()) return statuses[k];
-  }
+  for (const Status& status : statuses) MEDVAULT_RETURN_IF_ERROR(status);
   return Status::OK();
+}
+
+Status ShardedVault::SyncShardsWave() {
+  // One wave: the wave completes when the slowest shard lands.
+  return ForEachShard([this](uint32_t k) {
+    Vault* s = shard(k);  // quarantined: nothing mounted to sync
+    return s == nullptr ? Status::OK() : s->SyncAll();
+  });
 }
 
 Result<std::unique_ptr<Vault>> ShardedVault::OpenShard(uint32_t k) {
@@ -404,7 +408,6 @@ Result<std::vector<RecordId>> ShardedVault::CreateRecordsBatch(
     indices[router_.ShardOf(batch[i].patient_id)].push_back(i);
   }
 
-  std::vector<Status> statuses(n, Status::OK());
   std::vector<std::vector<RecordId>> ids(n);
   // Refuse the whole batch up front if any involved shard is
   // quarantined: a partial cross-shard ingest that can never complete
@@ -414,27 +417,15 @@ Result<std::vector<RecordId>> ShardedVault::CreateRecordsBatch(
     if (indices[k].empty()) continue;
     MEDVAULT_ASSIGN_OR_RETURN(involved[k], RequireShard(k));
   }
-  TaskGroup group(pool_.get());
-  for (uint32_t k = 0; k < n; ++k) {
-    Vault* s = involved[k];
-    if (s == nullptr) continue;
-    group.Submit([s, &actor, &batch, &indices, &statuses, &ids, k] {
-      std::vector<Vault::NewRecord> sub;
-      sub.reserve(indices[k].size());
-      for (size_t i : indices[k]) sub.push_back(batch[i]);
-      auto result = s->CreateRecordsBatch(actor, sub);
-      if (result.ok()) {
-        ids[k] = std::move(*result);
-      } else {
-        statuses[k] = result.status();
-      }
-    });
-  }
-  group.Wait();
-
-  for (uint32_t k = 0; k < n; ++k) {
-    if (!statuses[k].ok()) return statuses[k];
-  }
+  MEDVAULT_RETURN_IF_ERROR(ForEachShard([&](uint32_t k) -> Status {
+    if (involved[k] == nullptr) return Status::OK();
+    std::vector<Vault::NewRecord> sub;
+    sub.reserve(indices[k].size());
+    for (size_t i : indices[k]) sub.push_back(batch[i]);
+    MEDVAULT_ASSIGN_OR_RETURN(ids[k],
+                              involved[k]->CreateRecordsBatch(actor, sub));
+    return Status::OK();
+  }));
   std::vector<RecordId> merged(batch.size());
   for (uint32_t k = 0; k < n; ++k) {
     for (size_t j = 0; j < indices[k].size(); ++j) {
@@ -687,12 +678,10 @@ Status ShardedVault::VerifyEverything() const {
   obs::ScopedOpTimer timer(metrics_, op_metrics_.verify, "sharded.verify");
   // Verifies what is serving: quarantined shards are skipped (their
   // damage is already known and tracked; verify them via ScrubShard).
-  for (uint32_t k = 0; k < num_shards(); ++k) {
+  return ForEachShard([this](uint32_t k) {
     const Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_RETURN_IF_ERROR(s->VerifyEverything());
-  }
-  return Status::OK();
+    return s == nullptr ? Status::OK() : s->VerifyEverything();
+  });
 }
 
 std::string ShardedVault::ContentRoot() const {

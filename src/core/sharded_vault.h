@@ -1,6 +1,7 @@
 #ifndef MEDVAULT_CORE_SHARDED_VAULT_H_
 #define MEDVAULT_CORE_SHARDED_VAULT_H_
 
+#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -59,7 +60,8 @@ struct ShardedVaultOptions {
   /// One RecordCache serves all shards: record ids are globally unique
   /// ("s<k>-r-<n>"), and a single LRU budget adapts to skewed traffic.
   size_t cache_bytes = 4u << 20;
-  /// Worker threads for cross-shard ingest fan-out. 0 picks
+  /// Worker threads for every per-shard fan-out: the open (scrub and
+  /// replay), sync waves, batch ingest and verification. 0 picks
   /// min(num_shards, hardware_concurrency); 1 forces inline sequential
   /// execution in shard order — fully deterministic, which the crash
   /// matrix requires to replay identical I/O boundary sequences.
@@ -96,11 +98,11 @@ struct ShardedVaultOptions {
 ///     (they are tiny and read-hot); searches, audit verification, and
 ///     work-list queries fan out and merge per-shard results.
 ///   * Each shard keeps its own audit chain, signer, and commit point;
-///     crash recovery runs per shard, independently (a crash between
+///     crash recovery runs per shard, in parallel (a crash between
 ///     two shards' sync points recovers each shard to its own
 ///     acknowledged state — there are no cross-shard references to
 ///     orphan by construction).
-///   * SyncAll syncs shards in index order; a batch spanning shards is
+///   * SyncAll syncs every shard in one wave; a batch spanning shards is
 ///     acknowledged only by a SyncAll that covered every shard.
 ///
 /// Thread safety: router and pool are immutable after Open; the shard
@@ -319,8 +321,11 @@ class ShardedVault {
   Result<Vault*> RequireShard(uint32_t k) const;
   /// Derives shard `k`'s key domain and opens its Vault.
   Result<std::unique_ptr<Vault>> OpenShard(uint32_t k);
-  /// One commit wave: every healthy shard's SyncAll, fanned out over
-  /// the worker pool; first shard error in index order wins.
+  /// The one shard fan-out: runs fn(k) for every shard on pool_ (inline
+  /// in shard order when the pool has no workers) and returns the
+  /// lowest-index error once every task has finished.
+  Status ForEachShard(const std::function<Status(uint32_t)>& fn) const;
+  /// One commit wave: every healthy shard's SyncAll via ForEachShard.
   Status SyncShardsWave();
   /// Re-publishes the "sharded.quarantined" gauge (takes the shared
   /// lock itself).

@@ -181,6 +181,9 @@ Status Vault::Init() {
   metrics_ =
       options_.metrics != nullptr ? options_.metrics : obs::MetricsRegistry::Default();
   op_metrics_ = obs::VaultOpMetrics::For(metrics_, "vault");
+  consent_granted_ = metrics_->GetCounter("consent.granted");
+  consent_revoked_ = metrics_->GetCounter("consent.revoked");
+  consent_exercised_ = metrics_->GetCounter("consent.exercised");
 
   MEDVAULT_RETURN_IF_ERROR(env->CreateDirIfMissing(dir));
 
@@ -664,7 +667,7 @@ Result<ConsentGrant> Vault::GrantConsent(const PrincipalId& actor,
       "patient=" + actor + " grantee=" + grantee + " grant=" +
           grant.grant_id + " scope=" + ConsentScopeName(grant.scope) +
           " purpose=" + purpose));
-  metrics_->GetCounter("consent.granted")->Increment();
+  consent_granted_->Increment();
   return grant;
 }
 
@@ -701,7 +704,7 @@ Status Vault::RevokeConsent(const PrincipalId& actor,
       actor, AuditAction::kConsentRevoke, grant.record_id,
       "patient=" + grant.patient + " grantee=" + grant.grantee +
           " grant=" + grant_id + " by=" + actor));
-  metrics_->GetCounter("consent.revoked")->Increment();
+  consent_revoked_->Increment();
   return Status::OK();
 }
 
@@ -896,7 +899,7 @@ Result<RecordVersion> Vault::ReadRecord(const PrincipalId& actor,
       (version.ok() ? "ok" : version.status().ToString()) +
           BasisSuffix(basis)));
   if (version.ok() && basis.kind == AccessBasis::Kind::kConsent) {
-    metrics_->GetCounter("consent.exercised")->Increment();
+    consent_exercised_->Increment();
   }
   return version;
 }
@@ -923,7 +926,7 @@ Result<RecordVersion> Vault::ReadRecordVersion(const PrincipalId& actor,
           (result.ok() ? " ok" : " " + result.status().ToString()) +
           BasisSuffix(basis)));
   if (result.ok() && basis.kind == AccessBasis::Kind::kConsent) {
-    metrics_->GetCounter("consent.exercised")->Increment();
+    consent_exercised_->Increment();
   }
   return result;
 }
@@ -1095,7 +1098,7 @@ Result<DisposalCertificate> Vault::ExecuteDisposalLocked(
         AuditLocked(actor, AuditAction::kConsentRevoke, record_id,
                     "patient=" + g.patient + " grantee=" + g.grantee +
                         " grant=" + g.grant_id + " reason=crypto-shred"));
-    metrics_->GetCounter("consent.revoked")->Increment();
+    consent_revoked_->Increment();
   }
   meta.disposed = true;
   MEDVAULT_RETURN_IF_ERROR(PutRecordMetaLocked(meta));

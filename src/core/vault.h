@@ -481,10 +481,13 @@ class Vault {
   VaultOptions options_;
   std::string signer_public_seed_;
   /// Resolved registry (options_.metrics or the process default) and
-  /// the per-op histograms cached at Open so timed operations never do
-  /// a name lookup.
+  /// the per-op histograms and consent counters cached at Open so hot
+  /// paths never do a name lookup.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::VaultOpMetrics op_metrics_;
+  obs::Counter* consent_granted_ = nullptr;
+  obs::Counter* consent_revoked_ = nullptr;
+  obs::Counter* consent_exercised_ = nullptr;
   mutable std::shared_mutex mu_;
   ScrubStats last_scrub_;  // guarded by mu_
 

@@ -8,6 +8,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 
@@ -706,11 +707,9 @@ HttpResponse MedVaultServer::HandleReadRecord(const core::PrincipalId& actor,
     const std::string v = request.QueryParam("version");
     if (v.empty()) return vault_->ReadRecord(actor, record_id);
     uint32_t n = 0;
-    for (char c : v) {
-      if (c < '0' || c > '9') {
-        return Status::InvalidArgument("version must be a number");
-      }
-      n = n * 10 + static_cast<uint32_t>(c - '0');
+    auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), n, 10);
+    if (ec != std::errc() || ptr != v.data() + v.size()) {
+      return Status::InvalidArgument("version must be a 32-bit number");
     }
     return vault_->ReadRecordVersion(actor, record_id, n);
   }();

@@ -578,6 +578,61 @@ TEST_F(DegradedShardTest, QuarantineMatrix) {
   EXPECT_TRUE(vault_->RejoinShard(healthy).ok());
 }
 
+// A degraded open scrubs and opens every shard as its own pool task.
+// With one shard's segment bit-rotted and another's audit log gone, the
+// inline (ingest_threads = 1) and the parallel open must agree on the
+// quarantine set, the reasons, and everything the healthy shards serve.
+TEST_F(DegradedShardTest, ParallelDegradedOpenMatchesSequential) {
+  BuildPopulatedVault();
+  vault_.reset();
+  const std::string rotted = ShardRouter::ShardDir("sharded", 1);
+  XorByte(&env_, rotted + "/" + FindSegment(&env_, rotted), /*offset=*/8 + 3);
+  ASSERT_TRUE(
+      env_.RemoveFile(ShardRouter::ShardDir("sharded", 2) + "/audit.log").ok());
+
+  struct Opened {
+    std::vector<uint32_t> quarantined;
+    std::vector<std::string> reasons;
+    std::string content_root;
+    std::vector<std::string> audit_roots;
+    std::vector<RecordId> ids;
+  };
+  auto open_with = [&](unsigned threads) {
+    ShardedVaultOptions options = Options(OpenMode::kDegraded);
+    options.ingest_threads = threads;
+    auto opened = ShardedVault::Open(options);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    Opened out;
+    if (!opened.ok()) return out;
+    ShardedVault* v = opened->get();
+    out.quarantined = v->QuarantinedShards();
+    for (uint32_t k = 0; k < kShards; ++k) {
+      out.reasons.push_back(v->QuarantineReason(k));
+      if (v->shard(k) != nullptr) {
+        out.audit_roots.push_back(v->shard(k)->audit()->Root());
+      }
+    }
+    out.content_root = v->ContentRoot();
+    out.ids = v->ListRecordIds();
+    EXPECT_TRUE(v->VerifyEverything().ok());
+    return out;
+  };
+  const Opened sequential = open_with(1);
+  const Opened parallel = open_with(0);
+  EXPECT_EQ(sequential.quarantined, (std::vector<uint32_t>{1, 2}));
+  EXPECT_EQ(parallel.quarantined, sequential.quarantined);
+  EXPECT_EQ(parallel.reasons, sequential.reasons);
+  EXPECT_NE(sequential.reasons[1].find("segments/"), std::string::npos)
+      << sequential.reasons[1];
+  EXPECT_NE(sequential.reasons[2].find("audit.log"), std::string::npos)
+      << sequential.reasons[2];
+  EXPECT_EQ(parallel.content_root, sequential.content_root);
+  EXPECT_EQ(parallel.audit_roots, sequential.audit_roots);
+  EXPECT_EQ(sequential.audit_roots.size(), 2u);
+  EXPECT_EQ(parallel.ids, sequential.ids);
+  EXPECT_FALSE(sequential.ids.empty());
+}
+
 // The acceptance scenario end to end: one shard suffers media damage
 // (a flipped segment byte plus state-log rot that makes it unopenable),
 // the vault opens degraded and keeps serving, scrub pinpoints the

@@ -243,6 +243,14 @@ TEST_F(ServerTest, RecordLifecycleOverHttp) {
   EXPECT_EQ(Parsed(*v1).as_object().at("content").as_string(),
             "bp 120/80, routine visit");
 
+  // Versions parse strictly: 2^32 + 1 must not wrap around to version 1,
+  // and trailing junk or a sign is a 400, not a silent read.
+  for (const char* bad : {"4294967297", "1x", "-1"}) {
+    auto r = client.Do("GET", "/v1/records/" + id + "?version=" + bad, "", dr);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->status, 400) << bad << ": " << r->body;
+  }
+
   auto history = client.Do("GET", "/v1/records/" + id + "/history", "", dr);
   ASSERT_TRUE(history.ok());
   ASSERT_EQ(history->status, 200);

@@ -332,6 +332,71 @@ TEST_F(ShardedVaultTest, ShardedMigrationProducesPerShardReceipts) {
   EXPECT_TRUE(target->VerifyEverything().ok());
 }
 
+// Shards open as parallel tasks on the pool unless ingest_threads is 1,
+// which opens them inline in shard order. Both opens of the same
+// directory must land in the same state, and a strict open that hits
+// two damaged shards must report the lower-index one either way.
+TEST_F(ShardedVaultTest, ParallelOpenMatchesSequentialOpen) {
+  for (int p = 0; p < 16; ++p) {
+    ASSERT_TRUE(vault_
+                    ->CreateRecord("dr-a", Patient(p), "text/plain",
+                                   "open " + std::to_string(p), {"open"},
+                                   "hipaa-6y")
+                    .ok());
+  }
+  ASSERT_TRUE(vault_->SyncAll().ok());
+  vault_.reset();
+
+  struct Opened {
+    std::string content_root;
+    std::vector<std::string> audit_roots;
+    std::vector<RecordId> ids;
+  };
+  auto open_with = [&](unsigned threads) {
+    ShardedVaultOptions options = Options("sharded");
+    options.ingest_threads = threads;
+    auto opened = ShardedVault::Open(options);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    Opened out;
+    if (!opened.ok()) return out;
+    out.content_root = (*opened)->ContentRoot();
+    for (uint32_t k = 0; k < kShards; ++k) {
+      out.audit_roots.push_back((*opened)->shard(k)->audit()->Root());
+    }
+    out.ids = (*opened)->ListRecordIds();
+    EXPECT_TRUE((*opened)->VerifyEverything().ok());
+    return out;
+  };
+  const Opened sequential = open_with(1);
+  const Opened parallel = open_with(0);
+  EXPECT_EQ(parallel.content_root, sequential.content_root);
+  EXPECT_EQ(parallel.audit_roots, sequential.audit_roots);
+  EXPECT_EQ(parallel.ids, sequential.ids);
+  EXPECT_EQ(parallel.ids.size(), 16u);
+
+  // Mid-log rot in two shards' state logs makes both unopenable.
+  for (uint32_t k : {1u, 3u}) {
+    const std::string path =
+        ShardRouter::ShardDir("sharded", k) + "/state.log";
+    std::string data;
+    ASSERT_TRUE(storage::ReadFileToString(&env_, path, &data).ok());
+    const char flipped = static_cast<char>(data[10] ^ 0x40);
+    ASSERT_TRUE(env_.UnsafeOverwrite(path, 10, Slice(&flipped, 1)).ok());
+  }
+  Status errors[2];
+  for (unsigned threads : {1u, 0u}) {
+    ShardedVaultOptions options = Options("sharded");
+    options.ingest_threads = threads;
+    auto opened = ShardedVault::Open(options);
+    ASSERT_FALSE(opened.ok());
+    errors[threads] = opened.status();
+  }
+  EXPECT_TRUE(errors[1].IsCorruption()) << errors[1].ToString();
+  EXPECT_EQ(errors[0].ToString(), errors[1].ToString());
+  EXPECT_EQ(errors[0].message().rfind("shard 1: ", 0), 0u)
+      << errors[0].ToString();
+}
+
 TEST_F(ShardedVaultTest, MigrateShardedRefusesMismatchedCounts) {
   ShardedVaultOptions other = Options("sharded-two", "two-entropy");
   other.num_shards = 2;

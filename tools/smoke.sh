@@ -7,9 +7,10 @@
 # patient-driven-sharing consent battery (`ctest -L
 # "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent"`)
 # rebuilt under AddressSanitizer and UndefinedBehaviorSanitizer, then the
-# stress + obs + commit + serve + repl + transparency + consent
+# stress + obs + scrub + commit + serve + repl + transparency + consent
 # batteries under
-# ThreadSanitizer — the shared cache / ingest-pool races, the lock-free
+# ThreadSanitizer — the shared cache / ingest-pool races, the parallel
+# per-shard scrub-and-open, the lock-free
 # metrics hot path, the group-commit leader/follower handoff, the
 # acceptor/worker socket hand-off, the cut-under-exclusive-lock vs
 # apply-pool interplay, and the proof-serving-vs-concurrent-append
@@ -45,7 +46,7 @@ run_config() {
 run_config "$prefix" "" ""
 run_config "${prefix}-asan" address "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent"
 run_config "${prefix}-ubsan" undefined "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent"
-run_config "${prefix}-tsan" thread "stress|obs|commit|serve|repl|transparency|consent"
+run_config "${prefix}-tsan" thread "stress|obs|scrub|commit|serve|repl|transparency|consent"
 run_config "${prefix}-nouring" "" "env|commit" "-DMEDVAULT_IO_URING=OFF"
 
 echo "smoke suite passed"
