@@ -435,20 +435,14 @@ Result<std::vector<RecordId>> ShardedVault::CreateRecordsBatch(
   return merged;
 }
 
-Result<RecordVersion> ShardedVault::ReadRecord(const PrincipalId& actor,
-                                               const RecordId& record_id) {
+Result<RecordVersion> ShardedVault::ReadRecordAt(
+    const PrincipalId& actor, const RecordId& record_id,
+    std::optional<uint32_t> version) {
   obs::ScopedOpTimer timer(metrics_, op_metrics_.read, "sharded.read");
   MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
   MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->ReadRecord(actor, record_id);
-}
-
-Result<RecordVersion> ShardedVault::ReadRecordVersion(
-    const PrincipalId& actor, const RecordId& record_id, uint32_t version) {
-  obs::ScopedOpTimer timer(metrics_, op_metrics_.read, "sharded.read");
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->ReadRecordVersion(actor, record_id, version);
+  return version ? s->ReadRecordVersion(actor, record_id, *version)
+                 : s->ReadRecord(actor, record_id);
 }
 
 Result<VersionHeader> ShardedVault::CorrectRecord(

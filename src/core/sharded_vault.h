@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -174,10 +175,14 @@ class ShardedVault {
       const PrincipalId& actor, const std::vector<Vault::NewRecord>& batch);
 
   Result<RecordVersion> ReadRecord(const PrincipalId& actor,
-                                   const RecordId& record_id);
+                                   const RecordId& record_id) {
+    return ReadRecordAt(actor, record_id, std::nullopt);
+  }
   Result<RecordVersion> ReadRecordVersion(const PrincipalId& actor,
                                           const RecordId& record_id,
-                                          uint32_t version);
+                                          uint32_t version) {
+    return ReadRecordAt(actor, record_id, version);
+  }
   Result<VersionHeader> CorrectRecord(
       const PrincipalId& actor, const RecordId& record_id,
       const Slice& new_plaintext, const std::string& reason,
@@ -319,6 +324,10 @@ class ShardedVault {
   /// Shard `k` if healthy, kFailedPrecondition naming the quarantine
   /// reason otherwise. Routed operations go through this.
   Result<Vault*> RequireShard(uint32_t k) const;
+  /// One body for both reads; `version` unset reads the latest.
+  Result<RecordVersion> ReadRecordAt(const PrincipalId& actor,
+                                     const RecordId& record_id,
+                                     std::optional<uint32_t> version);
   /// Derives shard `k`'s key domain and opens its Vault.
   Result<std::unique_ptr<Vault>> OpenShard(uint32_t k);
   /// The one shard fan-out: runs fn(k) for every shard on pool_ (inline

@@ -879,8 +879,9 @@ Status Vault::PutRecordMeta(const RecordMeta& meta) {
   return PutRecordMetaLocked(meta);
 }
 
-Result<RecordVersion> Vault::ReadRecord(const PrincipalId& actor,
-                                        const RecordId& record_id) {
+Result<RecordVersion> Vault::ReadRecordAt(const PrincipalId& actor,
+                                          const RecordId& record_id,
+                                          std::optional<uint32_t> version) {
   obs::ScopedOpTimer timer(metrics_, op_metrics_.read, "vault.read");
   std::shared_lock lock(mu_);
   MEDVAULT_ASSIGN_OR_RETURN(RecordMeta meta,
@@ -893,38 +894,14 @@ Result<RecordVersion> Vault::ReadRecord(const PrincipalId& actor,
                                          "disposed" + BasisSuffix(basis)));
     return Status::KeyDestroyed("record was disposed of");
   }
-  auto version = ReadVersionCachedLocked(record_id, meta.latest_version);
-  MEDVAULT_RETURN_IF_ERROR(AuditLocked(
-      actor, AuditAction::kRead, record_id,
-      (version.ok() ? "ok" : version.status().ToString()) +
-          BasisSuffix(basis)));
-  if (version.ok() && basis.kind == AccessBasis::Kind::kConsent) {
-    consent_exercised_->Increment();
-  }
-  return version;
-}
-
-Result<RecordVersion> Vault::ReadRecordVersion(const PrincipalId& actor,
-                                               const RecordId& record_id,
-                                               uint32_t version) {
-  obs::ScopedOpTimer timer(metrics_, op_metrics_.read, "vault.read");
-  std::shared_lock lock(mu_);
-  MEDVAULT_ASSIGN_OR_RETURN(RecordMeta meta,
-                            RequireLiveMetaLocked(record_id));
-  AccessBasis basis;
-  MEDVAULT_RETURN_IF_ERROR(CheckAndAuditLocked(
-      actor, Operation::kReadRecord, record_id, meta.patient_id, &basis));
-  if (meta.disposed) {
-    MEDVAULT_RETURN_IF_ERROR(AuditLocked(actor, AuditAction::kRead, record_id,
-                                         "disposed" + BasisSuffix(basis)));
-    return Status::KeyDestroyed("record was disposed of");
-  }
-  auto result = ReadVersionCachedLocked(record_id, version);
-  MEDVAULT_RETURN_IF_ERROR(AuditLocked(
-      actor, AuditAction::kRead, record_id,
-      "v" + std::to_string(version) +
-          (result.ok() ? " ok" : " " + result.status().ToString()) +
-          BasisSuffix(basis)));
+  auto result =
+      ReadVersionCachedLocked(record_id, version.value_or(meta.latest_version));
+  // "ok" / "<status>" for the latest, "v<N> ok" / "v<N> <status>" pinned.
+  std::string details = version ? "v" + std::to_string(*version) + " " : "";
+  details += result.ok() ? "ok" : result.status().ToString();
+  details += BasisSuffix(basis);
+  MEDVAULT_RETURN_IF_ERROR(
+      AuditLocked(actor, AuditAction::kRead, record_id, details));
   if (result.ok() && basis.kind == AccessBasis::Kind::kConsent) {
     consent_exercised_->Increment();
   }

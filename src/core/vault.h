@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -205,10 +206,14 @@ class Vault {
 
   /// Reads the latest version (or a specific one).
   Result<RecordVersion> ReadRecord(const PrincipalId& actor,
-                                   const RecordId& record_id);
+                                   const RecordId& record_id) {
+    return ReadRecordAt(actor, record_id, std::nullopt);
+  }
   Result<RecordVersion> ReadRecordVersion(const PrincipalId& actor,
                                           const RecordId& record_id,
-                                          uint32_t version);
+                                          uint32_t version) {
+    return ReadRecordAt(actor, record_id, version);
+  }
 
   /// Appends a correction (new version); prior versions remain readable
   /// and verifiable.
@@ -455,6 +460,10 @@ class Vault {
   /// hit must match the catalog's current entry hash; misses decrypt
   /// from the version store and populate the cache. Requires mu_
   /// (shared or exclusive).
+  /// One body for both reads; `version` unset reads the latest.
+  Result<RecordVersion> ReadRecordAt(const PrincipalId& actor,
+                                     const RecordId& record_id,
+                                     std::optional<uint32_t> version);
   Result<RecordVersion> ReadVersionCachedLocked(const RecordId& record_id,
                                                 uint32_t version) const;
   /// Access check + denial audit. `basis` (optional) receives why a

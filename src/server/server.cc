@@ -9,8 +9,10 @@
 #include <unistd.h>
 
 #include <charconv>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <optional>
+#include <string_view>
 
 #include "common/hex.h"
 #include "core/replication.h"
@@ -24,15 +26,6 @@ namespace medvault::server {
 namespace {
 
 using obs::json::Value;
-
-const char* const kRouteNames[] = {
-    "health",  "login",        "logout", "create_record", "read_record",
-    "correct", "history",      "dispose", "search",       "record_audit",
-    "audit",   "checkpoint",   "break_glass", "replication", "repl_cut",
-    "transparency", "transparency_checkpoint", "transparency_consistency",
-    "transparency_proof", "disclosures",
-    "consent_grant", "consent_revoke", "consent_list",
-};
 
 HttpResponse JsonResponse(int status, const Value& v) {
   HttpResponse r;
@@ -155,30 +148,155 @@ Value HexPathJson(const std::vector<std::string>& path) {
   return Value(std::move(arr));
 }
 
-/// Decimal uint64 query parameter. Absent and empty both yield
-/// `fallback` when `required` is false; anything non-numeric is a 400.
-Result<uint64_t> Uint64Param(const HttpRequest& request, const char* name,
-                             bool required, uint64_t fallback = 0) {
+/// Strict unsigned decimal: digits only, no sign, no trailing junk, and
+/// in range for T.
+template <typename T>
+std::optional<T> ParseDecimal(const std::string& s) {
+  T n = 0;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), n, 10);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
+  return n;
+}
+
+/// Decimal query parameter. Absent and empty both yield 0 when
+/// `required` is false; anything else that is not a T is a 400.
+template <typename T>
+Result<T> DecimalParam(const HttpRequest& request, const char* name,
+                       bool required) {
   const std::string v = request.QueryParam(name);
   if (v.empty()) {
     if (required) {
       return Status::InvalidArgument(std::string("missing query parameter \"") +
                                      name + "\"");
     }
-    return fallback;
+    return T{0};
   }
-  uint64_t n = 0;
-  for (char c : v) {
-    if (c < '0' || c > '9' || n > (UINT64_MAX - 9) / 10) {
-      return Status::InvalidArgument(std::string("query parameter \"") + name +
-                                     "\" must be a decimal integer");
-    }
-    n = n * 10 + static_cast<uint64_t>(c - '0');
+  std::optional<T> n = ParseDecimal<T>(v);
+  if (!n) {
+    return Status::InvalidArgument(std::string("query parameter \"") + name +
+                                   "\" must be a " +
+                                   std::to_string(sizeof(T) * 8) +
+                                   "-bit decimal integer");
   }
-  return n;
+  return *n;
 }
 
 }  // namespace
+
+/// One row of the route table. `path` is an exact path or, ending in
+/// '/', a prefix whose remainder becomes the call's `param`; a non-empty
+/// `suffix` then requires the remainder to end in "/<suffix>" and strips
+/// it. Rows of one resource (same path and suffix) sit together, in the
+/// order their methods are listed in a 405.
+struct MedVaultServer::Route {
+  const char* method;
+  const char* path;
+  const char* suffix;
+  const char* name;  ///< latency histogram "server.req.<name>"
+  bool auth;         ///< requires a live session
+  bool durable;      ///< a 2xx is sent only after the durability barrier
+  HttpResponse (MedVaultServer::*handler)(const Call&);
+
+  bool SameResource(const Route& other) const {
+    return std::strcmp(path, other.path) == 0 &&
+           std::strcmp(suffix, other.suffix) == 0;
+  }
+
+  bool Matches(std::string_view target, std::string* param) const {
+    const std::string_view prefix = path;
+    if (prefix.back() != '/') return target == prefix;
+    if (target.substr(0, prefix.size()) != prefix) return false;
+    std::string_view rest = target.substr(prefix.size());
+    if (*suffix != '\0') {
+      const size_t sub_at = rest.rfind('/');
+      if (sub_at == rest.npos || rest.substr(sub_at + 1) != suffix) {
+        return false;
+      }
+      rest = rest.substr(0, sub_at);
+    }
+    param->assign(rest);
+    return true;
+  }
+};
+
+namespace {
+constexpr bool kPublic = false, kSession = true;
+constexpr bool kDurable = true, kNotDurable = false;
+}  // namespace
+
+// Every route, its access rule, and whether its acknowledgement waits
+// for a durable sync. `durable` is the one place to review which acks
+// survive a crash: every mutation the client must be able to rely on
+// (records, audit checkpoints, break-glass and consent grants, consent
+// revocations) is durable. Reads are not (yet): a read's audit event
+// may still be buffered when the plaintext is sent.
+const MedVaultServer::Route MedVaultServer::kRoutes[] = {
+    // Public: load balancers probe health, and logging in is how a
+    // session starts.
+    {"GET", "/v1/health", "", "health", kPublic, kNotDurable,
+     &MedVaultServer::HandleHealth},
+    {"POST", "/v1/login", "", "login", kPublic, kNotDurable,
+     &MedVaultServer::HandleLogin},
+    {"GET", "/v1/replication", "", "replication", kPublic, kNotDurable,
+     &MedVaultServer::HandleReplicationStatus},
+    // Cut requests authenticate themselves: the cursor in the body is
+    // HMAC-signed under the replication key, which only a legitimate
+    // replica (same vault entropy) can produce.
+    {"POST", "/v1/replication/cut/", "", "repl_cut", kPublic, kNotDurable,
+     &MedVaultServer::HandleReplicationCut},
+    // Transparency posture, checkpoints, and consistency proofs are
+    // public by design: they disclose only tree sizes, roots, and
+    // signatures, and external witnesses/monitors must be able to fetch
+    // them without holding a clinical session. Inclusion proofs and
+    // disclosure reports carry event contents, so those two need a
+    // session (below).
+    {"GET", "/v1/transparency", "", "transparency", kPublic, kNotDurable,
+     &MedVaultServer::HandleTransparencyStatus},
+    {"GET", "/v1/transparency/checkpoint", "", "transparency_checkpoint",
+     kPublic, kNotDurable, &MedVaultServer::HandleTransparencyCheckpoint},
+    {"GET", "/v1/transparency/consistency", "", "transparency_consistency",
+     kPublic, kNotDurable, &MedVaultServer::HandleTransparencyConsistency},
+
+    {"POST", "/v1/logout", "", "logout", kSession, kNotDurable,
+     &MedVaultServer::HandleLogout},
+    {"POST", "/v1/records", "", "create_record", kSession, kDurable,
+     &MedVaultServer::HandleCreateRecord},
+    {"POST", "/v1/search", "", "search", kSession, kNotDurable,
+     &MedVaultServer::HandleSearch},
+    {"GET", "/v1/audit", "", "audit", kSession, kNotDurable,
+     &MedVaultServer::HandleAuditTrail},
+    {"POST", "/v1/audit/checkpoint", "", "checkpoint", kSession, kDurable,
+     &MedVaultServer::HandleCheckpoint},
+    // Break-glass and consent grants are audited and state-logged (consent
+    // grants also signed); the barrier makes a grant survive a crash the
+    // instant the client sees its id.
+    {"POST", "/v1/break-glass", "", "break_glass", kSession, kDurable,
+     &MedVaultServer::HandleBreakGlass},
+    {"POST", "/v1/consent", "", "consent_grant", kSession, kDurable,
+     &MedVaultServer::HandleConsentGrant},
+    {"GET", "/v1/consent", "", "consent_list", kSession, kNotDurable,
+     &MedVaultServer::HandleConsentList},
+    // Revocation must be durable before it is acknowledged: once the
+    // client sees the response, no crash may resurrect the grant.
+    {"POST", "/v1/consent/revoke", "", "consent_revoke", kSession, kDurable,
+     &MedVaultServer::HandleConsentRevoke},
+    {"GET", "/v1/transparency/proof", "", "transparency_proof", kSession,
+     kNotDurable, &MedVaultServer::HandleTransparencyProof},
+    {"GET", "/v1/transparency/disclosures", "", "disclosures", kSession,
+     kNotDurable, &MedVaultServer::HandleDisclosures},
+
+    // /v1/records/<id>/<action>; any other remainder is a record id.
+    {"POST", "/v1/records/", "correct", "correct", kSession, kDurable,
+     &MedVaultServer::HandleCorrectRecord},
+    {"GET", "/v1/records/", "history", "history", kSession, kNotDurable,
+     &MedVaultServer::HandleHistory},
+    {"POST", "/v1/records/", "dispose", "dispose", kSession, kDurable,
+     &MedVaultServer::HandleDispose},
+    {"GET", "/v1/records/", "audit", "record_audit", kSession, kNotDurable,
+     &MedVaultServer::HandleRecordAudit},
+    {"GET", "/v1/records/", "", "read_record", kSession, kNotDurable,
+     &MedVaultServer::HandleReadRecord},
+};
 
 int MedVaultServer::MapStatusToHttp(const Status& status) {
   switch (status.code()) {
@@ -226,9 +344,9 @@ MedVaultServer::MedVaultServer(core::ShardedVault* vault,
       requests_(metrics_->GetCounter("server.requests")),
       active_(metrics_->GetGauge("server.active")) {
   if (options_.worker_threads == 0) options_.worker_threads = 1;
-  for (const char* route : kRouteNames) {
-    route_hist_[route] =
-        metrics_->GetHistogram(std::string("server.req.") + route);
+  for (const Route& route : kRoutes) {
+    route_latency_.push_back(
+        metrics_->GetHistogram(std::string("server.req.") + route.name));
   }
 }
 
@@ -417,60 +535,24 @@ Status MedVaultServer::CommitIfDurable() {
 HttpResponse MedVaultServer::Handle(const HttpRequest& request) {
   requests_->Increment();
   const std::string path = request.Path();
+  constexpr size_t kNumRoutes = std::size(kRoutes);
 
-  auto timed = [&](const char* route,
-                   auto&& handler) -> HttpResponse {
-    obs::ScopedOpTimer timer(metrics_, route_hist_.at(route), route);
-    return handler();
-  };
-
-  // Unauthenticated endpoints.
-  if (path == "/v1/health") {
-    if (request.method != "GET") return ErrorResponse(405, "use GET");
-    return timed("health", [&] { return HandleHealth(); });
-  }
-  if (path == "/v1/login") {
-    if (request.method != "POST") return ErrorResponse(405, "use POST");
-    return timed("login", [&] { return HandleLogin(request); });
-  }
-  if (path == "/v1/replication") {
-    if (request.method != "GET") return ErrorResponse(405, "use GET");
-    return timed("replication", [&] { return HandleReplicationStatus(); });
-  }
-  // Cut requests authenticate themselves: the cursor in the body is
-  // HMAC-signed under the replication key, which only a legitimate
-  // replica (same vault entropy) can produce.
-  constexpr const char kCutPrefix[] = "/v1/replication/cut/";
-  if (path.rfind(kCutPrefix, 0) == 0) {
-    if (request.method != "POST") return ErrorResponse(405, "use POST");
-    const std::string shard_str = path.substr(sizeof(kCutPrefix) - 1);
-    return timed("repl_cut",
-                 [&] { return HandleReplicationCut(shard_str, request); });
-  }
-  // Transparency posture, checkpoints, and consistency proofs are
-  // public by design: they disclose only tree sizes, roots, and
-  // signatures, and external witnesses/monitors must be able to fetch
-  // them without holding a clinical session. Inclusion proofs and
-  // disclosure reports carry event contents, so those two fall through
-  // to the authenticated block below.
-  if (path == "/v1/transparency") {
-    if (request.method != "GET") return ErrorResponse(405, "use GET");
-    return timed("transparency", [&] { return HandleTransparencyStatus(); });
-  }
-  if (path == "/v1/transparency/checkpoint") {
-    if (request.method != "GET") return ErrorResponse(405, "use GET");
-    return timed("transparency_checkpoint",
-                 [&] { return HandleTransparencyCheckpoint(request); });
-  }
-  if (path == "/v1/transparency/consistency") {
-    if (request.method != "GET") return ErrorResponse(405, "use GET");
-    return timed("transparency_consistency",
-                 [&] { return HandleTransparencyConsistency(request); });
+  std::string param;
+  size_t first = 0;
+  while (first < kNumRoutes && !kRoutes[first].Matches(path, &param)) ++first;
+  // The path's rows are `first` and the rows after it for the same
+  // resource; the one for this method, if any, is `row`.
+  size_t end = first;
+  const Route* row = nullptr;
+  for (; end < kNumRoutes && kRoutes[end].SameResource(kRoutes[first]);
+       ++end) {
+    if (request.method == kRoutes[end].method) row = &kRoutes[end];
   }
 
-  // Everything else requires a live session.
+  // Unknown paths need a session too: without one, a client cannot
+  // even learn which endpoints exist.
   core::PrincipalId actor;
-  {
+  if (first == kNumRoutes || kRoutes[first].auth) {
     auto it = request.headers.find("authorization");
     if (it == request.headers.end() || it->second.rfind("Bearer ", 0) != 0) {
       HttpResponse r = ErrorResponse(401, "missing bearer token");
@@ -485,98 +567,29 @@ HttpResponse MedVaultServer::Handle(const HttpRequest& request) {
     }
     actor = *std::move(who);
   }
-
-  if (path == "/v1/logout") {
-    if (request.method != "POST") return ErrorResponse(405, "use POST");
-    return timed("logout", [&] { return HandleLogout(request); });
+  if (first == kNumRoutes) {
+    return ErrorResponse(404, "no such endpoint: " + path);
   }
-  if (path == "/v1/records") {
-    if (request.method != "POST") return ErrorResponse(405, "use POST");
-    return timed("create_record",
-                 [&] { return HandleCreateRecord(actor, request); });
-  }
-  if (path == "/v1/search") {
-    if (request.method != "POST") return ErrorResponse(405, "use POST");
-    return timed("search", [&] { return HandleSearch(actor, request); });
-  }
-  if (path == "/v1/audit") {
-    if (request.method != "GET") return ErrorResponse(405, "use GET");
-    return timed("audit", [&] { return HandleAuditTrail(actor); });
-  }
-  if (path == "/v1/audit/checkpoint") {
-    if (request.method != "POST") return ErrorResponse(405, "use POST");
-    return timed("checkpoint", [&] { return HandleCheckpoint(actor); });
-  }
-  if (path == "/v1/break-glass") {
-    if (request.method != "POST") return ErrorResponse(405, "use POST");
-    return timed("break_glass",
-                 [&] { return HandleBreakGlass(actor, request); });
-  }
-  if (path == "/v1/consent") {
-    if (request.method == "POST") {
-      return timed("consent_grant",
-                   [&] { return HandleConsentGrant(actor, request); });
+  if (row == nullptr) {
+    std::string allowed = "use ";
+    for (size_t i = first; i < end; ++i) {
+      if (i > first) allowed += " or ";
+      allowed += kRoutes[i].method;
     }
-    if (request.method == "GET") {
-      return timed("consent_list",
-                   [&] { return HandleConsentList(actor, request); });
-    }
-    return ErrorResponse(405, "use POST or GET");
-  }
-  if (path == "/v1/consent/revoke") {
-    if (request.method != "POST") return ErrorResponse(405, "use POST");
-    return timed("consent_revoke",
-                 [&] { return HandleConsentRevoke(actor, request); });
-  }
-  if (path == "/v1/transparency/proof") {
-    if (request.method != "GET") return ErrorResponse(405, "use GET");
-    return timed("transparency_proof",
-                 [&] { return HandleTransparencyProof(actor, request); });
-  }
-  if (path == "/v1/transparency/disclosures") {
-    if (request.method != "GET") return ErrorResponse(405, "use GET");
-    return timed("disclosures",
-                 [&] { return HandleDisclosures(actor, request); });
+    return ErrorResponse(405, allowed);
   }
 
-  constexpr const char kRecordsPrefix[] = "/v1/records/";
-  if (path.rfind(kRecordsPrefix, 0) == 0) {
-    std::string rest = path.substr(sizeof(kRecordsPrefix) - 1);
-    auto sub_at = rest.rfind('/');
-    std::string action =
-        sub_at == std::string::npos ? "" : rest.substr(sub_at + 1);
-    if (action == "correct" || action == "history" || action == "dispose" ||
-        action == "audit") {
-      const core::RecordId record_id = rest.substr(0, sub_at);
-      if (action == "correct") {
-        if (request.method != "POST") return ErrorResponse(405, "use POST");
-        return timed("correct", [&] {
-          return HandleCorrectRecord(actor, record_id, request);
-        });
-      }
-      if (action == "history") {
-        if (request.method != "GET") return ErrorResponse(405, "use GET");
-        return timed("history",
-                     [&] { return HandleHistory(actor, record_id); });
-      }
-      if (action == "dispose") {
-        if (request.method != "POST") return ErrorResponse(405, "use POST");
-        return timed("dispose",
-                     [&] { return HandleDispose(actor, record_id); });
-      }
-      if (request.method != "GET") return ErrorResponse(405, "use GET");
-      return timed("record_audit",
-                   [&] { return HandleRecordAudit(actor, record_id); });
-    }
-    if (request.method != "GET") return ErrorResponse(405, "use GET");
-    return timed("read_record",
-                 [&] { return HandleReadRecord(actor, rest, request); });
+  obs::ScopedOpTimer timer(metrics_, route_latency_[row - kRoutes],
+                           row->name);
+  HttpResponse response = (this->*row->handler)(Call{request, actor, param});
+  if (row->durable && response.status >= 200 && response.status < 300) {
+    Status durable = CommitIfDurable();
+    if (!durable.ok()) return ErrorFromStatus(durable);
   }
-
-  return ErrorResponse(404, "no such endpoint: " + path);
+  return response;
 }
 
-HttpResponse MedVaultServer::HandleHealth() {
+HttpResponse MedVaultServer::HandleHealth(const Call&) {
   obs::HealthReport report = obs::CollectHealth(*vault_);
   obs::FillReplicationHealth(&report, options_.repl_source,
                              options_.repl_applier);
@@ -584,7 +597,7 @@ HttpResponse MedVaultServer::HandleHealth() {
   return JsonResponse(200, report.ToJson());
 }
 
-HttpResponse MedVaultServer::HandleReplicationStatus() {
+HttpResponse MedVaultServer::HandleReplicationStatus(const Call&) {
   const core::ShardedReplicationSource* source = options_.repl_source;
   const core::ShardedReplicaApplier* applier = options_.repl_applier;
   if (source == nullptr && applier == nullptr) {
@@ -608,21 +621,17 @@ HttpResponse MedVaultServer::HandleReplicationStatus() {
   return JsonResponse(200, Value(std::move(o)));
 }
 
-HttpResponse MedVaultServer::HandleReplicationCut(const std::string& shard_str,
-                                                  const HttpRequest& request) {
+HttpResponse MedVaultServer::HandleReplicationCut(const Call& call) {
   if (options_.repl_source == nullptr) {
     return ErrorResponse(404, "this endpoint does not ship batches");
   }
-  if (shard_str.empty() ||
-      shard_str.find_first_not_of("0123456789") != std::string::npos) {
-    return ErrorResponse(400, "bad shard index: " + shard_str);
-  }
-  const unsigned long shard = std::strtoul(shard_str.c_str(), nullptr, 10);
-  if (shard >= options_.repl_source->num_shards()) {
-    return ErrorResponse(404, "no such shard: " + shard_str);
+  std::optional<uint32_t> shard = ParseDecimal<uint32_t>(call.param);
+  if (!shard) return ErrorResponse(400, "bad shard index: " + call.param);
+  if (*shard >= options_.repl_source->num_shards()) {
+    return ErrorResponse(404, "no such shard: " + call.param);
   }
   Result<std::string> batch = options_.repl_source->HandleCutRequest(
-      static_cast<uint32_t>(shard), Slice(request.body));
+      *shard, Slice(call.request.body));
   if (!batch.ok()) return ErrorFromStatus(batch.status());
   HttpResponse r;
   r.status = 200;
@@ -631,8 +640,8 @@ HttpResponse MedVaultServer::HandleReplicationCut(const std::string& shard_str,
   return r;
 }
 
-HttpResponse MedVaultServer::HandleLogin(const HttpRequest& request) {
-  Result<Value> body = ParseJsonObject(request.body);
+HttpResponse MedVaultServer::HandleLogin(const Call& call) {
+  Result<Value> body = ParseJsonObject(call.request.body);
   if (!body.ok()) return ErrorFromStatus(body.status());
   const Value::Object& o = body->as_object();
   Result<std::string> principal = RequireString(o, "principal");
@@ -667,8 +676,8 @@ HttpResponse MedVaultServer::HandleLogin(const HttpRequest& request) {
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleLogout(const HttpRequest& request) {
-  auto it = request.headers.find("authorization");
+HttpResponse MedVaultServer::HandleLogout(const Call& call) {
+  auto it = call.request.headers.find("authorization");
   // Authenticated already, so the header is present and well-formed.
   sessions_->Revoke(it->second.substr(7));
   Value::Object out;
@@ -676,9 +685,8 @@ HttpResponse MedVaultServer::HandleLogout(const HttpRequest& request) {
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleCreateRecord(const core::PrincipalId& actor,
-                                                const HttpRequest& request) {
-  Result<Value> body = ParseJsonObject(request.body);
+HttpResponse MedVaultServer::HandleCreateRecord(const Call& call) {
+  Result<Value> body = ParseJsonObject(call.request.body);
   if (!body.ok()) return ErrorFromStatus(body.status());
   const Value::Object& o = body->as_object();
   Result<std::string> patient = RequireString(o, "patient_id");
@@ -689,29 +697,22 @@ HttpResponse MedVaultServer::HandleCreateRecord(const core::PrincipalId& actor,
   if (!keywords.ok()) return ErrorFromStatus(keywords.status());
 
   Result<core::RecordId> id = vault_->CreateRecord(
-      actor, *patient, OptionalString(o, "content_type", "text/plain"),
+      call.actor, *patient, OptionalString(o, "content_type", "text/plain"),
       *content, *keywords, OptionalString(o, "retention_policy", "hipaa-6y"));
   if (!id.ok()) return ErrorFromStatus(id.status());
-  Status durable = CommitIfDurable();
-  if (!durable.ok()) return ErrorFromStatus(durable);
 
   Value::Object out;
   out["record_id"] = Value(*id);
   return JsonResponse(201, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleReadRecord(const core::PrincipalId& actor,
-                                              const core::RecordId& record_id,
-                                              const HttpRequest& request) {
+HttpResponse MedVaultServer::HandleReadRecord(const Call& call) {
   Result<core::RecordVersion> version = [&]() -> Result<core::RecordVersion> {
-    const std::string v = request.QueryParam("version");
-    if (v.empty()) return vault_->ReadRecord(actor, record_id);
-    uint32_t n = 0;
-    auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), n, 10);
-    if (ec != std::errc() || ptr != v.data() + v.size()) {
-      return Status::InvalidArgument("version must be a 32-bit number");
-    }
-    return vault_->ReadRecordVersion(actor, record_id, n);
+    const std::string v = call.request.QueryParam("version");
+    if (v.empty()) return vault_->ReadRecord(call.actor, call.param);
+    std::optional<uint32_t> n = ParseDecimal<uint32_t>(v);
+    if (!n) return Status::InvalidArgument("version must be a 32-bit number");
+    return vault_->ReadRecordVersion(call.actor, call.param, *n);
   }();
   if (!version.ok()) return ErrorFromStatus(version.status());
 
@@ -721,10 +722,8 @@ HttpResponse MedVaultServer::HandleReadRecord(const core::PrincipalId& actor,
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleCorrectRecord(
-    const core::PrincipalId& actor, const core::RecordId& record_id,
-    const HttpRequest& request) {
-  Result<Value> body = ParseJsonObject(request.body);
+HttpResponse MedVaultServer::HandleCorrectRecord(const Call& call) {
+  Result<Value> body = ParseJsonObject(call.request.body);
   if (!body.ok()) return ErrorFromStatus(body.status());
   const Value::Object& o = body->as_object();
   Result<std::string> content = RequireString(o, "content");
@@ -734,18 +733,15 @@ HttpResponse MedVaultServer::HandleCorrectRecord(
   Result<std::vector<std::string>> keywords = StringArray(o, "keywords");
   if (!keywords.ok()) return ErrorFromStatus(keywords.status());
 
-  Result<core::VersionHeader> header =
-      vault_->CorrectRecord(actor, record_id, *content, *reason, *keywords);
+  Result<core::VersionHeader> header = vault_->CorrectRecord(
+      call.actor, call.param, *content, *reason, *keywords);
   if (!header.ok()) return ErrorFromStatus(header.status());
-  Status durable = CommitIfDurable();
-  if (!durable.ok()) return ErrorFromStatus(durable);
   return JsonResponse(200, VersionHeaderJson(*header));
 }
 
-HttpResponse MedVaultServer::HandleHistory(const core::PrincipalId& actor,
-                                           const core::RecordId& record_id) {
+HttpResponse MedVaultServer::HandleHistory(const Call& call) {
   Result<std::vector<core::VersionHeader>> history =
-      vault_->RecordHistory(actor, record_id);
+      vault_->RecordHistory(call.actor, call.param);
   if (!history.ok()) return ErrorFromStatus(history.status());
   Value::Array versions;
   for (const core::VersionHeader& h : *history) {
@@ -756,13 +752,10 @@ HttpResponse MedVaultServer::HandleHistory(const core::PrincipalId& actor,
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleDispose(const core::PrincipalId& actor,
-                                           const core::RecordId& record_id) {
+HttpResponse MedVaultServer::HandleDispose(const Call& call) {
   Result<core::DisposalCertificate> cert =
-      vault_->DisposeRecord(actor, record_id);
+      vault_->DisposeRecord(call.actor, call.param);
   if (!cert.ok()) return ErrorFromStatus(cert.status());
-  Status durable = CommitIfDurable();
-  if (!durable.ok()) return ErrorFromStatus(durable);
 
   Value::Object out;
   out["record_id"] = Value(cert->record_id);
@@ -774,9 +767,8 @@ HttpResponse MedVaultServer::HandleDispose(const core::PrincipalId& actor,
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleSearch(const core::PrincipalId& actor,
-                                          const HttpRequest& request) {
-  Result<Value> body = ParseJsonObject(request.body);
+HttpResponse MedVaultServer::HandleSearch(const Call& call) {
+  Result<Value> body = ParseJsonObject(call.request.body);
   if (!body.ok()) return ErrorFromStatus(body.status());
   Result<std::vector<std::string>> terms =
       StringArray(body->as_object(), "terms");
@@ -786,8 +778,8 @@ HttpResponse MedVaultServer::HandleSearch(const core::PrincipalId& actor,
   }
 
   Result<std::vector<core::RecordId>> ids =
-      terms->size() == 1 ? vault_->SearchKeyword(actor, terms->front())
-                         : vault_->SearchKeywordsAll(actor, *terms);
+      terms->size() == 1 ? vault_->SearchKeyword(call.actor, terms->front())
+                         : vault_->SearchKeywordsAll(call.actor, *terms);
   if (!ids.ok()) return ErrorFromStatus(ids.status());
   Value::Array arr;
   for (const core::RecordId& id : *ids) arr.push_back(Value(id));
@@ -796,10 +788,9 @@ HttpResponse MedVaultServer::HandleSearch(const core::PrincipalId& actor,
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleRecordAudit(
-    const core::PrincipalId& actor, const core::RecordId& record_id) {
+HttpResponse MedVaultServer::HandleRecordAudit(const Call& call) {
   Result<std::vector<core::AuditEvent>> events =
-      vault_->ReadAuditTrail(actor, record_id);
+      vault_->ReadAuditTrail(call.actor, call.param);
   if (!events.ok()) return ErrorFromStatus(events.status());
   Value::Array arr;
   for (const core::AuditEvent& e : *events) arr.push_back(AuditEventJson(e));
@@ -808,9 +799,9 @@ HttpResponse MedVaultServer::HandleRecordAudit(
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleAuditTrail(const core::PrincipalId& actor) {
+HttpResponse MedVaultServer::HandleAuditTrail(const Call& call) {
   Result<std::vector<core::AuditEvent>> events =
-      vault_->ReadAuditTrail(actor, "");
+      vault_->ReadAuditTrail(call.actor, "");
   if (!events.ok()) return ErrorFromStatus(events.status());
   Value::Array arr;
   for (const core::AuditEvent& e : *events) arr.push_back(AuditEventJson(e));
@@ -819,7 +810,7 @@ HttpResponse MedVaultServer::HandleAuditTrail(const core::PrincipalId& actor) {
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleCheckpoint(const core::PrincipalId& actor) {
+HttpResponse MedVaultServer::HandleCheckpoint(const Call& call) {
   // Checkpointing is an auditor/admin act; the vault has no per-shard
   // access gate for it, so enforce the kReadAudit role here. (This
   // replaces an earlier gate that materialized the entire merged audit
@@ -828,14 +819,12 @@ HttpResponse MedVaultServer::HandleCheckpoint(const core::PrincipalId& actor) {
   if (shard == nullptr) {
     return ErrorResponse(503, "all shards quarantined");
   }
-  Status gate = shard->CheckAuditAccess(actor);
+  Status gate = shard->CheckAuditAccess(call.actor);
   if (!gate.ok()) return ErrorFromStatus(gate);
 
   Result<std::vector<core::SignedCheckpoint>> checkpoints =
       vault_->CheckpointAudit();
   if (!checkpoints.ok()) return ErrorFromStatus(checkpoints.status());
-  Status durable = CommitIfDurable();
-  if (!durable.ok()) return ErrorFromStatus(durable);
 
   Value::Array arr;
   for (size_t i = 0; i < checkpoints->size(); ++i) {
@@ -853,9 +842,8 @@ HttpResponse MedVaultServer::HandleCheckpoint(const core::PrincipalId& actor) {
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleBreakGlass(const core::PrincipalId& actor,
-                                              const HttpRequest& request) {
-  Result<Value> body = ParseJsonObject(request.body);
+HttpResponse MedVaultServer::HandleBreakGlass(const Call& call) {
+  Result<Value> body = ParseJsonObject(call.request.body);
   if (!body.ok()) return ErrorFromStatus(body.status());
   const Value::Object& o = body->as_object();
   Result<std::string> patient = RequireString(o, "patient_id");
@@ -866,21 +854,15 @@ HttpResponse MedVaultServer::HandleBreakGlass(const core::PrincipalId& actor,
   if (!duration.ok()) return ErrorFromStatus(duration.status());
 
   Result<std::string> grant =
-      vault_->BreakGlass(actor, *patient, *justification, *duration);
+      vault_->BreakGlass(call.actor, *patient, *justification, *duration);
   if (!grant.ok()) return ErrorFromStatus(grant.status());
-  // The grant is both audited and state-logged; the durability barrier
-  // makes it survive a crash the instant the client sees the grant id.
-  Status durable = CommitIfDurable();
-  if (!durable.ok()) return ErrorFromStatus(durable);
-
   Value::Object out;
   out["grant_id"] = Value(*grant);
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleConsentGrant(const core::PrincipalId& actor,
-                                                const HttpRequest& request) {
-  Result<Value> body = ParseJsonObject(request.body);
+HttpResponse MedVaultServer::HandleConsentGrant(const Call& call) {
+  Result<Value> body = ParseJsonObject(call.request.body);
   if (!body.ok()) return ErrorFromStatus(body.status());
   const Value::Object& o = body->as_object();
   Result<std::string> grantee = RequireString(o, "grantee");
@@ -893,14 +875,9 @@ HttpResponse MedVaultServer::HandleConsentGrant(const core::PrincipalId& actor,
   // caller's records, current and future).
   const std::string record_id = OptionalString(o, "record_id", "");
 
-  Result<core::ConsentGrant> grant =
-      vault_->GrantConsent(actor, *grantee, record_id, *purpose, *duration);
+  Result<core::ConsentGrant> grant = vault_->GrantConsent(
+      call.actor, *grantee, record_id, *purpose, *duration);
   if (!grant.ok()) return ErrorFromStatus(grant.status());
-  // The grant is signed, state-logged, and audited; the durability
-  // barrier makes it survive a crash the instant the client sees it.
-  Status durable = CommitIfDurable();
-  if (!durable.ok()) return ErrorFromStatus(durable);
-
   Value::Object out;
   out["grant_id"] = Value(grant->grant_id);
   out["grantee"] = Value(grant->grantee);
@@ -909,36 +886,29 @@ HttpResponse MedVaultServer::HandleConsentGrant(const core::PrincipalId& actor,
   return JsonResponse(201, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleConsentRevoke(const core::PrincipalId& actor,
-                                                 const HttpRequest& request) {
-  Result<Value> body = ParseJsonObject(request.body);
+HttpResponse MedVaultServer::HandleConsentRevoke(const Call& call) {
+  Result<Value> body = ParseJsonObject(call.request.body);
   if (!body.ok()) return ErrorFromStatus(body.status());
   const Value::Object& o = body->as_object();
   Result<std::string> grant_id = RequireString(o, "grant_id");
   if (!grant_id.ok()) return ErrorFromStatus(grant_id.status());
 
-  Status revoked = vault_->RevokeConsent(actor, *grant_id);
+  Status revoked = vault_->RevokeConsent(call.actor, *grant_id);
   if (!revoked.ok()) return ErrorFromStatus(revoked);
-  // Revocation must be durable before it is acknowledged: once the
-  // client sees this response, no crash may resurrect the grant.
-  Status durable = CommitIfDurable();
-  if (!durable.ok()) return ErrorFromStatus(durable);
-
   Value::Object out;
   out["ok"] = Value(true);
   out["grant_id"] = Value(*grant_id);
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleConsentList(const core::PrincipalId& actor,
-                                               const HttpRequest& request) {
+HttpResponse MedVaultServer::HandleConsentList(const Call& call) {
   // Defaults to the caller's own grants; ?patient= lets auditors and
   // admins pull another patient's (the vault's RBAC refuses everyone
   // else).
-  std::string patient = request.QueryParam("patient");
-  if (patient.empty()) patient = actor;
+  std::string patient = call.request.QueryParam("patient");
+  if (patient.empty()) patient = call.actor;
   Result<std::vector<core::ConsentGrant>> grants =
-      vault_->ListConsents(actor, patient);
+      vault_->ListConsents(call.actor, patient);
   if (!grants.ok()) return ErrorFromStatus(grants.status());
   Value::Array arr;
   for (const core::ConsentGrant& g : *grants) {
@@ -959,7 +929,7 @@ HttpResponse MedVaultServer::HandleConsentList(const core::PrincipalId& actor,
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleTransparencyStatus() {
+HttpResponse MedVaultServer::HandleTransparencyStatus(const Call&) {
   core::ShardedTransparencyService* svc = options_.transparency;
   if (svc == nullptr) {
     return ErrorResponse(404, "transparency not configured");
@@ -992,37 +962,38 @@ HttpResponse MedVaultServer::HandleTransparencyStatus() {
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleTransparencyCheckpoint(
-    const HttpRequest& request) {
+HttpResponse MedVaultServer::HandleTransparencyCheckpoint(const Call& call) {
   core::ShardedTransparencyService* svc = options_.transparency;
   if (svc == nullptr) {
     return ErrorResponse(404, "transparency not configured");
   }
-  Result<uint64_t> shard = Uint64Param(request, "shard", /*required=*/false);
+  Result<uint32_t> shard =
+      DecimalParam<uint32_t>(call.request, "shard", /*required=*/false);
   if (!shard.ok()) return ErrorFromStatus(shard.status());
-  Result<core::CosignedCheckpoint> latest =
-      svc->LatestCosigned(static_cast<uint32_t>(*shard));
+  Result<core::CosignedCheckpoint> latest = svc->LatestCosigned(*shard);
   if (!latest.ok()) return ErrorFromStatus(latest.status());
   Value::Object out = CosignedCheckpointJson(*latest).as_object();
   out["shard"] = Value(*shard);
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleTransparencyConsistency(
-    const HttpRequest& request) {
+HttpResponse MedVaultServer::HandleTransparencyConsistency(const Call& call) {
   core::ShardedTransparencyService* svc = options_.transparency;
   if (svc == nullptr) {
     return ErrorResponse(404, "transparency not configured");
   }
-  Result<uint64_t> shard = Uint64Param(request, "shard", /*required=*/false);
+  Result<uint32_t> shard =
+      DecimalParam<uint32_t>(call.request, "shard", /*required=*/false);
   if (!shard.ok()) return ErrorFromStatus(shard.status());
-  Result<uint64_t> from = Uint64Param(request, "from", /*required=*/true);
+  Result<uint64_t> from =
+      DecimalParam<uint64_t>(call.request, "from", /*required=*/true);
   if (!from.ok()) return ErrorFromStatus(from.status());
-  Result<uint64_t> to = Uint64Param(request, "to", /*required=*/true);
+  Result<uint64_t> to =
+      DecimalParam<uint64_t>(call.request, "to", /*required=*/true);
   if (!to.ok()) return ErrorFromStatus(to.status());
 
   Result<core::ConsistencyBundle> bundle =
-      svc->ConsistencyBetween(static_cast<uint32_t>(*shard), *from, *to);
+      svc->ConsistencyBetween(*shard, *from, *to);
   if (!bundle.ok()) return ErrorFromStatus(bundle.status());
   Value::Object out;
   out["shard"] = Value(*shard);
@@ -1032,34 +1003,33 @@ HttpResponse MedVaultServer::HandleTransparencyConsistency(
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleTransparencyProof(
-    const core::PrincipalId& actor, const HttpRequest& request) {
+HttpResponse MedVaultServer::HandleTransparencyProof(const Call& call) {
   core::ShardedTransparencyService* svc = options_.transparency;
   if (svc == nullptr) {
     return ErrorResponse(404, "transparency not configured");
   }
-  Result<uint64_t> shard = Uint64Param(request, "shard", /*required=*/false);
+  Result<uint32_t> shard =
+      DecimalParam<uint32_t>(call.request, "shard", /*required=*/false);
   if (!shard.ok()) return ErrorFromStatus(shard.status());
-  Result<uint64_t> seq = Uint64Param(request, "seq", /*required=*/true);
+  Result<uint64_t> seq =
+      DecimalParam<uint64_t>(call.request, "seq", /*required=*/true);
   if (!seq.ok()) return ErrorFromStatus(seq.status());
 
-  Result<core::TransparencyLog*> log =
-      svc->log(static_cast<uint32_t>(*shard));
+  Result<core::TransparencyLog*> log = svc->log(*shard);
   if (!log.ok()) return ErrorFromStatus(log.status());
 
   // Default to the latest *published* size: proofs are only servable
   // against checkpointed sizes, where the client holds a signed root.
-  Result<uint64_t> size = Uint64Param(request, "size", /*required=*/false);
+  Result<uint64_t> size =
+      DecimalParam<uint64_t>(call.request, "size", /*required=*/false);
   if (!size.ok()) return ErrorFromStatus(size.status());
   if (*size == 0) {
-    Result<core::CosignedCheckpoint> latest =
-        svc->LatestCosigned(static_cast<uint32_t>(*shard));
+    Result<core::CosignedCheckpoint> latest = svc->LatestCosigned(*shard);
     if (!latest.ok()) return ErrorFromStatus(latest.status());
     size = latest->checkpoint.tree_size;
   }
 
-  Result<core::EventProof> proof =
-      svc->ProveEventAt(static_cast<uint32_t>(*shard), *seq, *size);
+  Result<core::EventProof> proof = svc->ProveEventAt(*shard, *seq, *size);
   if (!proof.ok()) return ErrorFromStatus(proof.status());
 
   // RBAC: the proof carries the event's contents. Patients may prove
@@ -1068,20 +1038,20 @@ HttpResponse MedVaultServer::HandleTransparencyProof(
   // (checked and audited by the shard, denial included).
   core::Vault* any = AnyShard();
   if (any == nullptr) return ErrorResponse(503, "all shards quarantined");
-  Result<core::Principal> who = any->access()->GetPrincipal(actor);
+  Result<core::Principal> who = any->access()->GetPrincipal(call.actor);
   if (!who.ok()) return ErrorFromStatus(who.status());
   bool own_event = false;
   if (who->role == core::Role::kPatient) {
     const core::AuditEvent& e = proof->event;
-    if (e.actor == actor) {
+    if (e.actor == call.actor) {
       own_event = true;
     } else if (!e.record_id.empty()) {
       Result<core::RecordMeta> meta = vault_->GetRecordMeta(e.record_id);
-      own_event = meta.ok() && meta->patient_id == actor;
+      own_event = meta.ok() && meta->patient_id == call.actor;
     }
   }
   if (!own_event) {
-    Status gate = (*log)->vault()->CheckAuditAccess(actor);
+    Status gate = (*log)->vault()->CheckAuditAccess(call.actor);
     if (!gate.ok()) return ErrorFromStatus(gate);
   }
 
@@ -1098,15 +1068,14 @@ HttpResponse MedVaultServer::HandleTransparencyProof(
   return JsonResponse(200, Value(std::move(out)));
 }
 
-HttpResponse MedVaultServer::HandleDisclosures(const core::PrincipalId& actor,
-                                               const HttpRequest& request) {
+HttpResponse MedVaultServer::HandleDisclosures(const Call& call) {
   // HIPAA §164.528 accounting of disclosures. Defaults to the caller's
   // own accounting; ?patient= lets auditors/admins pull another
   // patient's (the vault's RBAC refuses everyone else).
-  std::string patient = request.QueryParam("patient");
-  if (patient.empty()) patient = actor;
+  std::string patient = call.request.QueryParam("patient");
+  if (patient.empty()) patient = call.actor;
   Result<std::vector<core::AuditEvent>> events =
-      vault_->AccountingOfDisclosures(actor, patient);
+      vault_->AccountingOfDisclosures(call.actor, patient);
   if (!events.ok()) return ErrorFromStatus(events.status());
   Value::Array arr;
   for (const core::AuditEvent& e : *events) arr.push_back(AuditEventJson(e));

@@ -3,12 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/result.h"
@@ -112,9 +112,12 @@ class MedVaultServer {
   /// connections, joins everything. Idempotent.
   void Stop();
 
-  /// Routes one parsed request — exposed so tests can exercise the
-  /// routing table without sockets. `session_principal` handling,
-  /// access checks and audit all happen inside (via the vault).
+  /// Serves one parsed request through the route table (kRoutes in
+  /// server.cc): finds the path's rows, authenticates when the row needs
+  /// a session, answers 405 from the path's methods, times the handler
+  /// in "server.req.<route>", and holds a durable route's 2xx until the
+  /// group-commit barrier has synced. Access checks and audit happen in
+  /// the vault. Public so tests and benches can drive it without sockets.
   HttpResponse Handle(const HttpRequest& request);
 
   SessionManager* sessions() { return sessions_.get(); }
@@ -134,59 +137,49 @@ class MedVaultServer {
   /// null only when ALL shards are quarantined.
   core::Vault* AnyShard() const;
   /// Group-committed durability barrier after a mutation (no-op when
-  /// durable_writes is off).
+  /// durable_writes is off). Handle runs it for durable routes only.
   Status CommitIfDurable();
 
-  // ---- Route handlers (authenticated unless noted) --------------------
-  HttpResponse HandleHealth();             // unauthenticated
-  HttpResponse HandleReplicationStatus();  // unauthenticated
-  /// Cursor-authenticated (the encoded cursor in the body carries its
-  /// own HMAC under the replication key), so no session is required.
-  HttpResponse HandleReplicationCut(const std::string& shard_str,
-                                    const HttpRequest& request);
-  HttpResponse HandleLogin(const HttpRequest& request);
-  HttpResponse HandleLogout(const HttpRequest& request);
-  HttpResponse HandleCreateRecord(const core::PrincipalId& actor,
-                                  const HttpRequest& request);
-  HttpResponse HandleReadRecord(const core::PrincipalId& actor,
-                                const core::RecordId& record_id,
-                                const HttpRequest& request);
-  HttpResponse HandleCorrectRecord(const core::PrincipalId& actor,
-                                   const core::RecordId& record_id,
-                                   const HttpRequest& request);
-  HttpResponse HandleHistory(const core::PrincipalId& actor,
-                             const core::RecordId& record_id);
-  HttpResponse HandleDispose(const core::PrincipalId& actor,
-                             const core::RecordId& record_id);
-  HttpResponse HandleSearch(const core::PrincipalId& actor,
-                            const HttpRequest& request);
-  HttpResponse HandleRecordAudit(const core::PrincipalId& actor,
-                                 const core::RecordId& record_id);
-  HttpResponse HandleAuditTrail(const core::PrincipalId& actor);
-  HttpResponse HandleCheckpoint(const core::PrincipalId& actor);
-  HttpResponse HandleBreakGlass(const core::PrincipalId& actor,
-                                const HttpRequest& request);
+  /// What every route handler receives: the request, the session's
+  /// principal (empty on public routes) and the remainder a prefix route
+  /// leaves over (a record id or a replication shard index).
+  struct Call {
+    const HttpRequest& request;
+    const core::PrincipalId& actor;
+    const std::string& param;
+  };
+  /// One row of the route table: method, path, access and durability.
+  struct Route;
+  static const Route kRoutes[];
+
+  // ---- Route handlers: which are public and which durable is kRoutes'
+  // business, not theirs.
+  HttpResponse HandleHealth(const Call& call);
+  HttpResponse HandleReplicationStatus(const Call& call);
+  HttpResponse HandleReplicationCut(const Call& call);
+  HttpResponse HandleLogin(const Call& call);
+  HttpResponse HandleLogout(const Call& call);
+  HttpResponse HandleCreateRecord(const Call& call);
+  HttpResponse HandleReadRecord(const Call& call);
+  HttpResponse HandleCorrectRecord(const Call& call);
+  HttpResponse HandleHistory(const Call& call);
+  HttpResponse HandleDispose(const Call& call);
+  HttpResponse HandleSearch(const Call& call);
+  HttpResponse HandleRecordAudit(const Call& call);
+  HttpResponse HandleAuditTrail(const Call& call);
+  HttpResponse HandleCheckpoint(const Call& call);
+  HttpResponse HandleBreakGlass(const Call& call);
   // Patient-driven sharing: grant/revoke/list delegated consent.
-  // Grants and revocations are durability-barriered like break-glass —
-  // a revocation is total the moment the client sees the response.
-  HttpResponse HandleConsentGrant(const core::PrincipalId& actor,
-                                  const HttpRequest& request);
-  HttpResponse HandleConsentRevoke(const core::PrincipalId& actor,
-                                   const HttpRequest& request);
-  HttpResponse HandleConsentList(const core::PrincipalId& actor,
-                                 const HttpRequest& request);
-  // Transparency endpoints. Checkpoints, consistency proofs, and the
-  // service posture are public: they disclose only sizes, roots, and
-  // signatures — the whole point is that anyone can verify them.
-  // Inclusion proofs carry event contents and disclosure reports are
-  // per-patient, so both are session-authenticated with RBAC inside.
-  HttpResponse HandleTransparencyStatus();                       // unauth
-  HttpResponse HandleTransparencyCheckpoint(const HttpRequest& request);
-  HttpResponse HandleTransparencyConsistency(const HttpRequest& request);
-  HttpResponse HandleTransparencyProof(const core::PrincipalId& actor,
-                                       const HttpRequest& request);
-  HttpResponse HandleDisclosures(const core::PrincipalId& actor,
-                                 const HttpRequest& request);
+  HttpResponse HandleConsentGrant(const Call& call);
+  HttpResponse HandleConsentRevoke(const Call& call);
+  HttpResponse HandleConsentList(const Call& call);
+  // Transparency endpoints: posture, checkpoints and consistency proofs
+  // (public), inclusion proofs and disclosure reports (RBAC inside).
+  HttpResponse HandleTransparencyStatus(const Call& call);
+  HttpResponse HandleTransparencyCheckpoint(const Call& call);
+  HttpResponse HandleTransparencyConsistency(const Call& call);
+  HttpResponse HandleTransparencyProof(const Call& call);
+  HttpResponse HandleDisclosures(const Call& call);
 
   core::ShardedVault* vault_;
   ServerOptions options_;
@@ -202,9 +195,10 @@ class MedVaultServer {
   obs::Counter* shed_;
   obs::Counter* requests_;
   obs::Gauge* active_;
-  /// Per-endpoint latency histograms ("server.req.<route>"), resolved
-  /// once at Start so the hot path never takes the registry mutex.
-  std::map<std::string, obs::Histogram*> route_hist_;
+  /// Latency histogram of each kRoutes row ("server.req.<name>"),
+  /// resolved once at construction so the hot path never takes the
+  /// registry mutex.
+  std::vector<obs::Histogram*> route_latency_;
 
   std::unique_ptr<WorkerPool> pool_;
   std::unique_ptr<TaskGroup> workers_;

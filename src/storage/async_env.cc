@@ -5,12 +5,6 @@
 #include <utility>
 #include <vector>
 
-#ifdef MEDVAULT_HAVE_LIBURING
-#include <liburing.h>
-
-#include <cstring>
-#endif
-
 namespace medvault::storage {
 
 namespace {
@@ -25,32 +19,6 @@ unsigned DefaultThreads() {
 
 }  // namespace
 
-#ifdef MEDVAULT_HAVE_LIBURING
-
-/// One SQ/CQ ring, serialized by a mutex: submissions are already
-/// batched waves, so ring-level concurrency buys nothing and the lock
-/// keeps SQE accounting trivial. The wave is submitted in one
-/// io_uring_submit and reaped to completion before returning — the
-/// overlap happens in the kernel, which is the point.
-struct AsyncEnv::UringState {
-  std::mutex mu;
-  struct io_uring ring;
-  bool live = false;
-
-  explicit UringState(unsigned entries) {
-    live = io_uring_queue_init(entries, &ring, 0) == 0;
-  }
-  ~UringState() {
-    if (live) io_uring_queue_exit(&ring);
-  }
-};
-
-#else
-
-struct AsyncEnv::UringState {};  // never instantiated without liburing
-
-#endif  // MEDVAULT_HAVE_LIBURING
-
 AsyncEnv::AsyncEnv(Env* base) : AsyncEnv(base, Options()) {}
 
 AsyncEnv::AsyncEnv(Env* base, Options options)
@@ -60,29 +28,9 @@ AsyncEnv::AsyncEnv(Env* base, Options options)
       options.metrics != nullptr ? options.metrics : obs::MetricsRegistry::Default();
   batched_syncs_ = metrics->GetCounter("env.sync.batched");
   batched_writes_ = metrics->GetCounter("env.write.batched");
-#ifdef MEDVAULT_HAVE_LIBURING
-  if (options.try_io_uring) {
-    auto state = std::make_unique<UringState>(/*entries=*/256);
-    if (state->live) uring_ = std::move(state);
-  }
-#else
-  (void)options.try_io_uring;
-#endif
 }
 
 AsyncEnv::~AsyncEnv() = default;
-
-bool AsyncEnv::IoUringCompiledIn() {
-#ifdef MEDVAULT_HAVE_LIBURING
-  return true;
-#else
-  return false;
-#endif
-}
-
-const char* AsyncEnv::backend_name() const {
-  return uring_ != nullptr ? "io_uring" : "thread-pool";
-}
 
 Status AsyncEnv::NewSequentialFile(const std::string& fname,
                                    std::unique_ptr<SequentialFile>* file) {
@@ -166,50 +114,6 @@ void AsyncEnv::SubmitSyncs(WritableFile* const* files, size_t n,
                            BatchCompletion* done) {
   if (n == 0) return;
   batched_syncs_->Increment(n);
-#ifdef MEDVAULT_HAVE_LIBURING
-  if (uring_ != nullptr) {
-    // Split the wave: descriptor-backed files ride the ring, the rest
-    // (decorated/in-memory files) take the pool.
-    std::vector<size_t> ring_slots;
-    ring_slots.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (files[i]->FileDescriptor() >= 0) {
-        ring_slots.push_back(i);
-      } else {
-        pool_.Submit([files, done, i] { done->Fulfill(i, files[i]->Sync()); });
-      }
-    }
-    if (!ring_slots.empty()) {
-      std::lock_guard<std::mutex> lock(uring_->mu);
-      size_t submitted = 0;
-      while (submitted < ring_slots.size()) {
-        size_t chunk = 0;
-        struct io_uring_sqe* sqe;
-        while (submitted + chunk < ring_slots.size() &&
-               (sqe = io_uring_get_sqe(&uring_->ring)) != nullptr) {
-          size_t slot = ring_slots[submitted + chunk];
-          io_uring_prep_fsync(sqe, files[slot]->FileDescriptor(), 0);
-          io_uring_sqe_set_data64(sqe, static_cast<uint64_t>(slot));
-          ++chunk;
-        }
-        io_uring_submit_and_wait(&uring_->ring, static_cast<unsigned>(chunk));
-        for (size_t c = 0; c < chunk; ++c) {
-          struct io_uring_cqe* cqe = nullptr;
-          io_uring_wait_cqe(&uring_->ring, &cqe);
-          size_t slot = static_cast<size_t>(io_uring_cqe_get_data64(cqe));
-          Status s = cqe->res < 0
-                         ? Status::IoError("io_uring fsync: " +
-                                           std::string(strerror(-cqe->res)))
-                         : Status::OK();
-          io_uring_cqe_seen(&uring_->ring, cqe);
-          done->Fulfill(slot, std::move(s));
-        }
-        submitted += chunk;
-      }
-    }
-    return;
-  }
-#endif  // MEDVAULT_HAVE_LIBURING
   for (size_t i = 0; i < n; ++i) {
     pool_.Submit([files, done, i] { done->Fulfill(i, files[i]->Sync()); });
   }

@@ -14,17 +14,8 @@ namespace medvault::storage {
 
 /// An Env decorator that gives SubmitWrites/SubmitSyncs a genuinely
 /// concurrent completion backend, so one commit window's syncs overlap
-/// instead of queueing behind each other. Two backends:
-///
-///  - io_uring (compiled when CMake finds liburing, MEDVAULT_IO_URING=ON):
-///    syncs on files that expose an OS descriptor (PosixEnv) are
-///    submitted as one SQE batch and reaped as a wave — the kernel
-///    overlaps the fsyncs. Files without a descriptor (decorated or
-///    in-memory files) fall back per-file to the thread pool, so a
-///    mixed batch still completes correctly.
-///  - thread pool (always available, the only backend when liburing is
-///    absent or MEDVAULT_IO_URING=OFF): each barrier runs as a pooled
-///    task. Behavior and tests are identical across backends.
+/// instead of queueing behind each other: each barrier runs as a
+/// pooled task, so the threads park in fsync side by side.
 ///
 /// Batched appends always use the pool: appends are buffered and cheap,
 /// and per-file slot order must be preserved (requests are grouped by
@@ -42,9 +33,6 @@ class AsyncEnv : public Env {
     /// one vault's sync wave even on a single-core host, where the
     /// overlap comes from threads parked in fsync/simulated latency).
     unsigned threads = 0;
-    /// Permit the io_uring backend when compiled in. The fallback is
-    /// used regardless when liburing was not found at configure time.
-    bool try_io_uring = true;
     /// Null uses the process-wide registry.
     obs::MetricsRegistry* metrics = nullptr;
   };
@@ -85,22 +73,13 @@ class AsyncEnv : public Env {
   void SubmitSyncs(WritableFile* const* files, size_t n,
                    BatchCompletion* done) override;
 
-  /// "io_uring" or "thread-pool" — what SubmitSyncs actually uses.
-  const char* backend_name() const;
-
-  /// True when this build carries the io_uring backend at all.
-  static bool IoUringCompiledIn();
-
   unsigned thread_count() const { return pool_.thread_count(); }
 
  private:
-  struct UringState;
-
   Env* base_;
   WorkerPool pool_;
   obs::Counter* batched_syncs_;
   obs::Counter* batched_writes_;
-  std::unique_ptr<UringState> uring_;  // null unless the backend is live
 };
 
 }  // namespace medvault::storage

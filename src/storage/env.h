@@ -91,13 +91,6 @@ class WritableFile {
   /// Durability barrier. MemEnv treats it as a no-op.
   virtual Status Sync() = 0;
   virtual Status Close() = 0;
-
-  /// OS-level file descriptor when this file is backed by one, else -1.
-  /// Lets completion backends (io_uring) reach the kernel object without
-  /// unwrapping decorator stacks; decorators deliberately do not forward
-  /// it, so a wrapped file falls back to the portable path and keeps its
-  /// interposition.
-  virtual int FileDescriptor() const { return -1; }
 };
 
 /// Random-write file (B+tree pages). Kept separate from WritableFile so

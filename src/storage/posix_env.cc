@@ -150,8 +150,6 @@ class PosixWritableFile : public WritableFile {
     return Status::OK();
   }
 
-  int FileDescriptor() const override { return fd_; }
-
  private:
   int fd_;
   std::string fname_;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -809,6 +810,321 @@ TEST_F(ServerTest, KeepAliveServesPipelinedSequentialRequests) {
   auto hist = snapshot.histograms.find("server.req.health");
   ASSERT_NE(hist, snapshot.histograms.end());
   EXPECT_GE(hist->second.count, 5u);
+}
+
+
+/// Fixture helpers for driving Handle() directly, without sockets.
+class ServerRoutingTest : public ServerTest {
+ protected:
+  HttpResponse Call(const std::string& method, const std::string& target,
+                    const std::string& body = "",
+                    const std::string& token = "") {
+    HttpRequest request;
+    request.method = method;
+    request.target = target;
+    request.version = "HTTP/1.1";
+    request.body = body;
+    if (!token.empty()) request.headers["authorization"] = "Bearer " + token;
+    return server_->Handle(request);
+  }
+
+  static std::string ErrorText(const HttpResponse& response) {
+    auto v = Value::Parse(response.body);
+    if (!v.ok() || !v->is_object()) return "<unparsable body>";
+    auto it = v->as_object().find("error");
+    return it == v->as_object().end() ? "" : it->second.as_string();
+  }
+
+  /// Sample counts of every "server.req.<route>" histogram, by route.
+  std::map<std::string, uint64_t> RouteCounts() {
+    std::map<std::string, uint64_t> out;
+    const std::string prefix = "server.req.";
+    for (const auto& [name, h] : registry_.TakeSnapshot().histograms) {
+      if (name.rfind(prefix, 0) == 0) out[name.substr(prefix.size())] = h.count;
+    }
+    return out;
+  }
+
+  uint64_t SyncCount() {
+    auto snapshot = registry_.TakeSnapshot();
+    auto it = snapshot.histograms.find("sharded.sync");
+    return it == snapshot.histograms.end() ? 0 : it->second.count;
+  }
+};
+
+// Pins the wire behaviour of every route: status and error text for the
+// right and a wrong method, with and without a live session, plus the
+// latency histogram each routed request lands in. Public routes check
+// the method before any authentication; authenticated routes answer 401
+// before they look at the method.
+TEST_F(ServerRoutingTest, RoutingMatrixPinsStatusErrorAndHistogram) {
+  Bootstrap();
+  auto created = vault_->CreateRecord("dr", "pat", "text/plain", "chart",
+                                      {"chart"}, "hipaa-6y");
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  const std::string rec = "/v1/records/" + *created;
+  StartServer();
+
+  const char* const kNotAuditor =
+      "PermissionDenied: physician may not read-audit: requires auditor";
+  struct Row {
+    const char* route;  // histogram suffix; "" when no handler runs
+    const char* method;
+    std::string target;
+    const char* body;
+    bool auth;
+    int status;         // right method, live session
+    const char* error;  // its error text ("" = success body)
+    const char* allow;  // 405 text for a wrong method
+  };
+  const Row kRows[] = {
+      {"health", "GET", "/v1/health", "", false, 200, "", "use GET"},
+      {"login", "POST", "/v1/login", "{}", false, 400,
+       "InvalidArgument: missing string field \"principal\"", "use POST"},
+      {"replication", "GET", "/v1/replication", "", false, 404,
+       "replication not configured", "use GET"},
+      {"repl_cut", "POST", "/v1/replication/cut/0", "", false, 404,
+       "this endpoint does not ship batches", "use POST"},
+      {"transparency", "GET", "/v1/transparency", "", false, 404,
+       "transparency not configured", "use GET"},
+      {"transparency_checkpoint", "GET", "/v1/transparency/checkpoint", "",
+       false, 404, "transparency not configured", "use GET"},
+      {"transparency_consistency", "GET", "/v1/transparency/consistency", "",
+       false, 404, "transparency not configured", "use GET"},
+      {"logout", "POST", "/v1/logout", "", true, 200, "", "use POST"},
+      {"create_record", "POST", "/v1/records", "{}", true, 400,
+       "InvalidArgument: missing string field \"patient_id\"", "use POST"},
+      {"search", "POST", "/v1/search", "{}", true, 400,
+       "search requires at least one term", "use POST"},
+      {"audit", "GET", "/v1/audit", "", true, 403, kNotAuditor, "use GET"},
+      {"checkpoint", "POST", "/v1/audit/checkpoint", "", true, 403,
+       kNotAuditor, "use POST"},
+      {"break_glass", "POST", "/v1/break-glass", "{}", true, 400,
+       "InvalidArgument: missing string field \"patient_id\"", "use POST"},
+      {"consent_grant", "POST", "/v1/consent", "{}", true, 400,
+       "InvalidArgument: missing string field \"grantee\"", "use POST or GET"},
+      {"consent_list", "GET", "/v1/consent", "", true, 200, "",
+       "use POST or GET"},
+      {"consent_revoke", "POST", "/v1/consent/revoke", "{}", true, 400,
+       "InvalidArgument: missing string field \"grant_id\"", "use POST"},
+      {"transparency_proof", "GET", "/v1/transparency/proof", "", true, 404,
+       "transparency not configured", "use GET"},
+      {"disclosures", "GET", "/v1/transparency/disclosures", "", true, 200,
+       "", "use GET"},
+      {"correct", "POST", rec + "/correct", "{}", true, 400,
+       "InvalidArgument: missing string field \"content\"", "use POST"},
+      {"history", "GET", rec + "/history", "", true, 200, "", "use GET"},
+      {"dispose", "POST", rec + "/dispose", "", true, 403,
+       "PermissionDenied: physician may not dispose: requires admin",
+       "use POST"},
+      {"record_audit", "GET", rec + "/audit", "", true, 403, kNotAuditor,
+       "use GET"},
+      {"read_record", "GET", rec, "", true, 200, "", "use GET"},
+      // Unknown sub-resources fall through to a read of the whole rest.
+      {"read_record", "GET", "/v1/records/s0-r-1/frob", "", true, 404,
+       "NotFound: unknown record", "use GET"},
+  };
+
+  auto expect = [&](const std::string& what, const HttpResponse& response,
+                    int status, const std::string& error,
+                    const std::string& route,
+                    const std::map<std::string, uint64_t>& before) {
+    EXPECT_EQ(response.status, status) << what << ": " << response.body;
+    EXPECT_EQ(ErrorText(response), error) << what;
+    std::map<std::string, uint64_t> want = before;
+    if (!route.empty()) want[route] += 1;
+    EXPECT_EQ(RouteCounts(), want) << what;
+    if (status == 401) {
+      EXPECT_EQ(response.headers.count("WWW-Authenticate"), 1u) << what;
+    }
+  };
+
+  for (const Row& row : kRows) {
+    // Swap GET and POST, except where the path accepts both.
+    const std::string wrong = row.target == "/v1/consent" ? "PUT"
+                              : std::string(row.method) == "GET" ? "POST"
+                                                                 : "GET";
+    const std::string name = std::string(row.method) + " " + row.target;
+    const std::string wrong_name = wrong + " " + row.target;
+    {
+      auto before = RouteCounts();
+      HttpResponse r = Call(row.method, row.target, row.body,
+                            server_->sessions()->Issue("dr"));
+      expect(name + " (token)", r, row.status, row.error, row.route, before);
+    }
+    {
+      auto before = RouteCounts();
+      HttpResponse r = Call(row.method, row.target, row.body);
+      if (row.auth) {
+        expect(name + " (no token)", r, 401, "missing bearer token", "",
+               before);
+      } else {
+        expect(name + " (no token)", r, row.status, row.error, row.route,
+               before);
+      }
+    }
+    {
+      auto before = RouteCounts();
+      HttpResponse r = Call(wrong, row.target, row.body,
+                            server_->sessions()->Issue("dr"));
+      expect(wrong_name + " (token)", r, 405, row.allow, "", before);
+    }
+    {
+      auto before = RouteCounts();
+      HttpResponse r = Call(wrong, row.target, row.body);
+      if (row.auth) {
+        expect(wrong_name + " (no token)", r, 401, "missing bearer token", "",
+               before);
+      } else {
+        expect(wrong_name + " (no token)", r, 405, row.allow, "", before);
+      }
+    }
+  }
+
+  // An unknown path needs a session before it is called unknown.
+  const std::string dr = server_->sessions()->Issue("dr");
+  auto before = RouteCounts();
+  expect("GET /v2/nope (no token)", Call("GET", "/v2/nope"), 401,
+         "missing bearer token", "", before);
+  expect("GET /v2/nope (forged)", Call("GET", "/v2/nope", "", "forged"), 401,
+         "PermissionDenied: invalid or expired session", "", before);
+  expect("GET /v2/nope (token)", Call("GET", "/v2/nope", "", dr), 404,
+         "no such endpoint: /v2/nope", "", before);
+  expect("PUT /v1/consent", Call("PUT", "/v1/consent", "", dr), 405,
+         "use POST or GET", "", before);
+  expect("DELETE /v1/consent", Call("DELETE", "/v1/consent", "", dr), 405,
+         "use POST or GET", "", before);
+  expect("POST /v1/health (no token)", Call("POST", "/v1/health"), 405,
+         "use GET", "", before);
+  expect("PUT /v1/replication/cut/x (no token)",
+         Call("PUT", "/v1/replication/cut/x"), 405, "use POST", "", before);
+}
+
+// Every acknowledged mutation rides exactly one group-commit barrier
+// before the client sees its 2xx; denied mutations and read-only routes
+// never wait for one.
+TEST_F(ServerRoutingTest, DurableRoutesSyncOncePerAcknowledgedMutation) {
+  Bootstrap();
+  auto expiring = vault_->CreateRecord("dr", "pat", "text/plain", "old",
+                                       {"old"}, "short-1y");
+  ASSERT_TRUE(expiring.ok()) << expiring.status().ToString();
+  ServerOptions options = BaseServerOpts();
+  options.durable_writes = true;
+  StartServer(options);
+
+  SessionManager* sessions = server_->sessions();
+  const std::string dr = sessions->Issue("dr");
+  const std::string dr2 = sessions->Issue("dr2");
+  const std::string pat = sessions->Issue("pat");
+  const std::string aud = sessions->Issue("aud");
+  const int64_t hour = 3600ll * 1000 * 1000;
+
+  auto syncs = [&](const std::string& what, const HttpResponse& response,
+                   int status, uint64_t want_syncs, uint64_t before) {
+    EXPECT_EQ(response.status, status) << what << ": " << response.body;
+    EXPECT_EQ(SyncCount() - before, want_syncs) << what;
+    return response;
+  };
+
+  uint64_t n = SyncCount();
+  HttpResponse created = syncs(
+      "create",
+      Call("POST", "/v1/records",
+           Obj({{"patient_id", Value("pat")},
+                {"content", Value("v1")},
+                {"keywords", Value(Value::Array{Value("kw")})}}),
+           dr),
+      201, 1, n);
+  auto body = Value::Parse(created.body);
+  ASSERT_TRUE(body.ok());
+  const std::string rec =
+      "/v1/records/" + body->as_object().at("record_id").as_string();
+
+  n = SyncCount();
+  syncs("correct",
+        Call("POST", rec + "/correct",
+             Obj({{"content", Value("v2")}, {"reason", Value("typo")}}), dr),
+        200, 1, n);
+  n = SyncCount();
+  syncs("break-glass",
+        Call("POST", "/v1/break-glass",
+             Obj({{"patient_id", Value("lone")},
+                  {"justification", Value("unconscious in ER")},
+                  {"duration_micros", Value(hour)}}),
+             dr2),
+        200, 1, n);
+  n = SyncCount();
+  HttpResponse grant = syncs(
+      "consent grant",
+      Call("POST", "/v1/consent",
+           Obj({{"grantee", Value("dr2")},
+                {"purpose", Value("second opinion")},
+                {"duration_micros", Value(hour)}}),
+           pat),
+      201, 1, n);
+  auto grant_body = Value::Parse(grant.body);
+  ASSERT_TRUE(grant_body.ok());
+  const std::string grant_id =
+      grant_body->as_object().at("grant_id").as_string();
+  n = SyncCount();
+  syncs("consent revoke",
+        Call("POST", "/v1/consent/revoke",
+             Obj({{"grant_id", Value(grant_id)}}), pat),
+        200, 1, n);
+  n = SyncCount();
+  syncs("checkpoint", Call("POST", "/v1/audit/checkpoint", "", aud), 200, 1,
+        n);
+
+  // Denied mutations: RBAC refuses before anything is written to ack.
+  n = SyncCount();
+  syncs("denied dispose", Call("POST", rec + "/dispose", "", dr), 403, 0, n);
+  n = SyncCount();
+  syncs("denied checkpoint", Call("POST", "/v1/audit/checkpoint", "", dr),
+        403, 0, n);
+
+  // Read-only routes never wait on the barrier.
+  struct ReadOnly {
+    const char* method;
+    std::string target;
+    std::string body;
+    std::string token;
+    int status;
+  };
+  const ReadOnly kReads[] = {
+      {"GET", "/v1/health", "", "", 200},
+      {"GET", "/v1/replication", "", "", 404},
+      {"POST", "/v1/replication/cut/0", "", "", 404},
+      {"GET", "/v1/transparency", "", "", 404},
+      {"GET", "/v1/transparency/checkpoint", "", "", 404},
+      {"GET", "/v1/transparency/consistency", "", "", 404},
+      {"GET", "/v1/transparency/proof", "", aud, 404},
+      {"POST", "/v1/login",
+       Obj({{"principal", Value("dr")}, {"secret", Value(kSecret)}}), "",
+       200},
+      {"GET", rec, "", dr, 200},
+      {"GET", rec + "?version=1", "", dr, 200},
+      {"GET", rec + "/history", "", dr, 200},
+      {"GET", rec + "/audit", "", aud, 200},
+      {"POST", "/v1/search",
+       Obj({{"terms", Value(Value::Array{Value("kw")})}}), dr, 200},
+      {"GET", "/v1/audit", "", aud, 200},
+      {"GET", "/v1/consent", "", pat, 200},
+      {"GET", "/v1/transparency/disclosures", "", pat, 200},
+      {"POST", "/v1/logout", "", sessions->Issue("dr"), 200},
+  };
+  for (const ReadOnly& r : kReads) {
+    n = SyncCount();
+    syncs(std::string(r.method) + " " + r.target,
+          Call(r.method, r.target, r.body, r.token), r.status, 0, n);
+  }
+
+  // Disposal after retention: the last durable route.
+  clock_.AdvanceYears(2);
+  const std::string admin = sessions->Issue("admin");
+  n = SyncCount();
+  syncs("dispose", Call("POST", "/v1/records/" + *expiring + "/dispose", "",
+                        admin),
+        200, 1, n);
 }
 
 }  // namespace

@@ -761,6 +761,32 @@ TEST_F(TransparencyTest, HttpProofsVerifyAgainstAnyPublishedCheckpoint) {
   ASSERT_TRUE(noauth.ok());
   EXPECT_EQ(noauth->status, 401);
 
+  // Query numbers parse strictly into their real width: a shard index
+  // past 2^32 must not wrap around to shard 0, the largest uint64 size
+  // is a number (merely unpublished), and 2^64 is out of range.
+  auto wrapped =
+      client.Do("GET", "/v1/transparency/checkpoint?shard=4294967296");
+  ASSERT_TRUE(wrapped.ok());
+  EXPECT_EQ(wrapped->status, 400) << wrapped->body;
+  for (const char* bad : {"-1", "0x", "+0"}) {
+    auto r = client.Do(
+        "GET", std::string("/v1/transparency/checkpoint?shard=") + bad);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->status, 400) << bad << ": " << r->body;
+  }
+  auto max_size =
+      client.Do("GET", proof_path + "&size=18446744073709551615", "", aud);
+  ASSERT_TRUE(max_size.ok());
+  EXPECT_EQ(max_size->status, 404) << max_size->body;
+  EXPECT_EQ(max_size->body.find("decimal integer"), std::string::npos)
+      << max_size->body;
+  auto past_max = client.Do("GET",
+                            "/v1/transparency/consistency?shard=0&from=" +
+                                std::to_string(pin_size) +
+                                "&to=18446744073709551616");
+  ASSERT_TRUE(past_max.ok());
+  EXPECT_EQ(past_max->status, 400) << past_max->body;
+
   // /v1/health now carries the transparency posture.
   auto health = client.Do("GET", "/v1/health");
   ASSERT_TRUE(health.ok());

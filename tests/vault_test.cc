@@ -319,6 +319,50 @@ TEST_F(VaultTest, DisposalAfterRetentionShredsAndCertifies) {
   EXPECT_EQ(chain->back().type, CustodyEventType::kDisposed);
 }
 
+// Read audit details are part of the stored trail (and of its size per
+// user byte), so both read entry points must keep writing exactly
+// these strings.
+TEST_F(VaultTest, ReadAuditDetailsArePinned) {
+  RegisterCast();
+  ASSERT_TRUE(vault_
+                  ->RegisterPrincipal("admin-r",
+                                      {"dr-b", Role::kPhysician, "Dr B"})
+                  .ok());
+  auto id = CreateSample();
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(vault_->ReadRecord("dr-a", *id).ok());
+  ASSERT_TRUE(vault_->ReadRecordVersion("dr-a", *id, 1).ok());
+  EXPECT_TRUE(vault_->ReadRecordVersion("dr-a", *id, 9).status().IsNotFound());
+  auto grant = vault_->BreakGlass("dr-b", "pat-p", "covering shift",
+                                  3600 * kMicrosPerSecond);
+  ASSERT_TRUE(grant.ok());
+  ASSERT_TRUE(vault_->ReadRecord("dr-b", *id).ok());
+  ASSERT_TRUE(vault_->ReadRecordVersion("dr-b", *id, 1).ok());
+  clock_.AdvanceYears(2);  // past short-1y
+  ASSERT_TRUE(vault_->DisposeRecord("admin-r", *id).ok());
+  EXPECT_TRUE(vault_->ReadRecord("dr-a", *id).status().IsKeyDestroyed());
+  EXPECT_TRUE(
+      vault_->ReadRecordVersion("dr-a", *id, 1).status().IsKeyDestroyed());
+
+  auto trail = vault_->ReadAuditTrail("aud-x", *id);
+  ASSERT_TRUE(trail.ok());
+  std::vector<std::string> reads;
+  for (const AuditEvent& e : *trail) {
+    if (e.action == AuditAction::kRead) reads.push_back(e.details);
+  }
+  const std::string via = " via=break-glass grant=" + *grant;
+  const std::vector<std::string> want = {
+      "ok",
+      "v1 ok",
+      "v9 NotFound: no such version",
+      "ok" + via,
+      "v1 ok" + via,
+      "disposed",
+      "disposed",
+  };
+  EXPECT_EQ(reads, want);
+}
+
 TEST_F(VaultTest, OnlyAdminDisposes) {
   RegisterCast();
   auto id = CreateSample();

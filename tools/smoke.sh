@@ -15,10 +15,8 @@
 # acceptor/worker socket hand-off, the cut-under-exclusive-lock vs
 # apply-pool interplay, and the proof-serving-vs-concurrent-append
 # interleaving only surface instrumented.
-# A final configuration forces -DMEDVAULT_IO_URING=OFF and re-runs the
-# env + commit batteries so the thread-pool sync fallback stays proven
-# even on hosts where liburing is found. The bench_compare fixture
-# self-test runs once up front (pure python, no build needed).
+# The bench_compare fixture self-test runs once up front (pure python,
+# no build needed).
 # Usage: tools/smoke.sh [build-dir-prefix]
 set -euo pipefail
 
@@ -30,8 +28,7 @@ python3 tools/bench_compare.py --self-test
 
 run_config() {
   local dir="$1" sanitize="$2" label="$3"
-  shift 3
-  local flags=("$@")
+  local flags=()
   [ -n "$sanitize" ] && flags+=("-DMEDVAULT_SANITIZE=${sanitize}")
   echo "=== ${dir} (sanitize='${sanitize:-none}', tests: ${label:-all}) ==="
   cmake -B "$dir" -S . "${flags[@]}" >/dev/null
@@ -47,6 +44,5 @@ run_config "$prefix" "" ""
 run_config "${prefix}-asan" address "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent"
 run_config "${prefix}-ubsan" undefined "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent"
 run_config "${prefix}-tsan" thread "stress|obs|scrub|commit|serve|repl|transparency|consent"
-run_config "${prefix}-nouring" "" "env|commit" "-DMEDVAULT_IO_URING=OFF"
 
 echo "smoke suite passed"
