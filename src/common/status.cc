@@ -34,6 +34,8 @@ const char* CodeName(Status::Code code) {
       return "FailedPrecondition";
     case Status::Code::kBackupChainBroken:
       return "BackupChainBroken";
+    case Status::Code::kUnavailable:
+      return "Unavailable";
   }
   return "Unknown";
 }

@@ -30,6 +30,7 @@ class Status {
     kNotSupported = 11,
     kFailedPrecondition = 12,
     kBackupChainBroken = 13,  // backup chain references a missing/mismatched base
+    kUnavailable = 14,      // temporarily offline (quarantined shard); retry
   };
 
   Status() : code_(Code::kOk) {}
@@ -79,6 +80,9 @@ class Status {
   static Status BackupChainBroken(std::string msg) {
     return Status(Code::kBackupChainBroken, std::move(msg));
   }
+  static Status Unavailable(std::string msg) {
+    return Status(Code::kUnavailable, std::move(msg));
+  }
 
   /// Wraps an error with call-site context while preserving the code
   /// callers branch on. OK passes through untouched.
@@ -110,6 +114,7 @@ class Status {
   bool IsBackupChainBroken() const {
     return code_ == Code::kBackupChainBroken;
   }
+  bool IsUnavailable() const { return code_ == Code::kUnavailable; }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;

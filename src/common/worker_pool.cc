@@ -1,5 +1,6 @@
 #include "common/worker_pool.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace medvault {
@@ -37,14 +38,25 @@ void WorkerPool::Submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-void WorkerPool::RunAll(std::vector<std::function<void()>> tasks) {
-  if (tasks.size() == 1) {
-    tasks.front()();
-    return;
+std::unique_ptr<WorkerPool> WorkerPool::ForFanOut(unsigned requested,
+                                                  unsigned width) {
+  unsigned threads = requested;
+  if (threads == 0) {
+    const unsigned hw = std::max(std::thread::hardware_concurrency(), 1u);
+    threads = std::min(width, hw);
   }
+  return std::make_unique<WorkerPool>(threads > 1 ? threads : 0);
+}
+
+Status WorkerPool::RunEach(size_t n, const std::function<Status(size_t)>& fn) {
+  std::vector<Status> statuses(n);
   TaskGroup group(this);
-  for (auto& task : tasks) group.Submit(std::move(task));
+  for (size_t i = 0; i < n; ++i) {
+    group.Submit([&fn, &statuses, i] { statuses[i] = fn(i); });
+  }
   group.Wait();
+  for (const Status& status : statuses) MEDVAULT_RETURN_IF_ERROR(status);
+  return Status::OK();
 }
 
 void WorkerPool::Loop() {

@@ -4,9 +4,12 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "common/status.h"
 
 namespace medvault {
 
@@ -14,7 +17,7 @@ namespace medvault {
 /// AsyncEnv completion backend). With zero threads every submission
 /// executes inline in submission order — the deterministic mode the
 /// crash matrix uses. Concurrent submitters interleave safely; each
-/// TaskGroup / RunAll call tracks its own completion state.
+/// TaskGroup / RunEach call tracks its own completion state.
 ///
 /// Re-entrancy: work submitted from one of the pool's own worker
 /// threads (a pooled task fanning out again) executes inline on that
@@ -37,9 +40,17 @@ class WorkerPool {
   /// inline when the pool has no workers or the caller is a worker.
   void Submit(std::function<void()> task);
 
-  /// Runs every task and returns once all have completed. Tasks may
-  /// themselves call RunAll on this pool (see class comment).
-  void RunAll(std::vector<std::function<void()>> tasks);
+  /// The sizing rule of every per-shard fan-out pool: `requested` 0
+  /// picks min(width, hardware threads), and a result of 1 spawns no
+  /// workers, so RunEach runs inline in index order (deterministic).
+  static std::unique_ptr<WorkerPool> ForFanOut(unsigned requested,
+                                               unsigned width);
+
+  /// Runs fn(0) .. fn(n-1) as pooled tasks, waits for every one, and
+  /// returns the lowest-index error (OK if none). Runs inline in index
+  /// order when the pool has no workers or the caller is one of them;
+  /// an error never cancels the remaining tasks.
+  Status RunEach(size_t n, const std::function<Status(size_t)>& fn);
 
   unsigned thread_count() const {
     return static_cast<unsigned>(threads_.size());

@@ -1,7 +1,6 @@
 #include "core/replication.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "common/coding.h"
@@ -850,23 +849,13 @@ Result<std::vector<ShippedBatch>> ShardedReplicationSource::CutAll(
     return Status::InvalidArgument("one cursor per shard required");
   }
   std::vector<ShippedBatch> batches(sources_.size());
-  std::vector<Status> statuses(sources_.size());
-  TaskGroup group(vault_->pool());
-  for (uint32_t k = 0; k < sources_.size(); k++) {
-    if (sources_[k] == nullptr) continue;
-    group.Submit([this, &cursors, &batches, &statuses, k] {
-      auto result = sources_[k]->CutBatch(cursors[k]);
-      if (result.ok()) {
-        batches[k] = std::move(result).value();
-      } else {
-        statuses[k] = result.status();
-      }
-    });
-  }
-  group.Wait();
-  for (const Status& s : statuses) {
-    MEDVAULT_RETURN_IF_ERROR(s);
-  }
+  MEDVAULT_RETURN_IF_ERROR(
+      vault_->pool()->RunEach(sources_.size(), [&](size_t k) -> Status {
+        if (sources_[k] == nullptr) return Status::OK();
+        MEDVAULT_ASSIGN_OR_RETURN(batches[k],
+                                  sources_[k]->CutBatch(cursors[k]));
+        return Status::OK();
+      }));
   return batches;
 }
 
@@ -876,7 +865,7 @@ Result<std::string> ShardedReplicationSource::HandleCutRequest(
     return Status::NotFound("no such shard");
   }
   if (sources_[shard] == nullptr) {
-    return Status::FailedPrecondition("shard quarantined; stream paused");
+    return Status::Unavailable("shard quarantined; stream paused");
   }
   return sources_[shard]->HandleCutRequest(encoded_cursor);
 }
@@ -917,44 +906,25 @@ Result<std::unique_ptr<ShardedReplicaApplier>> ShardedReplicaApplier::Open(
   }
   std::unique_ptr<ShardedReplicaApplier> applier(
       new ShardedReplicaApplier(options));
-  MEDVAULT_RETURN_IF_ERROR(options.env->CreateDirIfMissing(options.dir));
   // The shard count is on-disk identity for the replica exactly as for
   // the primary: persist it on first open, refuse a mismatch after.
-  auto manifest = ShardRouter::ReadManifest(options.env, options.dir);
-  if (manifest.ok()) {
-    if (manifest.value() != options.num_shards) {
-      return Status::FailedPrecondition(
-          "replica directory was created with a different shard count");
-    }
-  } else if (manifest.status().IsNotFound()) {
-    MEDVAULT_RETURN_IF_ERROR(ShardRouter::WriteManifest(
-        options.env, options.dir, options.num_shards));
-  } else {
-    return manifest.status();
-  }
+  MEDVAULT_RETURN_IF_ERROR(ShardRouter::CheckOrCreateManifest(
+      options.env, options.dir, options.num_shards));
   for (uint32_t k = 0; k < options.num_shards; k++) {
-    // The same per-shard entropy derivation the primary uses, so each
-    // shard stream authenticates under its own key.
-    MEDVAULT_ASSIGN_OR_RETURN(
-        std::string shard_entropy,
-        crypto::HkdfSha256(options.entropy, Slice(),
-                           "medvault-shard-entropy-" + std::to_string(k),
-                           64));
+    // The same per-shard entropy the primary derives, so each shard
+    // stream authenticates under its own key.
     ReplicaApplier::Options shard_options;
+    MEDVAULT_ASSIGN_OR_RETURN(shard_options.entropy,
+                              ShardRouter::ShardEntropy(options.entropy, k));
     shard_options.env = options.env;
     shard_options.dir = ShardRouter::ShardDir(options.dir, k);
-    shard_options.entropy = std::move(shard_entropy);
     shard_options.metrics = options.metrics;
     MEDVAULT_ASSIGN_OR_RETURN(std::unique_ptr<ReplicaApplier> shard,
                               ReplicaApplier::Open(shard_options));
     applier->appliers_.push_back(std::move(shard));
   }
-  unsigned threads = options.apply_threads;
-  if (threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    threads = std::min<unsigned>(options.num_shards, hw != 0 ? hw : 4);
-  }
-  applier->pool_ = std::make_unique<WorkerPool>(threads > 1 ? threads : 0);
+  applier->pool_ =
+      WorkerPool::ForFanOut(options.apply_threads, options.num_shards);
   return applier;
 }
 
@@ -973,20 +943,11 @@ Status ShardedReplicaApplier::ApplyAll(
   if (batches.size() != appliers_.size()) {
     return Status::InvalidArgument("one batch per shard required");
   }
-  std::vector<Status> statuses(appliers_.size());
-  TaskGroup group(pool_.get());
-  for (uint32_t k = 0; k < appliers_.size(); k++) {
+  return pool_->RunEach(appliers_.size(), [&](size_t k) {
     // seq 0 marks a skipped (quarantined-at-source) shard slot.
-    if (batches[k].seq == 0) continue;
-    group.Submit([this, &batches, &statuses, k] {
-      statuses[k] = appliers_[k]->Apply(batches[k]);
-    });
-  }
-  group.Wait();
-  for (const Status& s : statuses) {
-    MEDVAULT_RETURN_IF_ERROR(s);
-  }
-  return Status::OK();
+    if (batches[k].seq == 0) return Status::OK();
+    return appliers_[k]->Apply(batches[k]);
+  });
 }
 
 bool ShardedReplicaApplier::any_quarantined() const {

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/result.h"
+#include "common/slice.h"
 #include "core/record.h"
 #include "storage/env.h"
 
@@ -63,15 +64,33 @@ class ShardRouter {
   /// ("s<k>-cg-<n>"). Returns false for non-sharded ids ("cg-<n>").
   static bool ShardOfConsentId(const std::string& grant_id, uint32_t* shard);
 
-  // ---- Shard-count manifest -------------------------------------------
+  /// Shard-qualifies shard `k`'s disposal request id: "dr-<n>" becomes
+  /// "s<k>:dr-<n>", so approval routes back to the requesting shard.
+  static std::string QualifyDisposalRequest(uint32_t shard,
+                                            const std::string& request_id);
 
-  /// Durably records `num_shards` in `<root>/shards.meta`.
-  static Status WriteManifest(storage::Env* env, const std::string& root,
-                              uint32_t num_shards);
+  /// Parses "s<k>:dr-<n>" into the shard index and the shard-local
+  /// request id ("dr-<n>"). Returns false for anything else.
+  static bool ShardOfDisposalRequest(const std::string& qualified,
+                                     uint32_t* shard, std::string* local_id);
 
-  /// Reads the persisted shard count; NotFound if no manifest exists.
-  static Result<uint32_t> ReadManifest(storage::Env* env,
-                                       const std::string& root);
+  // ---- Per-shard secrets and the shard-count manifest ------------------
+
+  /// Shard `k`'s key-wrapping master key (32 bytes) and entropy pool (64
+  /// bytes), HKDF-derived from the vault's root secrets under per-shard
+  /// labels, so shards are independent key domains.
+  static Result<std::string> ShardMasterKey(const Slice& master_key,
+                                            uint32_t shard);
+  static Result<std::string> ShardEntropy(const Slice& entropy,
+                                          uint32_t shard);
+
+  /// Creates `root` if missing, then checks the count persisted in
+  /// `<root>/shards.meta` against `num_shards`, writing the manifest
+  /// durably on first use. Another persisted count is InvalidArgument
+  /// naming both; a damaged manifest is Corruption.
+  static Status CheckOrCreateManifest(storage::Env* env,
+                                      const std::string& root,
+                                      uint32_t num_shards);
 
  private:
   uint32_t num_shards_;

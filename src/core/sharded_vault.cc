@@ -1,16 +1,26 @@
 #include "core/sharded_vault.h"
 
-#include <algorithm>
-#include <charconv>
-#include <thread>
+#include <iterator>
 #include <utility>
 
 #include "core/scrub.h"
 #include "common/worker_pool.h"
-#include "crypto/hkdf.h"
 #include "crypto/merkle.h"
 
 namespace medvault::core {
+
+namespace {
+
+/// Appends one shard's part of a merged listing, in shard order.
+template <typename T>
+Status Append(Result<std::vector<T>> part, std::vector<T>* merged) {
+  MEDVAULT_RETURN_IF_ERROR(part.status());
+  merged->insert(merged->end(), std::make_move_iterator(part->begin()),
+                 std::make_move_iterator(part->end()));
+  return Status::OK();
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Open / Init
@@ -51,40 +61,13 @@ Status ShardedVault::Init() {
                                          : obs::MetricsRegistry::Default();
   op_metrics_ = obs::VaultOpMetrics::For(metrics_, "sharded");
 
-  MEDVAULT_RETURN_IF_ERROR(env->CreateDirIfMissing(options_.dir));
-
-  // The shard count is part of the vault's identity: it is persisted at
-  // first open and any later open must present the same count, because
-  // both the placement hash and the id prefixes bake it in.
-  auto persisted = ShardRouter::ReadManifest(env, options_.dir);
-  if (persisted.ok()) {
-    if (*persisted != options_.num_shards) {
-      return Status::InvalidArgument(
-          "shard-count mismatch: vault at '" + options_.dir +
-          "' was created with " + std::to_string(*persisted) +
-          " shards but open requested " +
-          std::to_string(options_.num_shards) +
-          "; resharding requires migration, not reopening");
-    }
-  } else if (persisted.status().IsNotFound()) {
-    MEDVAULT_RETURN_IF_ERROR(
-        ShardRouter::WriteManifest(env, options_.dir, options_.num_shards));
-  } else {
-    return persisted.status();
-  }
+  MEDVAULT_RETURN_IF_ERROR(ShardRouter::CheckOrCreateManifest(
+      env, options_.dir, options_.num_shards));
 
   if (options_.cache_bytes > 0) {
     cache_ = std::make_unique<RecordCache>(options_.cache_bytes);
   }
-
-  unsigned threads = options_.ingest_threads;
-  if (threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    threads = std::min<unsigned>(options_.num_shards, hw);
-  }
-  // One thread means "sequential": no pool workers, RunAll runs inline.
-  pool_ = std::make_unique<WorkerPool>(threads > 1 ? threads : 0);
+  pool_ = WorkerPool::ForFanOut(options_.ingest_threads, options_.num_shards);
 
   // Shards recover independently, so each shard's scrub-then-open is one
   // task on the pool; a task touches only its own slot. A failed strict
@@ -93,7 +76,7 @@ Status ShardedVault::Init() {
   shards_.resize(options_.num_shards);
   quarantine_reasons_.resize(options_.num_shards);
   const bool degraded = options_.open_mode == OpenMode::kDegraded;
-  MEDVAULT_RETURN_IF_ERROR(ForEachShard([&](uint32_t k) -> Status {
+  MEDVAULT_RETURN_IF_ERROR(pool_->RunEach(num_shards(), [&](size_t k) {
     // Scrub before a degraded open. Vault::Open tolerates torn tails and
     // does not deep-verify, so a shard with a flipped segment byte would
     // "open" and then fail clinical reads; the structural scan spots
@@ -137,45 +120,24 @@ Status ShardedVault::Init() {
   return Status::OK();
 }
 
-Status ShardedVault::ForEachShard(
-    const std::function<Status(uint32_t)>& fn) const {
-  std::vector<Status> statuses(num_shards(), Status::OK());
-  TaskGroup group(pool_.get());
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    group.Submit([&fn, &statuses, k] { statuses[k] = fn(k); });
-  }
-  group.Wait();
-  for (const Status& status : statuses) MEDVAULT_RETURN_IF_ERROR(status);
-  return Status::OK();
-}
-
 Status ShardedVault::SyncShardsWave() {
   // One wave: the wave completes when the slowest shard lands.
-  return ForEachShard([this](uint32_t k) {
+  return pool_->RunEach(num_shards(), [this](size_t k) {
     Vault* s = shard(k);  // quarantined: nothing mounted to sync
     return s == nullptr ? Status::OK() : s->SyncAll();
   });
 }
 
 Result<std::unique_ptr<Vault>> ShardedVault::OpenShard(uint32_t k) {
-  // Independent key domains per shard: both the key-wrapping master
-  // and the entropy pool (DRBG, signer seed, index blinding) are
-  // HKDF-derived with the shard index in the info string.
-  MEDVAULT_ASSIGN_OR_RETURN(
-      std::string shard_master,
-      crypto::HkdfSha256(options_.master_key, Slice(),
-                         "medvault-shard-master-" + std::to_string(k), 32));
-  MEDVAULT_ASSIGN_OR_RETURN(
-      std::string shard_entropy,
-      crypto::HkdfSha256(options_.entropy, Slice(),
-                         "medvault-shard-entropy-" + std::to_string(k), 64));
-
   VaultOptions shard_options;
+  MEDVAULT_ASSIGN_OR_RETURN(
+      shard_options.master_key,
+      ShardRouter::ShardMasterKey(options_.master_key, k));
+  MEDVAULT_ASSIGN_OR_RETURN(shard_options.entropy,
+                            ShardRouter::ShardEntropy(options_.entropy, k));
   shard_options.env = options_.env;
   shard_options.dir = ShardRouter::ShardDir(options_.dir, k);
   shard_options.clock = options_.clock;
-  shard_options.master_key = std::move(shard_master);
-  shard_options.entropy = std::move(shard_entropy);
   shard_options.signer_height = options_.signer_height;
   shard_options.system_id = options_.system_id + "/shard-" + std::to_string(k);
   shard_options.require_dual_disposal = options_.require_dual_disposal;
@@ -190,9 +152,8 @@ Result<Vault*> ShardedVault::RequireShard(uint32_t k) const {
   std::shared_lock lock(shards_mu_);
   Vault* s = shards_[k].get();
   if (s != nullptr) return s;
-  return Status::FailedPrecondition(
-      "shard " + std::to_string(k) +
-      " is quarantined: " + quarantine_reasons_[k]);
+  return Status::Unavailable("shard " + std::to_string(k) +
+                             " is quarantined: " + quarantine_reasons_[k]);
 }
 
 bool ShardedVault::IsQuarantined(uint32_t k) const {
@@ -267,6 +228,20 @@ Status ShardedVault::RejoinShard(uint32_t k) {
   return Status::OK();
 }
 
+template <typename Fn>
+Status ShardedVault::ForEachHealthyShard(Fn&& fn) const {
+  for (uint32_t k = 0; k < num_shards(); ++k) {
+    Result<Vault*> s = RequireShard(k);
+    if (s.ok()) MEDVAULT_RETURN_IF_ERROR(fn(*s));
+  }
+  return Status::OK();
+}
+
+Result<Vault*> ShardedVault::RecordShard(const RecordId& record_id) const {
+  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
+  return RequireShard(k);
+}
+
 Result<uint32_t> ShardedVault::RouteRecordId(const RecordId& record_id) const {
   uint32_t shard = 0;
   if (!ShardRouter::ShardOfRecordId(record_id, &shard) ||
@@ -289,24 +264,17 @@ Status ShardedVault::RegisterPrincipal(const PrincipalId& actor,
   // going — otherwise the divergent shards could never be repaired.
   // Quarantined shards are skipped; RejoinShard documents that admin
   // state must be re-replicated after a repair.
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
+  return ForEachHealthyShard([&](Vault* s) {
     Status status = s->RegisterPrincipal(actor, principal);
-    if (!status.ok() && !status.IsAlreadyExists()) return status;
-  }
-  return Status::OK();
+    return status.IsAlreadyExists() ? Status::OK() : status;
+  });
 }
 
 Status ShardedVault::AssignCare(const PrincipalId& actor,
                                 const PrincipalId& clinician,
                                 const PrincipalId& patient) {
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_RETURN_IF_ERROR(s->AssignCare(actor, clinician, patient));
-  }
-  return Status::OK();
+  return ForEachHealthyShard(
+      [&](Vault* s) { return s->AssignCare(actor, clinician, patient); });
 }
 
 Result<std::string> ShardedVault::BreakGlass(const PrincipalId& clinician,
@@ -364,11 +332,10 @@ Result<std::vector<ConsentGrant>> ShardedVault::ListConsents(
 
 size_t ShardedVault::ActiveConsentCount() const {
   size_t total = 0;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    const Vault* s = shard(k);
-    if (s == nullptr) continue;
+  (void)ForEachHealthyShard([&](const Vault* s) {
     total += s->ActiveConsentCount();
-  }
+    return Status::OK();
+  });
   return total;
 }
 
@@ -417,7 +384,7 @@ Result<std::vector<RecordId>> ShardedVault::CreateRecordsBatch(
     if (indices[k].empty()) continue;
     MEDVAULT_ASSIGN_OR_RETURN(involved[k], RequireShard(k));
   }
-  MEDVAULT_RETURN_IF_ERROR(ForEachShard([&](uint32_t k) -> Status {
+  MEDVAULT_RETURN_IF_ERROR(pool_->RunEach(n, [&](size_t k) -> Status {
     if (involved[k] == nullptr) return Status::OK();
     std::vector<Vault::NewRecord> sub;
     sub.reserve(indices[k].size());
@@ -439,8 +406,7 @@ Result<RecordVersion> ShardedVault::ReadRecordAt(
     const PrincipalId& actor, const RecordId& record_id,
     std::optional<uint32_t> version) {
   obs::ScopedOpTimer timer(metrics_, op_metrics_.read, "sharded.read");
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
+  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RecordShard(record_id));
   return version ? s->ReadRecordVersion(actor, record_id, *version)
                  : s->ReadRecord(actor, record_id);
 }
@@ -450,8 +416,7 @@ Result<VersionHeader> ShardedVault::CorrectRecord(
     const Slice& new_plaintext, const std::string& reason,
     const std::vector<std::string>& keywords) {
   obs::ScopedOpTimer timer(metrics_, op_metrics_.correct, "sharded.correct");
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
+  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RecordShard(record_id));
   return s->CorrectRecord(actor, record_id, new_plaintext, reason, keywords);
 }
 
@@ -461,12 +426,9 @@ Result<std::vector<RecordId>> ShardedVault::SearchKeyword(
   // Degraded semantics: quarantined shards are skipped, so results may
   // be partial until every shard rejoins — the price of availability.
   std::vector<RecordId> merged;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(auto hits, s->SearchKeyword(actor, term));
-    merged.insert(merged.end(), hits.begin(), hits.end());
-  }
+  MEDVAULT_RETURN_IF_ERROR(ForEachHealthyShard([&](Vault* s) {
+    return Append(s->SearchKeyword(actor, term), &merged);
+  }));
   return merged;
 }
 
@@ -474,101 +436,77 @@ Result<std::vector<RecordId>> ShardedVault::SearchKeywordsAll(
     const PrincipalId& actor, const std::vector<std::string>& terms) {
   obs::ScopedOpTimer timer(metrics_, op_metrics_.search, "sharded.search");
   std::vector<RecordId> merged;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(auto hits, s->SearchKeywordsAll(actor, terms));
-    merged.insert(merged.end(), hits.begin(), hits.end());
-  }
+  MEDVAULT_RETURN_IF_ERROR(ForEachHealthyShard([&](Vault* s) {
+    return Append(s->SearchKeywordsAll(actor, terms), &merged);
+  }));
   return merged;
 }
 
 Result<std::vector<VersionHeader>> ShardedVault::RecordHistory(
     const PrincipalId& actor, const RecordId& record_id) {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
+  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RecordShard(record_id));
   return s->RecordHistory(actor, record_id);
 }
 
 Result<DisposalCertificate> ShardedVault::DisposeRecord(
     const PrincipalId& actor, const RecordId& record_id) {
   obs::ScopedOpTimer timer(metrics_, op_metrics_.dispose, "sharded.dispose");
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
+  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RecordShard(record_id));
   return s->DisposeRecord(actor, record_id);
 }
 
 Result<std::vector<RecordMeta>> ShardedVault::ListExpiredRecords(
     const PrincipalId& actor) {
   std::vector<RecordMeta> merged;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(auto expired, s->ListExpiredRecords(actor));
-    merged.insert(merged.end(), std::make_move_iterator(expired.begin()),
-                  std::make_move_iterator(expired.end()));
-  }
+  MEDVAULT_RETURN_IF_ERROR(ForEachHealthyShard([&](Vault* s) {
+    return Append(s->ListExpiredRecords(actor), &merged);
+  }));
   return merged;
 }
 
 Result<int> ShardedVault::ReclaimDisposedMedia(const PrincipalId& actor) {
   int total = 0;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
+  MEDVAULT_RETURN_IF_ERROR(ForEachHealthyShard([&](Vault* s) -> Status {
     MEDVAULT_ASSIGN_OR_RETURN(int reclaimed, s->ReclaimDisposedMedia(actor));
     total += reclaimed;
-  }
+    return Status::OK();
+  }));
   return total;
 }
 
 Status ShardedVault::PlaceLegalHold(const PrincipalId& actor,
                                     const RecordId& record_id,
                                     const std::string& reason) {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
+  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RecordShard(record_id));
   return s->PlaceLegalHold(actor, record_id, reason);
 }
 
 Status ShardedVault::ReleaseLegalHold(const PrincipalId& actor,
                                       const RecordId& record_id,
                                       const std::string& reason) {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
+  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RecordShard(record_id));
   return s->ReleaseLegalHold(actor, record_id, reason);
 }
 
 Result<std::string> ShardedVault::RequestDisposal(const PrincipalId& actor,
                                                   const RecordId& record_id) {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t shard, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(shard));
+  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
+  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
   MEDVAULT_ASSIGN_OR_RETURN(std::string request_id,
                             s->RequestDisposal(actor, record_id));
-  std::string qualified = "s";
-  qualified += std::to_string(shard);
-  qualified += ":";
-  qualified += request_id;
-  return qualified;
+  return ShardRouter::QualifyDisposalRequest(k, request_id);
 }
 
 Result<DisposalCertificate> ShardedVault::ApproveDisposal(
     const PrincipalId& actor, const std::string& request_id) {
-  if (request_id.empty() || request_id[0] != 's') {
+  uint32_t k = 0;
+  std::string local_id;
+  if (!ShardRouter::ShardOfDisposalRequest(request_id, &k, &local_id) ||
+      k >= num_shards()) {
     return Status::NotFound("unknown disposal request: " + request_id);
   }
-  size_t colon = request_id.find(':');
-  if (colon == std::string::npos) {
-    return Status::NotFound("unknown disposal request: " + request_id);
-  }
-  uint32_t shard = 0;
-  const char* begin = request_id.data() + 1;
-  const char* end = request_id.data() + colon;
-  auto [ptr, ec] = std::from_chars(begin, end, shard);
-  if (ec != std::errc() || ptr != end || shard >= num_shards()) {
-    return Status::NotFound("unknown disposal request: " + request_id);
-  }
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(shard));
-  return s->ApproveDisposal(actor, request_id.substr(colon + 1));
+  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
+  return s->ApproveDisposal(actor, local_id);
 }
 
 Status ShardedVault::SyncAll() {
@@ -592,49 +530,36 @@ Result<std::vector<RecordId>> ShardedVault::CreateRecordsBatchDurable(
 
 Result<std::vector<SignedCheckpoint>> ShardedVault::CheckpointAudit() {
   std::vector<SignedCheckpoint> checkpoints;
-  checkpoints.reserve(num_shards());
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(auto checkpoint, s->CheckpointAudit());
+  MEDVAULT_RETURN_IF_ERROR(ForEachHealthyShard([&](Vault* s) -> Status {
+    MEDVAULT_ASSIGN_OR_RETURN(SignedCheckpoint checkpoint,
+                              s->CheckpointAudit());
     checkpoints.push_back(std::move(checkpoint));
-  }
+    return Status::OK();
+  }));
   return checkpoints;
 }
 
 Status ShardedVault::VerifyAudit() const {
   obs::ScopedOpTimer timer(metrics_, op_metrics_.verify, "sharded.verify");
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    const Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_RETURN_IF_ERROR(s->VerifyAudit());
-  }
-  return Status::OK();
+  return ForEachHealthyShard([](const Vault* s) { return s->VerifyAudit(); });
 }
 
 Result<std::vector<AuditEvent>> ShardedVault::ReadAuditTrail(
     const PrincipalId& actor, const RecordId& record_id) {
   if (!record_id.empty()) {
-    MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-    MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
+    MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RecordShard(record_id));
     return s->ReadAuditTrail(actor, record_id);
   }
   std::vector<AuditEvent> merged;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(auto events,
-                              s->ReadAuditTrail(actor, record_id));
-    merged.insert(merged.end(), std::make_move_iterator(events.begin()),
-                  std::make_move_iterator(events.end()));
-  }
+  MEDVAULT_RETURN_IF_ERROR(ForEachHealthyShard([&](Vault* s) {
+    return Append(s->ReadAuditTrail(actor, record_id), &merged);
+  }));
   return merged;
 }
 
 Result<std::vector<CustodyEvent>> ShardedVault::GetCustodyChain(
     const PrincipalId& actor, const RecordId& record_id) {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
+  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RecordShard(record_id));
   return s->GetCustodyChain(actor, record_id);
 }
 
@@ -648,13 +573,9 @@ Result<std::vector<AuditEvent>> ShardedVault::AccountingOfDisclosures(
 Result<std::vector<AuditEvent>> ShardedVault::ListBreakGlassEvents(
     const PrincipalId& actor) {
   std::vector<AuditEvent> merged;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(auto events, s->ListBreakGlassEvents(actor));
-    merged.insert(merged.end(), std::make_move_iterator(events.begin()),
-                  std::make_move_iterator(events.end()));
-  }
+  MEDVAULT_RETURN_IF_ERROR(ForEachHealthyShard([&](Vault* s) {
+    return Append(s->ListBreakGlassEvents(actor), &merged);
+  }));
   return merged;
 }
 
@@ -663,8 +584,7 @@ Result<std::vector<AuditEvent>> ShardedVault::ListBreakGlassEvents(
 // ---------------------------------------------------------------------------
 
 Status ShardedVault::VerifyRecord(const RecordId& record_id) const {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
+  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RecordShard(record_id));
   return s->VerifyRecord(record_id);
 }
 
@@ -672,7 +592,7 @@ Status ShardedVault::VerifyEverything() const {
   obs::ScopedOpTimer timer(metrics_, op_metrics_.verify, "sharded.verify");
   // Verifies what is serving: quarantined shards are skipped (their
   // damage is already known and tracked; verify them via ScrubShard).
-  return ForEachShard([this](uint32_t k) {
+  return pool_->RunEach(num_shards(), [this](size_t k) {
     const Vault* s = shard(k);
     return s == nullptr ? Status::OK() : s->VerifyEverything();
   });
@@ -682,30 +602,24 @@ std::string ShardedVault::ContentRoot() const {
   // NOTE: quarantined shards contribute nothing, so a degraded root is
   // only comparable against another vault with the same quarantine set.
   crypto::MerkleTree tree(/*memoize=*/false);
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    const Vault* s = shard(k);
-    if (s == nullptr) continue;
+  (void)ForEachHealthyShard([&](const Vault* s) {
     tree.Append(s->ContentRoot());
-  }
+    return Status::OK();
+  });
   return tree.Root();
 }
 
 Result<RecordMeta> ShardedVault::GetRecordMeta(
     const RecordId& record_id) const {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
+  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RecordShard(record_id));
   return s->GetRecordMeta(record_id);
 }
 
 std::vector<RecordId> ShardedVault::ListRecordIds() const {
   std::vector<RecordId> merged;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    const Vault* s = shard(k);
-    if (s == nullptr) continue;
-    auto ids = s->ListRecordIds();
-    merged.insert(merged.end(), std::make_move_iterator(ids.begin()),
-                  std::make_move_iterator(ids.end()));
-  }
+  (void)ForEachHealthyShard([&](const Vault* s) {
+    return Append<RecordId>(s->ListRecordIds(), &merged);
+  });
   return merged;
 }
 
@@ -716,14 +630,15 @@ Status ShardedVault::RotateMasterKey(const PrincipalId& actor,
   }
   // Rotation must reach EVERY shard or none: a quarantined shard would
   // silently stay on the old master and fail to open after rejoin, so
-  // RequireShard turns that into an up-front refusal.
+  // any quarantined shard refuses the rotation before a shard rotates.
+  std::vector<Vault*> shards(num_shards());
   for (uint32_t k = 0; k < num_shards(); ++k) {
-    MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-    MEDVAULT_ASSIGN_OR_RETURN(
-        std::string shard_master,
-        crypto::HkdfSha256(new_master_key, Slice(),
-                           "medvault-shard-master-" + std::to_string(k), 32));
-    MEDVAULT_RETURN_IF_ERROR(s->RotateMasterKey(actor, shard_master));
+    MEDVAULT_ASSIGN_OR_RETURN(shards[k], RequireShard(k));
+  }
+  for (uint32_t k = 0; k < num_shards(); ++k) {
+    MEDVAULT_ASSIGN_OR_RETURN(std::string shard_master,
+                              ShardRouter::ShardMasterKey(new_master_key, k));
+    MEDVAULT_RETURN_IF_ERROR(shards[k]->RotateMasterKey(actor, shard_master));
   }
   return Status::OK();
 }

@@ -1,7 +1,6 @@
 #ifndef MEDVAULT_CORE_SHARDED_VAULT_H_
 #define MEDVAULT_CORE_SHARDED_VAULT_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
@@ -30,7 +29,7 @@ enum class OpenMode {
   /// A shard that fails to open — or whose directory fails a structural
   /// scrub — is *quarantined* instead: the vault opens with that shard
   /// offline, healthy shards keep serving reads and writes, operations
-  /// routed to a quarantined shard fail with kFailedPrecondition, and
+  /// routed to a quarantined shard fail with kUnavailable, and
   /// the shard can be repaired (BackupManager::Repair) and brought back
   /// with RejoinShard() without closing the vault. Availability for the
   /// many must survive media death of the few (paper §3: reliability).
@@ -321,20 +320,26 @@ class ShardedVault {
   /// Shard owning `record_id`, or NotFound for ids that do not name a
   /// valid shard of this vault.
   Result<uint32_t> RouteRecordId(const RecordId& record_id) const;
-  /// Shard `k` if healthy, kFailedPrecondition naming the quarantine
-  /// reason otherwise. Routed operations go through this.
+  /// Shard `k` if healthy, kUnavailable naming the quarantine reason
+  /// otherwise. Routed operations go through this.
   Result<Vault*> RequireShard(uint32_t k) const;
+  /// The healthy shard holding `record_id`: RouteRecordId, then
+  /// RequireShard. Every record-id-keyed operation routes through it.
+  Result<Vault*> RecordShard(const RecordId& record_id) const;
+  /// The sequential fan-out: fn(Vault*) on every healthy shard in shard
+  /// order, skipping quarantined shards and stopping at the first error.
+  /// Searches, merges and admin replication stay off the pool on
+  /// purpose: each shard's access check audits a denial, so a pooled run
+  /// would go on to audit denials on the later shards too.
+  template <typename Fn>
+  Status ForEachHealthyShard(Fn&& fn) const;
   /// One body for both reads; `version` unset reads the latest.
   Result<RecordVersion> ReadRecordAt(const PrincipalId& actor,
                                      const RecordId& record_id,
                                      std::optional<uint32_t> version);
   /// Derives shard `k`'s key domain and opens its Vault.
   Result<std::unique_ptr<Vault>> OpenShard(uint32_t k);
-  /// The one shard fan-out: runs fn(k) for every shard on pool_ (inline
-  /// in shard order when the pool has no workers) and returns the
-  /// lowest-index error once every task has finished.
-  Status ForEachShard(const std::function<Status(uint32_t)>& fn) const;
-  /// One commit wave: every healthy shard's SyncAll via ForEachShard.
+  /// One commit wave: every healthy shard's SyncAll, pooled.
   Status SyncShardsWave();
   /// Re-publishes the "sharded.quarantined" gauge (takes the shared
   /// lock itself).

@@ -347,8 +347,8 @@ Result<TransparencyLog*> ShardedTransparencyService::log(
     return Status::InvalidArgument("no such shard");
   }
   if (logs_[shard] == nullptr) {
-    return Status::FailedPrecondition("shard quarantined: " +
-                                      vault_->QuarantineReason(shard));
+    return Status::Unavailable("shard quarantined: " +
+                               vault_->QuarantineReason(shard));
   }
   return logs_[shard].get();
 }

@@ -270,7 +270,7 @@ class ShardedTransparencyService {
                                                uint64_t old_size,
                                                uint64_t new_size);
 
-  /// The shard's log, or kFailedPrecondition while quarantined.
+  /// The shard's log, or kUnavailable while quarantined.
   Result<TransparencyLog*> log(uint32_t shard) const;
 
   uint32_t num_shards() const { return vault_->num_shards(); }

@@ -312,10 +312,13 @@ int MedVaultServer::MapStatusToHttp(const Status& status) {
     case Status::Code::kRetentionViolation: return 409;
     case Status::Code::kKeyDestroyed: return 410;
     case Status::Code::kNotSupported: return 501;
+    // The request conflicts with the record's state and will keep
+    // failing as sent (already disposed, signer exhausted).
+    case Status::Code::kFailedPrecondition: return 409;
+    case Status::Code::kBackupChainBroken: return 500;
     // A quarantined shard is a temporary capacity loss, not a client
     // error: clients should retry once the shard rejoins.
-    case Status::Code::kFailedPrecondition: return 503;
-    case Status::Code::kBackupChainBroken: return 500;
+    case Status::Code::kUnavailable: return 503;
   }
   return 500;
 }

@@ -40,6 +40,8 @@ TEST(StatusTest, EachFactoryProducesItsCode) {
   EXPECT_TRUE(Status::KeyDestroyed("x").IsKeyDestroyed());
   EXPECT_TRUE(Status::NotSupported("x").IsNotSupported());
   EXPECT_TRUE(Status::FailedPrecondition("x").IsFailedPrecondition());
+  EXPECT_TRUE(Status::Unavailable("x").IsUnavailable());
+  EXPECT_EQ(Status::Unavailable("x").ToString(), "Unavailable: x");
 }
 
 TEST(StatusTest, ToStringIncludesCodeAndMessage) {

@@ -867,6 +867,31 @@ TEST(ShardedReplicationTest, PerShardStreamsConvergeAndPromote) {
 // endpoint, end to end over real sockets.
 // ---------------------------------------------------------------------------
 
+// The shard count is on-disk identity for a replica exactly as for the
+// primary: reopening a replica directory with another count is refused
+// with the same InvalidArgument verdict, naming both counts.
+TEST(ShardedReplicationTest, ReplicaRefusesShardCountMismatch) {
+  storage::MemEnv env;
+  ShardedReplicaApplier::Options options;
+  options.env = &env;
+  options.dir = "replica";
+  options.entropy = kEntropy;
+  options.num_shards = 2;
+  options.apply_threads = 1;
+  ASSERT_TRUE(ShardedReplicaApplier::Open(options).ok());
+
+  options.num_shards = 3;
+  auto wrong = ShardedReplicaApplier::Open(options);
+  ASSERT_FALSE(wrong.ok());
+  EXPECT_TRUE(wrong.status().IsInvalidArgument()) << wrong.status().ToString();
+  EXPECT_NE(wrong.status().message().find("2"), std::string::npos);
+  EXPECT_NE(wrong.status().message().find("3"), std::string::npos);
+  EXPECT_NE(wrong.status().message().find("mismatch"), std::string::npos);
+
+  options.num_shards = 2;
+  EXPECT_TRUE(ShardedReplicaApplier::Open(options).ok());
+}
+
 TEST(ReplicationServerTest, ReplicaPullsOverHttpAndHealthReportsPosture) {
   storage::MemEnv env;
   ManualClock clock(1000000);

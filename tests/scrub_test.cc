@@ -518,16 +518,46 @@ TEST_F(DegradedShardTest, QuarantineMatrix) {
   EXPECT_EQ(vault_->QuarantinedShards(), std::vector<uint32_t>{sick});
   EXPECT_EQ(vault_->shard(sick), nullptr);
 
-  // Routed operations against the quarantined shard fail fast with the
-  // quarantine verdict; the same operations on healthy shards work.
-  EXPECT_TRUE(vault_->ReadRecord("dr-a", ids_[sick_pat])
-                  .status()
-                  .IsFailedPrecondition());
-  EXPECT_TRUE(vault_
-                  ->CreateRecord("dr-a", sick_pat, "text/plain", "more",
-                                 {"ward"}, "hipaa-6y")
-                  .status()
-                  .IsFailedPrecondition());
+  // The one quarantine verdict every routed operation must give.
+  auto quarantined = [](const Status& s) { return s.IsUnavailable(); };
+  const RecordId sick_id = ids_[sick_pat];
+  const std::string sick_shard = "s" + std::to_string(sick);
+
+  // Every routed operation against the quarantined shard fails fast with
+  // the quarantine verdict; the same operations on healthy shards work.
+  EXPECT_TRUE(quarantined(vault_->ReadRecord("dr-a", sick_id).status()));
+  EXPECT_TRUE(
+      quarantined(vault_->ReadRecordVersion("dr-a", sick_id, 1).status()));
+  EXPECT_TRUE(quarantined(vault_
+                              ->CreateRecord("dr-a", sick_pat, "text/plain",
+                                             "more", {"ward"}, "hipaa-6y")
+                              .status()));
+  EXPECT_TRUE(quarantined(
+      vault_->CorrectRecord("dr-a", sick_id, "fixed", "typo", {}).status()));
+  EXPECT_TRUE(quarantined(vault_->RecordHistory("dr-a", sick_id).status()));
+  EXPECT_TRUE(quarantined(vault_->DisposeRecord("admin-r", sick_id).status()));
+  EXPECT_TRUE(
+      quarantined(vault_->PlaceLegalHold("admin-r", sick_id, "litigation")));
+  EXPECT_TRUE(
+      quarantined(vault_->ReleaseLegalHold("admin-r", sick_id, "settled")));
+  EXPECT_TRUE(
+      quarantined(vault_->RequestDisposal("admin-r", sick_id).status()));
+  EXPECT_TRUE(quarantined(
+      vault_->ApproveDisposal("admin-r", sick_shard + ":dr-1").status()));
+  EXPECT_TRUE(quarantined(vault_->GetCustodyChain("aud-x", sick_id).status()));
+  EXPECT_TRUE(quarantined(vault_->ReadAuditTrail("aud-x", sick_id).status()));
+  EXPECT_TRUE(quarantined(vault_->GetRecordMeta(sick_id).status()));
+  EXPECT_TRUE(quarantined(vault_->VerifyRecord(sick_id)));
+  EXPECT_TRUE(quarantined(
+      vault_->BreakGlass("dr-a", sick_pat, "unconscious in ER", 3600).status()));
+  EXPECT_TRUE(quarantined(
+      vault_->GrantConsent(sick_pat, "dr-a", "", "second opinion", 3600)
+          .status()));
+  EXPECT_TRUE(quarantined(vault_->ListConsents(sick_pat, sick_pat).status()));
+  EXPECT_TRUE(
+      quarantined(vault_->RevokeConsent(sick_pat, sick_shard + "-cg-1")));
+  EXPECT_TRUE(quarantined(
+      vault_->AccountingOfDisclosures("aud-x", sick_pat).status()));
   EXPECT_EQ(vault_->ReadRecord("dr-a", ids_[healthy_pat])->plaintext,
             "note for " + healthy_pat);
 
@@ -542,9 +572,7 @@ TEST_F(DegradedShardTest, QuarantineMatrix) {
   batch[1].content_type = "text/plain";
   batch[1].plaintext = "batch b";
   batch[1].retention_policy = "hipaa-6y";
-  EXPECT_TRUE(vault_->CreateRecordsBatch("dr-a", batch)
-                  .status()
-                  .IsFailedPrecondition());
+  EXPECT_TRUE(quarantined(vault_->CreateRecordsBatch("dr-a", batch).status()));
 
   // Fan-outs skip the quarantined shard instead of failing: search
   // returns exactly the healthy shards' hits, audit still verifies.
@@ -560,8 +588,43 @@ TEST_F(DegradedShardTest, QuarantineMatrix) {
     if (vault_->router().ShardOf(Patient(p)) != sick) expected_hits++;
   }
   EXPECT_EQ(hits->size(), expected_hits);
+  auto all_hits = vault_->SearchKeywordsAll("dr-a", {"ward"});
+  ASSERT_TRUE(all_hits.ok()) << all_hits.status().ToString();
+  EXPECT_EQ(*all_hits, *hits);
+  EXPECT_EQ(vault_->ListRecordIds().size(), expected_hits);
   EXPECT_TRUE(vault_->VerifyAudit().ok());
+  EXPECT_TRUE(vault_->VerifyEverything().ok());
+  EXPECT_FALSE(vault_->ContentRoot().empty());
+  auto checkpoints = vault_->CheckpointAudit();
+  ASSERT_TRUE(checkpoints.ok()) << checkpoints.status().ToString();
+  EXPECT_EQ(checkpoints->size(), kShards - 1);
+  auto trail = vault_->ReadAuditTrail("aud-x", "");
+  ASSERT_TRUE(trail.ok()) << trail.status().ToString();
+  for (const AuditEvent& event : *trail) {
+    uint32_t shard_of = 0;
+    if (ShardRouter::ShardOfRecordId(event.record_id, &shard_of)) {
+      EXPECT_NE(shard_of, sick) << event.record_id;
+    }
+  }
+  auto break_glass = vault_->ListBreakGlassEvents("aud-x");
+  EXPECT_TRUE(break_glass.ok()) << break_glass.status().ToString();
+  auto expired = vault_->ListExpiredRecords("admin-r");
+  ASSERT_TRUE(expired.ok()) << expired.status().ToString();
+  EXPECT_TRUE(expired->empty());
+  auto reclaimed = vault_->ReclaimDisposedMedia("admin-r");
+  ASSERT_TRUE(reclaimed.ok()) << reclaimed.status().ToString();
+  EXPECT_EQ(*reclaimed, 0);
+  EXPECT_EQ(vault_->ActiveConsentCount(), 0u);
+  EXPECT_TRUE(vault_
+                  ->RegisterPrincipal("admin-r",
+                                      {"dr-b", Role::kPhysician, "Dr B"})
+                  .ok());
+  EXPECT_TRUE(vault_->AssignCare("admin-r", "dr-b", healthy_pat).ok());
   EXPECT_TRUE(vault_->SyncAll().ok());
+
+  // Key rotation must reach every shard or none, so it refuses outright.
+  EXPECT_TRUE(
+      quarantined(vault_->RotateMasterKey("admin-r", std::string(32, 'N'))));
 
   // Quarantine is visible to operators: health report + gauge.
   obs::HealthReport health = obs::CollectHealth(*vault_);
@@ -576,6 +639,37 @@ TEST_F(DegradedShardTest, QuarantineMatrix) {
   EXPECT_TRUE(vault_->IsQuarantined(sick));
   // Rejoining a healthy shard is a no-op.
   EXPECT_TRUE(vault_->RejoinShard(healthy).ok());
+}
+
+// A refused key rotation must leave every shard on the old master. If
+// the shards before the quarantined one rotated anyway, the vault could
+// no longer be reopened with either key.
+TEST_F(DegradedShardTest, RefusedRotationRotatesNoShard) {
+  BuildPopulatedVault();
+  const uint32_t sick = kShards - 1;
+  const std::string sick_dir = vault_->ShardDirPath(sick);
+  vault_.reset();
+  XorByte(&env_, sick_dir + "/state.log", /*offset=*/10);
+
+  auto opened = ShardedVault::Open(Options(OpenMode::kDegraded));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  vault_ = std::move(*opened);
+  ASSERT_TRUE(vault_->IsQuarantined(sick));
+  EXPECT_FALSE(
+      vault_->RotateMasterKey("admin-r", std::string(32, 'N')).ok());
+  vault_.reset();
+
+  // Reopened under the old master, every healthy shard still serves.
+  opened = ShardedVault::Open(Options(OpenMode::kDegraded));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  vault_ = std::move(*opened);
+  EXPECT_EQ(vault_->QuarantinedShards(), std::vector<uint32_t>{sick});
+  for (const auto& [patient, id] : ids_) {
+    if (vault_->router().ShardOf(patient) == sick) continue;
+    auto read = vault_->ReadRecord("dr-a", id);
+    ASSERT_TRUE(read.ok()) << id << ": " << read.status().ToString();
+    EXPECT_EQ(read->plaintext, "note for " + patient);
+  }
 }
 
 // A degraded open scrubs and opens every shard as its own pool task.

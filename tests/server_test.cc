@@ -1127,5 +1127,66 @@ TEST_F(ServerRoutingTest, DurableRoutesSyncOncePerAcknowledgedMutation) {
         200, 1, n);
 }
 
+// A quarantined shard is a temporary outage: its requests answer 503 so
+// clients retry once the shard rejoins. A request that can never succeed
+// as sent, like disposing a record twice, is a 409 conflict instead.
+TEST_F(ServerRoutingTest, QuarantinedShardIs503AndRepeatedDisposeIs409) {
+  Bootstrap();
+  // One expiring record on each of the two shards.
+  std::map<uint32_t, std::string> record_on_shard;
+  for (int i = 0; record_on_shard.size() < 2; ++i) {
+    ASSERT_LT(i, 64) << "no patient placed on every shard";
+    const std::string patient = "ward-" + std::to_string(i);
+    const uint32_t k = vault_->router().ShardOf(patient);
+    if (record_on_shard.count(k) != 0) continue;
+    ASSERT_TRUE(vault_
+                    ->RegisterPrincipal("admin",
+                                        {patient, Role::kPatient, patient})
+                    .ok());
+    ASSERT_TRUE(vault_->AssignCare("admin", "dr", patient).ok());
+    auto id = vault_->CreateRecord("dr", patient, "text/plain", "note", {},
+                                   "short-1y");
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    record_on_shard[k] = *id;
+  }
+  ASSERT_TRUE(vault_->SyncAll().ok());
+  const uint32_t sick = 0;
+  const std::string sick_dir = vault_->ShardDirPath(sick);
+  vault_.reset();
+
+  // Bit rot in shard 0's state log: a degraded open quarantines it.
+  const std::string state_log = sick_dir + "/state.log";
+  std::string data;
+  ASSERT_TRUE(storage::ReadFileToString(&env_, state_log, &data).ok());
+  ASSERT_GT(data.size(), 10u);
+  const char flipped = static_cast<char>(data[10] ^ 0x40);
+  ASSERT_TRUE(env_.UnsafeOverwrite(state_log, 10, Slice(&flipped, 1)).ok());
+  ShardedVaultOptions options = VaultOpts();
+  options.open_mode = core::OpenMode::kDegraded;
+  auto opened = ShardedVault::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  vault_ = std::move(*opened);
+  ASSERT_TRUE(vault_->IsQuarantined(sick));
+  StartServer();
+
+  clock_.AdvanceYears(2);
+  SessionManager* sessions = server_->sessions();
+  const std::string dr = sessions->Issue("dr");
+  const std::string admin = sessions->Issue("admin");
+
+  HttpResponse sick_read =
+      Call("GET", "/v1/records/" + record_on_shard[sick], "", dr);
+  EXPECT_EQ(sick_read.status, 503) << sick_read.body;
+  EXPECT_NE(ErrorText(sick_read).find("quarantined"), std::string::npos)
+      << sick_read.body;
+
+  const std::string healthy = "/v1/records/" + record_on_shard[1];
+  HttpResponse first = Call("POST", healthy + "/dispose", "", admin);
+  EXPECT_EQ(first.status, 200) << first.body;
+  HttpResponse again = Call("POST", healthy + "/dispose", "", admin);
+  EXPECT_EQ(again.status, 409) << again.body;
+  EXPECT_EQ(ErrorText(again), "FailedPrecondition: record already disposed");
+}
+
 }  // namespace
 }  // namespace medvault::server

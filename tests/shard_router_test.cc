@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/hex.h"
 #include "core/shard_router.h"
 #include "core/sharded_vault.h"
 #include "storage/mem_env.h"
@@ -78,19 +79,53 @@ TEST(ShardRouterTest, RejectsIdsThatDoNotNameAShard) {
   EXPECT_FALSE(ShardRouter::ShardOfRecordId("shard-3", &shard));
 }
 
-TEST(ShardRouterTest, ManifestRoundTripsAndSurvivesReopen) {
+TEST(ShardRouterTest, ManifestIsCreatedOnceThenEnforced) {
   storage::MemEnv env;
-  ASSERT_TRUE(env.CreateDirIfMissing("root").ok());
-  ASSERT_TRUE(ShardRouter::WriteManifest(&env, "root", 6).ok());
-  auto count = ShardRouter::ReadManifest(&env, "root");
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 6u);
+  // First use creates the root and persists the count; the same count
+  // passes again, any other is refused naming both counts.
+  ASSERT_TRUE(ShardRouter::CheckOrCreateManifest(&env, "root", 6).ok());
+  EXPECT_TRUE(env.FileExists("root/shards.meta"));
+  EXPECT_TRUE(ShardRouter::CheckOrCreateManifest(&env, "root", 6).ok());
+  Status wrong = ShardRouter::CheckOrCreateManifest(&env, "root", 7);
+  EXPECT_TRUE(wrong.IsInvalidArgument()) << wrong.ToString();
+  EXPECT_NE(wrong.message().find("6"), std::string::npos);
+  EXPECT_NE(wrong.message().find("7"), std::string::npos);
 }
 
-TEST(ShardRouterTest, MissingManifestIsNotFound) {
+TEST(ShardRouterTest, DamagedManifestIsCorruption) {
   storage::MemEnv env;
-  auto count = ShardRouter::ReadManifest(&env, "nowhere");
-  EXPECT_TRUE(count.status().IsNotFound());
+  ASSERT_TRUE(env.CreateDirIfMissing("root").ok());
+  for (const std::string contents :
+       {"not a manifest\n", "medvault-shards v1\n",
+        "medvault-shards v1\ncount=x\n", "medvault-shards v1\ncount=0\n"}) {
+    ASSERT_TRUE(storage::WriteStringToFile(&env, contents, "root/shards.meta",
+                                           /*sync=*/true)
+                    .ok());
+    EXPECT_TRUE(
+        ShardRouter::CheckOrCreateManifest(&env, "root", 4).IsCorruption())
+        << contents;
+  }
+}
+
+TEST(ShardRouterTest, DisposalRequestIdsRoundTripThroughQualification) {
+  for (uint32_t k : {0u, 3u, 1023u}) {
+    const std::string qualified =
+        ShardRouter::QualifyDisposalRequest(k, "dr-7");
+    EXPECT_EQ(qualified, "s" + std::to_string(k) + ":dr-7");
+    uint32_t parsed = 0;
+    std::string local;
+    ASSERT_TRUE(ShardRouter::ShardOfDisposalRequest(qualified, &parsed, &local))
+        << qualified;
+    EXPECT_EQ(parsed, k);
+    EXPECT_EQ(local, "dr-7");
+  }
+  uint32_t shard = 0;
+  std::string local;
+  for (const std::string bad :
+       {"", "dr-1", "s:dr-1", "s1dr-1", "sX:dr-1", "s1:xr-1", "s1-r-1"}) {
+    EXPECT_FALSE(ShardRouter::ShardOfDisposalRequest(bad, &shard, &local))
+        << bad;
+  }
 }
 
 ShardedVaultOptions BaseOptions(storage::Env* env, const Clock* clock,
@@ -124,6 +159,30 @@ TEST(ShardRouterTest, OpenRefusesShardCountMismatch) {
   // The correct count still opens.
   auto right = ShardedVault::Open(BaseOptions(&env, &clock, 4));
   EXPECT_TRUE(right.ok()) << right.status().ToString();
+}
+
+// Every shard's key-wrapping master and entropy pool are HKDF-derived
+// from the vault's root secrets under fixed per-shard labels. Any change
+// to the derivation — even one applied consistently everywhere — would
+// orphan every existing vault, so the derived bytes are pinned here.
+TEST(ShardRouterTest, ShardSecretsArePinned) {
+  storage::MemEnv env;
+  ManualClock clock{1000000};
+  auto opened = ShardedVault::Open(BaseOptions(&env, &clock, 4));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const ShardedVault& vault = **opened;
+  // RFC 5869 HKDF-SHA256, empty salt, info "medvault-shard-master-<k>"
+  // (32 bytes) and "medvault-shard-entropy-<k>" (64 bytes).
+  EXPECT_EQ(HexEncode(vault.shard(0)->options().master_key),
+            "22af686e10623037379d5d60014dc03bcc2e7f5d2c10fd1e47f55288072fe1d8");
+  EXPECT_EQ(HexEncode(vault.shard(0)->options().entropy),
+            "d8a9a5589ac849de74387525e5cd113b9bf62c0d81d04a9e119e63b82d3a2a8b"
+            "5a356bee35bb23c3c4fb788af3ae7a8a9cdcd2dc38baa6c9a5d909a4c103e862");
+  EXPECT_EQ(HexEncode(vault.shard(3)->options().master_key),
+            "bb1e885f431d72dc0e326eb4179b14bdf350c40191ded172bafffbeab3b7a639");
+  EXPECT_EQ(HexEncode(vault.shard(3)->options().entropy),
+            "599f813aa2e934038863280dfd47f5ebfe96f646ef52032c6dd6115dd4138a94"
+            "e5c1a37e89dcf3dcf31650997edf89b40063aa5660e7f5910d7670f8970930af");
 }
 
 TEST(ShardRouterTest, PlacementSurvivesVaultReopen) {

@@ -157,6 +157,41 @@ TEST_F(ShardedVaultTest, UnroutableRecordIdIsNotFound) {
       vault_->GetRecordMeta("not-an-id").status().IsNotFound());
 }
 
+// Ids that name no shard of this vault — no shard prefix, a shard past
+// the count, an empty shard number — are NotFound on every record-id op,
+// never misrouted to some shard; likewise malformed grant and disposal
+// request ids.
+TEST_F(ShardedVaultTest, EveryRecordIdOpAnswersNotFoundForUnroutableIds) {
+  for (const RecordId id : {"r-1", "s9-r-1", "s-r-1"}) {
+    SCOPED_TRACE(id);
+    EXPECT_TRUE(vault_->ReadRecord("dr-a", id).status().IsNotFound());
+    EXPECT_TRUE(
+        vault_->ReadRecordVersion("dr-a", id, 1).status().IsNotFound());
+    EXPECT_TRUE(vault_->CorrectRecord("dr-a", id, "x", "typo", {})
+                    .status()
+                    .IsNotFound());
+    EXPECT_TRUE(vault_->RecordHistory("dr-a", id).status().IsNotFound());
+    EXPECT_TRUE(vault_->DisposeRecord("admin-r", id).status().IsNotFound());
+    EXPECT_TRUE(vault_->PlaceLegalHold("admin-r", id, "hold").IsNotFound());
+    EXPECT_TRUE(
+        vault_->ReleaseLegalHold("admin-r", id, "release").IsNotFound());
+    EXPECT_TRUE(vault_->RequestDisposal("admin-r", id).status().IsNotFound());
+    EXPECT_TRUE(vault_->GetCustodyChain("aud-x", id).status().IsNotFound());
+    EXPECT_TRUE(vault_->ReadAuditTrail("aud-x", id).status().IsNotFound());
+    EXPECT_TRUE(vault_->GetRecordMeta(id).status().IsNotFound());
+    EXPECT_TRUE(vault_->VerifyRecord(id).IsNotFound());
+    EXPECT_TRUE(vault_->GrantConsent(Patient(0), "dr-a", id, "opinion", 3600)
+                    .status()
+                    .IsNotFound());
+  }
+  EXPECT_TRUE(vault_->RevokeConsent(Patient(0), "cg-1").IsNotFound());
+  for (const std::string request : {"s:dr-1", "s1dr-1", "s99:dr-1", "sX:dr-1"}) {
+    EXPECT_TRUE(
+        vault_->ApproveDisposal("admin-2", request).status().IsNotFound())
+        << request;
+  }
+}
+
 TEST_F(ShardedVaultTest, AuditChainsVerifyPerShardAndCheckpoint) {
   for (int p = 0; p < 8; ++p) {
     ASSERT_TRUE(vault_

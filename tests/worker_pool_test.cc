@@ -1,13 +1,14 @@
-// WorkerPool tests — most importantly the re-entrant RunAll regression:
+// WorkerPool tests — most importantly the re-entrant fan-out regression:
 // a pooled task fanning out through the same pool used to queue its
 // sub-batch and block on the batch condvar while holding the worker
 // slot that sub-batch needed, deadlocking the pool as soon as every
-// worker was a blocked submitter. The fix executes re-entrant RunAll
+// worker was a blocked submitter. The fix executes re-entrant RunEach
 // inline on the worker thread; these tests would hang (and trip the
 // ctest timeout) under the old behavior.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -23,22 +24,56 @@ TEST(WorkerPoolTest, RunsEveryTaskAndWaitsForCompletion) {
   WorkerPool pool(3);
   EXPECT_EQ(pool.thread_count(), 3u);
   std::atomic<int> completed{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 64; ++i) tasks.push_back([&] { completed++; });
-  pool.RunAll(std::move(tasks));
-  // RunAll returning IS the completion barrier.
+  EXPECT_TRUE(pool.RunEach(64, [&](size_t) {
+                    completed++;
+                    return Status::OK();
+                  }).ok());
+  // RunEach returning IS the completion barrier.
   EXPECT_EQ(completed.load(), 64);
 }
 
-TEST(WorkerPoolTest, ZeroThreadsRunsInlineInSubmissionOrder) {
+TEST(WorkerPoolTest, ZeroThreadsRunsInlineInIndexOrder) {
   WorkerPool pool(0);
   EXPECT_EQ(pool.thread_count(), 0u);
-  std::vector<int> order;
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 8; ++i) tasks.push_back([&order, i] { order.push_back(i); });
-  pool.RunAll(std::move(tasks));
+  std::vector<size_t> order;
+  EXPECT_TRUE(pool.RunEach(8, [&](size_t i) {
+                    order.push_back(i);
+                    return Status::OK();
+                  }).ok());
   ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
+  for (size_t i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
+}
+
+// Every task runs even when some fail, and the caller sees the error of
+// the lowest failing index — not whichever task failed first in time.
+TEST(WorkerPoolTest, RunEachReturnsLowestIndexErrorAfterAllTasks) {
+  for (unsigned threads : {0u, 3u}) {
+    WorkerPool pool(threads);
+    std::atomic<int> ran{0};
+    Status status = pool.RunEach(16, [&](size_t i) {
+      ran++;
+      if (i == 11) return Status::IoError("eleven");
+      if (i == 5) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        return Status::NotFound("five");
+      }
+      return Status::OK();
+    });
+    EXPECT_EQ(ran.load(), 16) << threads;
+    EXPECT_TRUE(status.IsNotFound()) << threads << ": " << status.ToString();
+  }
+}
+
+TEST(WorkerPoolTest, ForFanOutSizesPoolsOneWay) {
+  // 1 forces inline sequential execution; an explicit count is kept.
+  EXPECT_EQ(WorkerPool::ForFanOut(1, 8)->thread_count(), 0u);
+  EXPECT_EQ(WorkerPool::ForFanOut(3, 8)->thread_count(), 3u);
+  // 0 picks min(width, hardware threads); a width of 1 is inline.
+  EXPECT_EQ(WorkerPool::ForFanOut(0, 1)->thread_count(), 0u);
+  const unsigned hw = std::max(std::thread::hardware_concurrency(), 1u);
+  const unsigned expected = std::min(2u, hw);
+  EXPECT_EQ(WorkerPool::ForFanOut(0, 2)->thread_count(),
+            expected > 1 ? expected : 0u);
 }
 
 TEST(WorkerPoolTest, OnWorkerThreadDistinguishesPoolThreads) {
@@ -47,14 +82,11 @@ TEST(WorkerPoolTest, OnWorkerThreadDistinguishesPoolThreads) {
   EXPECT_FALSE(pool.OnWorkerThread());
   std::atomic<int> on_pool{0};
   std::atomic<int> on_other{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 4; ++i) {
-    tasks.push_back([&] {
-      if (pool.OnWorkerThread()) on_pool++;
-      if (other.OnWorkerThread()) on_other++;
-    });
-  }
-  pool.RunAll(std::move(tasks));
+  EXPECT_TRUE(pool.RunEach(4, [&](size_t) {
+                    if (pool.OnWorkerThread()) on_pool++;
+                    if (other.OnWorkerThread()) on_other++;
+                    return Status::OK();
+                  }).ok());
   EXPECT_EQ(on_pool.load(), 4);
   EXPECT_EQ(on_other.load(), 0) << "worker claims membership in foreign pool";
 }
@@ -63,48 +95,43 @@ TEST(WorkerPoolTest, OnWorkerThreadDistinguishesPoolThreads) {
 // fans out 4 inner tasks through the SAME pool. Pre-fix: both workers
 // pick up outer tasks, queue their inner batches, and block on the
 // batch condvar — with no free worker left to drain the queue, the
-// pool is wedged forever. Post-fix: the inner RunAll detects it is on
+// pool is wedged forever. Post-fix: the inner RunEach detects it is on
 // a worker thread and executes inline, so all 16 inner tasks complete.
-TEST(WorkerPoolTest, ReentrantRunAllFromWorkerDoesNotDeadlock) {
+TEST(WorkerPoolTest, ReentrantRunEachFromWorkerDoesNotDeadlock) {
   WorkerPool pool(2);
   std::atomic<int> inner_completed{0};
-  std::vector<std::function<void()>> outer;
-  for (int i = 0; i < 4; ++i) {
-    outer.push_back([&] {
-      ASSERT_TRUE(pool.OnWorkerThread());
-      std::vector<std::function<void()>> inner;
-      for (int j = 0; j < 4; ++j) inner.push_back([&] { inner_completed++; });
-      pool.RunAll(std::move(inner));
-    });
-  }
-  pool.RunAll(std::move(outer));
+  std::atomic<int> outer_on_worker{0};
+  EXPECT_TRUE(pool.RunEach(4, [&](size_t) {
+                    if (pool.OnWorkerThread()) outer_on_worker++;
+                    return pool.RunEach(4, [&](size_t) {
+                      inner_completed++;
+                      return Status::OK();
+                    });
+                  }).ok());
+  EXPECT_EQ(outer_on_worker.load(), 4);
   EXPECT_EQ(inner_completed.load(), 16);
 }
 
 // Two levels of re-entrancy (a pooled task fans out, and ITS tasks fan
 // out again) must also complete — the inline path recurses safely.
-TEST(WorkerPoolTest, DoublyNestedReentrantRunAll) {
+TEST(WorkerPoolTest, DoublyNestedReentrantRunEach) {
   WorkerPool pool(2);
   std::atomic<int> leaf{0};
-  std::vector<std::function<void()>> outer;
-  for (int i = 0; i < 3; ++i) {
-    outer.push_back([&] {
-      std::vector<std::function<void()>> mid;
-      for (int j = 0; j < 3; ++j) {
-        mid.push_back([&] {
-          std::vector<std::function<void()>> inner;
-          for (int k = 0; k < 3; ++k) inner.push_back([&] { leaf++; });
-          pool.RunAll(std::move(inner));
-        });
-      }
-      pool.RunAll(std::move(mid));
-    });
-  }
-  pool.RunAll(std::move(outer));
+  auto fan_out = [&pool](size_t n, const std::function<Status(size_t)>& fn) {
+    return pool.RunEach(n, fn);
+  };
+  EXPECT_TRUE(fan_out(3, [&](size_t) {
+                return fan_out(3, [&](size_t) {
+                  return fan_out(3, [&](size_t) {
+                    leaf++;
+                    return Status::OK();
+                  });
+                });
+              }).ok());
   EXPECT_EQ(leaf.load(), 27);
 }
 
-// Concurrent RunAll calls from independent external threads share the
+// Concurrent RunEach calls from independent external threads share the
 // workers without crosstalk: each call returns only when its OWN batch
 // is done.
 TEST(WorkerPoolTest, ConcurrentExternalBatchesTrackSeparately) {
@@ -116,14 +143,11 @@ TEST(WorkerPoolTest, ConcurrentExternalBatchesTrackSeparately) {
   for (int s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&] {
       std::atomic<int> mine{0};
-      std::vector<std::function<void()>> tasks;
-      for (int i = 0; i < kTasksPerBatch; ++i) {
-        tasks.push_back([&] {
-          mine++;
-          total++;
-        });
-      }
-      pool.RunAll(std::move(tasks));
+      EXPECT_TRUE(pool.RunEach(kTasksPerBatch, [&](size_t) {
+                        mine++;
+                        total++;
+                        return Status::OK();
+                      }).ok());
       EXPECT_EQ(mine.load(), kTasksPerBatch);
     });
   }
@@ -171,7 +195,7 @@ TEST(TaskGroupTest, ZeroThreadPoolRunsInlineInSubmissionOrder) {
 }
 
 TEST(TaskGroupTest, ReentrantSubmitFromWorkerRunsInlineNoDeadlock) {
-  // Same hazard as re-entrant RunAll: a pooled task fanning out through
+  // Same hazard as re-entrant RunEach: a pooled task fanning out through
   // a group on its own pool must execute inline, or workers end up
   // blocked in Wait() holding the slots their sub-tasks need. Hangs
   // (ctest timeout) on regression.

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Smoke suite: the tier-1 test battery in the default configuration,
 # then the crash/fault matrix, the cross-shard stress battery, the
-# observability battery, the media-fault scrub/repair battery, the
-# async-env/group-commit batteries, the HTTP server battery, the
+# shard-dispatch battery (routing, shard ids and secrets, manifest,
+# fan-outs), the observability battery, the media-fault scrub/repair
+# battery, the async-env/group-commit batteries, the HTTP server battery, the
 # verified-replication battery, the audit-transparency battery, and the
 # patient-driven-sharing consent battery (`ctest -L
-# "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent"`)
+# "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent"`)
 # rebuilt under AddressSanitizer and UndefinedBehaviorSanitizer, then the
-# stress + obs + scrub + commit + serve + repl + transparency + consent
-# batteries under
+# stress + shard + obs + scrub + commit + serve + repl + transparency +
+# consent batteries under
 # ThreadSanitizer — the shared cache / ingest-pool races, the parallel
 # per-shard scrub-and-open, the lock-free
 # metrics hot path, the group-commit leader/follower handoff, the
@@ -41,8 +42,8 @@ run_config() {
 }
 
 run_config "$prefix" "" ""
-run_config "${prefix}-asan" address "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent"
-run_config "${prefix}-ubsan" undefined "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent"
-run_config "${prefix}-tsan" thread "stress|obs|scrub|commit|serve|repl|transparency|consent"
+run_config "${prefix}-asan" address "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent"
+run_config "${prefix}-ubsan" undefined "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent"
+run_config "${prefix}-tsan" thread "stress|shard|obs|scrub|commit|serve|repl|transparency|consent"
 
 echo "smoke suite passed"
