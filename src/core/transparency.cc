@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/coding.h"
+#include "common/worker_pool.h"
 #include "crypto/hkdf.h"
 #include "crypto/merkle.h"
 
@@ -297,30 +298,37 @@ ShardedTransparencyService::ShardedTransparencyService(ShardedVault* vault,
 Status ShardedTransparencyService::AddWitness(const std::string& id,
                                               const Slice& secret_seed,
                                               const Slice& public_seed) {
-  for (uint32_t k = 0; k < logs_.size(); ++k) {
-    if (logs_[k] == nullptr) continue;
-    Vault* shard = vault_->shard(k);
-    // XMSS keys are stateful one-time-leaf material: a logical witness
-    // gets an independent key per shard instead of spending one tree's
-    // leaves across all of them.
-    Witness::Options wopts;
-    wopts.id = id;
-    MEDVAULT_ASSIGN_OR_RETURN(
-        wopts.secret_seed,
-        crypto::HkdfSha256(secret_seed, Slice(),
-                           "witness-" + id + "-secret-" + std::to_string(k),
-                           32));
-    MEDVAULT_ASSIGN_OR_RETURN(
-        wopts.public_seed,
-        crypto::HkdfSha256(public_seed, Slice(),
-                           "witness-" + id + "-public-" + std::to_string(k),
-                           32));
-    wopts.height = options_.witness_height;
-    LogIdentity log_id{shard->SignerPublicKey(), shard->SignerPublicSeed(),
-                       shard->SignerHeight()};
-    auto witness = std::make_unique<Witness>(wopts, std::move(log_id));
-    logs_[k]->RegisterWitness(witness.get());
-    witnesses_.push_back(std::move(witness));
+  // XMSS keys are stateful one-time-leaf material: a logical witness
+  // gets an independent key per shard instead of spending one tree's
+  // leaves across all of them. Each shard's key generation (2^height
+  // WOTS leaves) is one pool task; registration stays in shard order.
+  std::vector<std::unique_ptr<Witness>> built(logs_.size());
+  MEDVAULT_RETURN_IF_ERROR(
+      vault_->pool()->RunEach(logs_.size(), [&](size_t k) -> Status {
+        if (logs_[k] == nullptr) return Status::OK();  // quarantined
+        Vault* shard = vault_->shard(static_cast<uint32_t>(k));
+        Witness::Options wopts;
+        wopts.id = id;
+        MEDVAULT_ASSIGN_OR_RETURN(
+            wopts.secret_seed,
+            crypto::HkdfSha256(
+                secret_seed, Slice(),
+                "witness-" + id + "-secret-" + std::to_string(k), 32));
+        MEDVAULT_ASSIGN_OR_RETURN(
+            wopts.public_seed,
+            crypto::HkdfSha256(
+                public_seed, Slice(),
+                "witness-" + id + "-public-" + std::to_string(k), 32));
+        wopts.height = options_.witness_height;
+        LogIdentity log_id{shard->SignerPublicKey(),
+                           shard->SignerPublicSeed(), shard->SignerHeight()};
+        built[k] = std::make_unique<Witness>(wopts, std::move(log_id));
+        return Status::OK();
+      }));
+  for (size_t k = 0; k < built.size(); ++k) {
+    if (built[k] == nullptr) continue;
+    logs_[k]->RegisterWitness(built[k].get());
+    witnesses_.push_back(std::move(built[k]));
   }
   return Status::OK();
 }

@@ -6,34 +6,36 @@
 
 namespace medvault::crypto {
 
-std::string HmacSha256(const Slice& key, const Slice& message) {
+HmacSha256Key::HmacSha256Key(const Slice& key) {
   constexpr size_t kBlockSize = 64;
-
-  // Keys longer than the block size are hashed first.
-  std::string key_block;
+  uint8_t key_block[kBlockSize] = {};
   if (key.size() > kBlockSize) {
-    key_block = Sha256Digest(key);
+    memcpy(key_block, Sha256Digest(key).data(), kDigestSize);
   } else {
-    key_block = key.ToString();
-  }
-  key_block.resize(kBlockSize, '\0');
-
-  std::string ipad(kBlockSize, '\0');
-  std::string opad(kBlockSize, '\0');
-  for (size_t i = 0; i < kBlockSize; i++) {
-    ipad[i] = static_cast<char>(key_block[i] ^ 0x36);
-    opad[i] = static_cast<char>(key_block[i] ^ 0x5c);
+    memcpy(key_block, key.data(), key.size());
   }
 
-  Sha256 inner;
-  inner.Update(ipad);
+  auto absorb_pad = [&](uint8_t pad_byte, Sha256* h) {
+    char pad[kBlockSize];
+    for (size_t i = 0; i < kBlockSize; i++) {
+      pad[i] = static_cast<char>(key_block[i] ^ pad_byte);
+    }
+    h->Update(Slice(pad, kBlockSize));
+  };
+  absorb_pad(0x36, &inner_);
+  absorb_pad(0x5c, &outer_);
+}
+
+std::string HmacSha256Key::Mac(const Slice& message) const {
+  Sha256 inner = inner_;
   inner.Update(message);
-  std::string inner_digest = inner.Finish();
-
-  Sha256 outer;
-  outer.Update(opad);
-  outer.Update(inner_digest);
+  Sha256 outer = outer_;
+  outer.Update(inner.Finish());
   return outer.Finish();
+}
+
+std::string HmacSha256(const Slice& key, const Slice& message) {
+  return HmacSha256Key(key).Mac(message);
 }
 
 bool ConstantTimeEqual(const Slice& a, const Slice& b) {

@@ -4,8 +4,26 @@
 #include <string>
 
 #include "common/slice.h"
+#include "crypto/sha256.h"
 
 namespace medvault::crypto {
+
+/// An HMAC-SHA256 key with its pads absorbed once: the SHA-256
+/// midstates after the key^ipad and key^opad blocks (the precomputation
+/// of RFC 2104 section 4). Each Mac() then skips both key blocks, so a
+/// MAC over a message of up to 55 bytes costs two compressions.
+class HmacSha256Key {
+ public:
+  /// Keys longer than the 64-byte block are hashed first.
+  explicit HmacSha256Key(const Slice& key);
+
+  /// Returns the 32-byte tag of `message`.
+  std::string Mac(const Slice& message) const;
+
+ private:
+  Sha256 inner_;
+  Sha256 outer_;
+};
 
 /// HMAC-SHA256 (RFC 2104). Returns a 32-byte tag.
 std::string HmacSha256(const Slice& key, const Slice& message);

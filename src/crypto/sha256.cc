@@ -120,15 +120,27 @@ bool Sha256Accelerated() {
 
 }  // namespace internal
 
+void Sha256Pad(uint8_t* block, size_t len, uint64_t total_len) {
+  const size_t padded = Sha256PaddedSize(len);
+  block[len] = 0x80;
+  memset(block + len + 1, 0, padded - len - 9);
+  const uint64_t bit_len = total_len * 8;
+  for (int i = 0; i < 8; i++) {
+    block[padded - 8 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  }
+}
+
+void Sha256StateToDigest(const uint32_t state[8], uint8_t* digest) {
+  for (int i = 0; i < 8; i++) {
+    digest[i * 4] = static_cast<uint8_t>(state[i] >> 24);
+    digest[i * 4 + 1] = static_cast<uint8_t>(state[i] >> 16);
+    digest[i * 4 + 2] = static_cast<uint8_t>(state[i] >> 8);
+    digest[i * 4 + 3] = static_cast<uint8_t>(state[i]);
+  }
+}
+
 void Sha256::Reset() {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
+  memcpy(state_, kSha256Iv, sizeof(state_));
   total_len_ = 0;
   buffer_len_ = 0;
 }
@@ -167,26 +179,13 @@ void Sha256::Update(const Slice& data) {
 }
 
 std::string Sha256::Finish() {
-  uint64_t bit_len = total_len_ * 8;
-
-  // Padding: 0x80, zeros, 8-byte big-endian bit length.
-  uint8_t pad[72];
-  size_t pad_len = (buffer_len_ < 56) ? (56 - buffer_len_)
-                                      : (120 - buffer_len_);
-  pad[0] = 0x80;
-  memset(pad + 1, 0, pad_len - 1);
-  for (int i = 0; i < 8; i++) {
-    pad[pad_len + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  Update(Slice(reinterpret_cast<char*>(pad), pad_len + 8));
-
+  uint8_t tail[128];
+  memcpy(tail, buffer_, buffer_len_);
+  Sha256Pad(tail, buffer_len_, total_len_);
+  internal::ActiveSha256Kernel()(state_, tail,
+                                 Sha256PaddedSize(buffer_len_) / 64);
   std::string digest(kDigestSize, '\0');
-  for (int i = 0; i < 8; i++) {
-    digest[i * 4] = static_cast<char>(state_[i] >> 24);
-    digest[i * 4 + 1] = static_cast<char>(state_[i] >> 16);
-    digest[i * 4 + 2] = static_cast<char>(state_[i] >> 8);
-    digest[i * 4 + 3] = static_cast<char>(state_[i]);
-  }
+  Sha256StateToDigest(state_, reinterpret_cast<uint8_t*>(digest.data()));
   return digest;
 }
 

@@ -12,6 +12,25 @@ namespace medvault::crypto {
 /// Size in bytes of a SHA-256 digest.
 constexpr size_t kDigestSize = 32;
 
+/// Initial hash value H(0) (FIPS 180-4 section 5.3.3).
+inline constexpr uint32_t kSha256Iv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                          0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                          0x1f83d9ab, 0x5be0cd19};
+
+/// Bytes of whole 64-byte blocks that hold a `len`-byte message tail
+/// plus its padding.
+constexpr size_t Sha256PaddedSize(size_t len) {
+  return (len + 9 + 63) / 64 * 64;
+}
+
+/// Pads the `len`-byte tail at `block` in place up to
+/// Sha256PaddedSize(len): 0x80, zeros, then the 64-bit big-endian bit
+/// length of the whole `total_len`-byte message.
+void Sha256Pad(uint8_t* block, size_t len, uint64_t total_len);
+
+/// Writes a chaining state as 32 big-endian digest bytes.
+void Sha256StateToDigest(const uint32_t state[8], uint8_t* digest);
+
 /// Incremental SHA-256 (FIPS 180-4), implemented from scratch.
 ///
 ///   Sha256 h;

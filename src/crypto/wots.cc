@@ -1,49 +1,60 @@
 #include "crypto/wots.h"
 
+#include <cstring>
+
 #include "common/coding.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 
 namespace medvault::crypto {
-
-namespace {
-
-/// PRF for secret chain derivation: HMAC(secret_seed, leaf || chain).
-std::string DeriveChainSecret(const Slice& secret_seed, uint32_t leaf_index,
-                              int chain_index) {
-  std::string msg = "wots-sk";
-  PutFixed32(&msg, leaf_index);
-  PutFixed32(&msg, static_cast<uint32_t>(chain_index));
-  return HmacSha256(secret_seed, msg);
-}
-
-}  // namespace
 
 Wots::Wots(const Slice& secret_seed, const Slice& public_seed,
            uint32_t leaf_index)
     : public_seed_(public_seed.ToString()), leaf_index_(leaf_index) {
+  // Chain secret i is the PRF HMAC(secret_seed, "wots-sk" || leaf || i);
+  // the key's pads are absorbed once for all kLen chains.
+  const HmacSha256Key prf(secret_seed);
+  char msg[15] = "wots-sk";  // || leaf || chain
+  EncodeFixed32(msg + 7, leaf_index);
   secret_chains_.reserve(kLen);
   for (int i = 0; i < kLen; i++) {
-    secret_chains_.push_back(DeriveChainSecret(secret_seed, leaf_index, i));
+    EncodeFixed32(msg + 11, static_cast<uint32_t>(i));
+    secret_chains_.push_back(prf.Mac(Slice(msg, sizeof(msg))));
   }
 }
 
 std::string Wots::Chain(const Slice& public_seed, uint32_t leaf_index,
                         int chain_index, int start, int steps,
-                        std::string value) {
+                        const Slice& value) {
+  // Step j hashes "wots-chain" || public_seed || leaf || chain || j ||
+  // value. The padded message is laid out once; each step rewrites j,
+  // compresses from the IV and writes its digest into the value slot
+  // the next step hashes.
+  constexpr char kTag[] = "wots-chain";
+  constexpr size_t kTagLen = sizeof(kTag) - 1;
+  const size_t step_at = kTagLen + public_seed.size() + 8;
+  const size_t value_at = step_at + 4;
+  const size_t len = value_at + kN;
+  std::string msg(Sha256PaddedSize(len), '\0');
+  auto* block = reinterpret_cast<uint8_t*>(msg.data());
+  memcpy(block, kTag, kTagLen);
+  memcpy(block + kTagLen, public_seed.data(), public_seed.size());
+  EncodeFixed32(msg.data() + step_at - 8, leaf_index);
+  EncodeFixed32(msg.data() + step_at - 4, static_cast<uint32_t>(chain_index));
+  memcpy(block + value_at, value.data(), kN);
+  Sha256Pad(block, len, len);
+
+  const internal::Sha256BlockFn compress = internal::ActiveSha256Kernel();
+  const size_t nblocks = msg.size() / 64;
   for (int j = start; j < start + steps; j++) {
-    Sha256 h;
-    h.Update("wots-chain");
-    h.Update(public_seed);
-    std::string addr;
-    PutFixed32(&addr, leaf_index);
-    PutFixed32(&addr, static_cast<uint32_t>(chain_index));
-    PutFixed32(&addr, static_cast<uint32_t>(j));
-    h.Update(addr);
-    h.Update(value);
-    value = h.Finish();
+    EncodeFixed32(msg.data() + step_at, static_cast<uint32_t>(j));
+    uint32_t state[8];
+    memcpy(state, kSha256Iv, sizeof(state));
+    compress(state, block, nblocks);
+    Sha256StateToDigest(state, block + value_at);
   }
-  return value;
+  return msg.substr(value_at, kN);
 }
 
 Result<std::vector<int>> Wots::Digits(const Slice& digest) {

@@ -64,11 +64,11 @@ class Wots {
   static Result<Signature> DecodeSignature(const Slice& data);
 
  private:
-  /// Applies `steps` chain iterations starting from `value` at position
-  /// `start` in chain `chain_index`.
+  /// Applies `steps` chain iterations starting from the kN-byte `value`
+  /// at position `start` in chain `chain_index`.
   static std::string Chain(const Slice& public_seed, uint32_t leaf_index,
                            int chain_index, int start, int steps,
-                           std::string value);
+                           const Slice& value);
 
   /// Message digest -> kLen base-w digits (message + checksum).
   static Result<std::vector<int>> Digits(const Slice& digest);

@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "common/hex.h"
 #include "crypto/sha256.h"
 #include "crypto/wots.h"
 #include "crypto/xmss.h"
@@ -213,6 +214,61 @@ TEST_F(XmssTest, SignatureSerializationRoundTrip) {
   EXPECT_TRUE(XmssSigner::Verify("serialize me", *decoded,
                                  signer_.public_key(), kPublicSeed, kHeight)
                   .ok());
+}
+
+// ---- Known answers ----------------------------------------------------------
+//
+// Pinned bytes of keys and signatures already in the field: vault
+// signer and witness public keys are stored in manifests and
+// checkpoints, so any change to the chain hash, the chain-secret PRF
+// or the tree layout shows up here first. The suite runs once on the
+// dispatched SHA-256 kernel and once under MEDVAULT_FORCE_SCALAR=1
+// (ctest entry signature_test_scalar), so both kernels are held to the
+// same answers.
+
+TEST(SignatureKnownAnswerTest, ProductionShapeHeight8) {
+  // 32-byte seeds at height 8: the shape of every vault signer and
+  // per-shard witness key.
+  XmssSigner signer(std::string(32, 'S'), std::string(32, 'P'), 8);
+  EXPECT_EQ(HexEncode(signer.public_key()),
+            "6651732cffe2e7d77c5dc69bc0047f56eb235a0a19c64213013127aad6423f6a");
+}
+
+TEST(SignatureKnownAnswerTest, ShortSeeds) {
+  XmssSigner signer("ret-secret", "ret-public", 3);
+  EXPECT_EQ(HexEncode(signer.public_key()),
+            "ecad766535f521ef226a31a1cce897aa8540c623e6f292e4ff962a52b713c34e");
+}
+
+TEST(SignatureKnownAnswerTest, SecretSeedLongerThanHmacBlock) {
+  // A >64-byte secret seed is hashed before keying the chain-secret
+  // PRF (RFC 2104).
+  XmssSigner signer(std::string(100, 'k'), "long-key-public", 2);
+  EXPECT_EQ(HexEncode(signer.public_key()),
+            "f489b4db41ea643d8c10f900d752f658eba623f20b2c112ff6c832148bd79fb0");
+}
+
+TEST(SignatureKnownAnswerTest, EncodedSignature) {
+  XmssSigner signer(kSecretSeed, kPublicSeed, 2);
+  ASSERT_TRUE(signer.RestoreState(1).ok());
+  auto sig = signer.Sign("known-answer checkpoint");
+  ASSERT_TRUE(sig.ok());
+  const std::string encoded = sig->Encode();
+  // The full encoding is 2.2 KB (67 WOTS chains); its leaf index and
+  // auth path are pinned in hex and the whole byte string by digest.
+  EXPECT_EQ(encoded.size(), 2217u);
+  EXPECT_EQ(HexEncode(Slice(encoded.data(), 4)), "01000000");
+  EXPECT_EQ(HexEncode(sig->auth_path[0] + sig->auth_path[1]),
+            "0d37df86934ca368d42c6ba67de7ac225cd994905f8aeed294467c3bb41c3c32"
+            "89406cc404dcc5381f8aee7ce87e0c92f7ab152d85dd2fd32e2159adeb7d48be");
+  EXPECT_EQ(HexEncode(Sha256Digest(encoded)),
+            "0b26a9d4f7d307a2f4281e45c59179525e3c5952051e0a5fad5074ae53f2999b");
+}
+
+TEST(SignatureKnownAnswerTest, WotsPublicKey) {
+  Wots wots(kSecretSeed, kPublicSeed, 5);
+  EXPECT_EQ(HexEncode(wots.PublicKey()),
+            "0f68752f21cfd148eba2b33d90bed456af0eda638df2446b8c8110974a4d49c3");
 }
 
 TEST_F(XmssTest, DecodeRejectsGarbage) {

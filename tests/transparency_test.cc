@@ -21,6 +21,7 @@
 #include "common/hex.h"
 #include "core/sharded_vault.h"
 #include "core/transparency.h"
+#include "crypto/hkdf.h"
 #include "crypto/merkle.h"
 #include "crypto/xmss.h"
 #include "obs/json.h"
@@ -109,6 +110,50 @@ class TransparencyTest : public ::testing::Test {
     }
     ADD_FAILURE() << "no event for record " << record_id;
     return {0, 0};
+  }
+
+  /// The witness AddWitness should build for shard `k`, made by hand
+  /// from the per-shard HKDF labels at MakeService's witness height.
+  std::unique_ptr<Witness> HandBuiltWitness(uint32_t k, const std::string& id,
+                                            const std::string& secret_seed,
+                                            const std::string& public_seed) {
+    const std::string shard = std::to_string(k);
+    Witness::Options wopts;
+    wopts.id = id;
+    wopts.secret_seed = *crypto::HkdfSha256(
+        secret_seed, Slice(), "witness-" + id + "-secret-" + shard, 32);
+    wopts.public_seed = *crypto::HkdfSha256(
+        public_seed, Slice(), "witness-" + id + "-public-" + shard, 32);
+    wopts.height = 6;
+    Vault* log = vault_->shard(k);
+    return std::make_unique<Witness>(
+        wopts, LogIdentity{log->SignerPublicKey(), log->SignerPublicSeed(),
+                           log->SignerHeight()});
+  }
+
+  /// Publishes on every healthy shard and checks that shard k's only
+  /// cosignature verifies under HandBuiltWitness(k) and under no other
+  /// shard's key.
+  void ExpectCosignedByHandBuiltKeys(const std::string& id,
+                                     const std::string& secret_seed,
+                                     const std::string& public_seed) {
+    ASSERT_TRUE(service_->PublishAll().ok());
+    for (uint32_t k = 0; k < num_shards_; ++k) {
+      if (vault_->shard(k) == nullptr) continue;
+      auto cosigned = service_->LatestCosigned(k);
+      ASSERT_TRUE(cosigned.ok()) << cosigned.status().ToString();
+      ASSERT_EQ(cosigned->cosignatures.size(), 1u) << "shard " << k;
+      for (uint32_t j = 0; j < num_shards_; ++j) {
+        if (vault_->shard(j) == nullptr) continue;
+        auto key = HandBuiltWitness(j, id, secret_seed, public_seed);
+        EXPECT_EQ(Witness::VerifyCosignature(
+                      cosigned->checkpoint, cosigned->cosignatures[0],
+                      key->public_key(), key->public_seed(), key->height())
+                      .ok(),
+                  j == k)
+            << "cosignature of shard " << k << " under key of shard " << j;
+      }
+    }
   }
 
   // ---- HTTP plumbing (mirrors server_test) ---------------------------
@@ -332,6 +377,57 @@ TEST_F(TransparencyTest, WitnessVerifiesEndToEndWithOwnKey) {
                    other, cosigned->cosignatures[0], witness.public_key(),
                    witness.public_seed(), witness.height())
                    .ok());
+}
+
+// AddWitness builds each shard's witness key as one pool task. The keys
+// are the ones the HKDF labels name, whether the pool runs the tasks
+// inline in shard order (ingest_threads = 1) or in parallel.
+TEST_F(TransparencyTest, PerShardWitnessKeysMatchHkdfLabels) {
+  const std::string secret(32, 's');
+  const std::string pub(32, 'p');
+  for (unsigned threads : {1u, 0u}) {
+    SCOPED_TRACE("ingest_threads=" + std::to_string(threads));
+    service_.reset();
+    vault_.reset();
+    ShardedVaultOptions options = VaultOpts(4);
+    options.dir = "witness-keys-" + std::to_string(threads);
+    options.ingest_threads = threads;
+    auto opened = ShardedVault::Open(options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    vault_ = std::move(*opened);
+    num_shards_ = 4;
+    Bootstrap();
+    MakeService();
+    ASSERT_TRUE(service_->AddWitness("w1", secret, pub).ok());
+    EXPECT_EQ(service_->witness_count(), 4u);
+    ExpectCosignedByHandBuiltKeys("w1", secret, pub);
+  }
+}
+
+// A quarantined shard has no log, so it gets no witness key; the
+// healthy shards still get theirs.
+TEST_F(TransparencyTest, QuarantinedShardGetsNoWitness) {
+  OpenVault(4);
+  Bootstrap();
+  ASSERT_TRUE(vault_->SyncAll().ok());
+  vault_.reset();
+  ASSERT_TRUE(
+      env_.RemoveFile(ShardRouter::ShardDir("transparent", 2) + "/audit.log")
+          .ok());
+  ShardedVaultOptions options = VaultOpts(4);
+  options.open_mode = OpenMode::kDegraded;
+  auto opened = ShardedVault::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  vault_ = std::move(*opened);
+  ASSERT_EQ(vault_->QuarantinedShards(), std::vector<uint32_t>{2});
+
+  MakeService();
+  const std::string secret(32, 'q');
+  const std::string pub(32, 'r');
+  ASSERT_TRUE(service_->AddWitness("w1", secret, pub).ok());
+  EXPECT_EQ(service_->witness_count(), 3u);
+  EXPECT_TRUE(service_->log(2).status().IsUnavailable());
+  ExpectCosignedByHandBuiltKeys("w1", secret, pub);
 }
 
 TEST_F(TransparencyTest, WitnessRefusesForkAndStaysTainted) {

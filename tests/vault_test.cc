@@ -590,13 +590,13 @@ TEST_F(VaultTest, PlaintextNeverOnDisk) {
   RegisterCast();
   ASSERT_TRUE(CreateSample("EXTREMELYSECRETPHRASE").ok());
   // Scan every vault file for the plaintext.
-  for (const std::string& sub : {"", "/segments"}) {
+  for (const char* sub : {"", "/segments"}) {
+    const std::string dir = std::string("vault") + sub;
     std::vector<std::string> children;
-    ASSERT_TRUE(env_.GetChildren("vault" + sub, &children).ok());
+    ASSERT_TRUE(env_.GetChildren(dir, &children).ok());
     for (const std::string& name : children) {
       std::string contents;
-      if (!storage::ReadFileToString(&env_, "vault" + sub + "/" + name,
-                                     &contents)
+      if (!storage::ReadFileToString(&env_, dir + "/" + name, &contents)
                .ok()) {
         continue;
       }

@@ -4,9 +4,10 @@
 # shard-dispatch battery (routing, shard ids and secrets, manifest,
 # fan-outs), the observability battery, the media-fault scrub/repair
 # battery, the async-env/group-commit batteries, the HTTP server battery, the
-# verified-replication battery, the audit-transparency battery, and the
-# patient-driven-sharing consent battery (`ctest -L
-# "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent"`)
+# verified-replication battery, the audit-transparency battery, the
+# patient-driven-sharing consent battery, and the crypto battery
+# (SHA-256 kernels, HMAC pads, WOTS/XMSS, Merkle; `ctest -L
+# "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto"`)
 # rebuilt under AddressSanitizer and UndefinedBehaviorSanitizer, then the
 # stress + shard + obs + scrub + commit + serve + repl + transparency +
 # consent batteries under
@@ -42,8 +43,8 @@ run_config() {
 }
 
 run_config "$prefix" "" ""
-run_config "${prefix}-asan" address "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent"
-run_config "${prefix}-ubsan" undefined "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent"
+run_config "${prefix}-asan" address "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto"
+run_config "${prefix}-ubsan" undefined "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto"
 run_config "${prefix}-tsan" thread "stress|shard|obs|scrub|commit|serve|repl|transparency|consent"
 
 echo "smoke suite passed"
