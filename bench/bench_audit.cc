@@ -1,14 +1,22 @@
 // E5 — audit trail costs (paper §3: "verifiable audit trails"): append
-// latency, full-log verification vs log size, and the O(log n) proof
-// sizes that make spot-checks cheap for an external auditor.
+// latency, full-log verification vs log size, the O(log n) proof sizes
+// that make spot-checks cheap for an external auditor, and the heap each
+// event of history keeps resident (E22).
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+#include <stdlib.h>
 
+#include <chrono>
 #include <cstdio>
+#include <memory>
+#include <string>
 
+#include "common/random.h"
 #include "core/audit.h"
 #include "crypto/xmss.h"
 #include "storage/mem_env.h"
+#include "storage/posix_env.h"
 
 namespace medvault::bench {
 namespace {
@@ -130,6 +138,68 @@ void PrintProofSizes() {
   }
 }
 
+/// Bytes the allocator has handed out and not taken back, mmapped
+/// blocks included.
+size_t HeapInUse() {
+  struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+/// E22: heap per event of audit history, after appends and after a
+/// reopen (replay), plus open time per event. The mix is two reads of
+/// an existing record per create, as in a clinic. The log lives on
+/// PosixEnv in a temp dir so file bytes never count as heap.
+void PrintHeapPerEvent() {
+  constexpr uint64_t kEvents = 100000;
+  char dir_template[] = "/tmp/medvault-bench-audit-XXXXXX";
+  const char* dir = mkdtemp(dir_template);
+  if (dir == nullptr) {
+    printf("\nE22 skipped: no temp dir\n");
+    return;
+  }
+  storage::Env* env = storage::PosixEnv::Default();
+  const std::string path = std::string(dir) + "/audit.log";
+
+  const size_t before_append = HeapInUse();
+  auto log = std::make_unique<AuditLog>(env, path);
+  (void)log->Open();
+  Random rng(22);
+  for (uint64_t i = 0; i < kEvents; ++i) {
+    const uint64_t records = i / 3 + 1;
+    const bool create = i % 3 == 0;
+    const std::string record =
+        "r-" + std::to_string(create ? i / 3 : rng.Uniform(records));
+    (void)log->Append("dr-" + std::to_string(i % 16),
+                      create ? AuditAction::kCreate : AuditAction::kRead,
+                      record, create ? "policy=hipaa-6y" : "version=1",
+                      static_cast<Timestamp>(i));
+  }
+  const size_t after_append = HeapInUse();
+  log.reset();
+
+  const size_t before_open = HeapInUse();
+  const auto t0 = std::chrono::steady_clock::now();
+  log = std::make_unique<AuditLog>(env, path);
+  Status opened = log->Open();
+  const auto t1 = std::chrono::steady_clock::now();
+  const size_t after_open = HeapInUse();
+  const double open_us =
+      std::chrono::duration<double, std::micro>(t1 - t0).count();
+  log.reset();
+  (void)env->RemoveFile(path);
+  rmdir(dir);
+
+  printf("\nE22 audit history heap (%llu events, 2:1 read:create, "
+         "PosixEnv):\n",
+         static_cast<unsigned long long>(kEvents));
+  printf("%-28s %10.1f B/event\n", "heap after appends",
+         static_cast<double>(after_append - before_append) / kEvents);
+  printf("%-28s %10.1f B/event\n", "heap after reopen",
+         static_cast<double>(after_open - before_open) / kEvents);
+  printf("%-28s %10.3f us/event%s\n", "open (replay)", open_us / kEvents,
+         opened.ok() ? "" : "  (open FAILED)");
+}
+
 }  // namespace
 }  // namespace medvault::bench
 
@@ -138,5 +208,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   medvault::bench::PrintProofSizes();
+  medvault::bench::PrintHeapPerEvent();
   return 0;
 }

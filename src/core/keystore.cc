@@ -159,7 +159,7 @@ Status KeyStore::Open() {
       bool saw_magic = false;
       MEDVAULT_RETURN_IF_ERROR(storage::log::OpenLogForAppend(
           env_, path_,
-          [this, &saw_magic](const Slice& record) -> Status {
+          [this, &saw_magic](const Slice& record, uint64_t) -> Status {
             if (!saw_magic) {
               saw_magic = true;
               if (record.ToString() != kKeyLogMagicV2) {

@@ -62,7 +62,7 @@ Status ProvenanceTracker::Open() {
   storage::log::LogOpenResult res;
   MEDVAULT_RETURN_IF_ERROR(storage::log::OpenLogForAppend(
       env_, path_,
-      [this](const Slice& record) -> Status {
+      [this](const Slice& record, uint64_t) -> Status {
         MEDVAULT_ASSIGN_OR_RETURN(CustodyEvent e,
                                   CustodyEvent::Decode(record));
         heads_[e.record_id] = crypto::Sha256Digest(record.ToString());

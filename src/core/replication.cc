@@ -422,9 +422,7 @@ Status ReplicationSource::CutLocked(const ReplicationCursor& cursor,
 
   crypto::MerkleTree tree;
   for (const FileChunk& chunk : out->chunks) {
-    std::string leaf = crypto::MerkleTree::HashLeaf(chunk.Encode());
-    out->leaf_hashes.push_back(leaf);
-    tree.AppendLeafHash(std::move(leaf));
+    out->leaf_hashes.push_back(*tree.LeafHash(tree.Append(chunk.Encode())));
   }
   out->chunks_root = tree.Root();
   out->auth = crypto::HmacSha256(auth_key_, out->SignedHeader());
@@ -536,7 +534,11 @@ Status ReplicaApplier::VerifyBatch(const ShippedBatch& batch) const {
     return Status::TamperDetected("shipped batch leaf/chunk count mismatch");
   }
   crypto::MerkleTree tree;
-  for (const std::string& h : batch.leaf_hashes) tree.AppendLeafHash(h);
+  for (const std::string& h : batch.leaf_hashes) {
+    if (!tree.AppendLeafHash(h).ok()) {
+      return Status::TamperDetected("shipped batch leaf hash is not 32 bytes");
+    }
+  }
   if (tree.Root() != batch.chunks_root) {
     return Status::TamperDetected(
         "shipped batch Merkle root mismatch: chunks do not match the root "

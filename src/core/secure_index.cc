@@ -37,7 +37,7 @@ Status SecureIndex::Open() {
   storage::log::LogOpenResult res;
   MEDVAULT_RETURN_IF_ERROR(storage::log::OpenLogForAppend(
       env_, path_,
-      [this](const Slice& record) -> Status {
+      [this](const Slice& record, uint64_t) -> Status {
         Slice in = record;
         std::string blind, key_ref, sealed;
         if (!GetLengthPrefixedString(&in, &blind) ||

@@ -296,8 +296,15 @@ class Vault {
   Status VerifyAuditAgainstTrusted(const SignedCheckpoint& trusted) const;
 
   /// Audit events (auditor/admin only), optionally filtered by record.
+  /// A record's trail costs O(that record's events).
   Result<std::vector<AuditEvent>> ReadAuditTrail(const PrincipalId& actor,
                                                  const RecordId& record_id);
+
+  /// Up to `max_events` audit events from seq `begin` on (auditor/admin
+  /// only) — one page of the trail.
+  Result<std::vector<AuditEvent>> ReadAuditRange(const PrincipalId& actor,
+                                                 uint64_t begin,
+                                                 uint64_t max_events);
 
   /// A record's chain of custody (auditor/admin only).
   Result<std::vector<CustodyEvent>> GetCustodyChain(const PrincipalId& actor,
@@ -473,6 +480,9 @@ class Vault {
                              const RecordId& record_id,
                              const PrincipalId& patient_id,
                              AccessBasis* basis = nullptr) const;
+  /// Reads audit events `seqs` back from the log, appending to `out`.
+  Status ReadAuditEvents(const std::vector<uint64_t>& seqs,
+                         std::vector<AuditEvent>* out) const;
   /// Registers `meta` in memory (catalog + per-patient index) and
   /// appends it to the state log. Requires exclusive mu_.
   Status PutRecordMetaLocked(const RecordMeta& meta);

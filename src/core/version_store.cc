@@ -40,7 +40,7 @@ Status VersionStore::Open() {
   storage::log::LogOpenResult res;
   MEDVAULT_RETURN_IF_ERROR(storage::log::OpenLogForAppend(
       env_, catalog_path,
-      [this](const Slice& rec) -> Status {
+      [this](const Slice& rec, uint64_t) -> Status {
         Slice in = rec;
         std::string record_id, handle_bytes, entry_hash;
         uint32_t version = 0;

@@ -179,14 +179,18 @@ void Sha256::Update(const Slice& data) {
 }
 
 std::string Sha256::Finish() {
+  std::string digest(kDigestSize, '\0');
+  Finish(reinterpret_cast<uint8_t*>(digest.data()));
+  return digest;
+}
+
+void Sha256::Finish(uint8_t* digest) {
   uint8_t tail[128];
   memcpy(tail, buffer_, buffer_len_);
   Sha256Pad(tail, buffer_len_, total_len_);
   internal::ActiveSha256Kernel()(state_, tail,
                                  Sha256PaddedSize(buffer_len_) / 64);
-  std::string digest(kDigestSize, '\0');
-  Sha256StateToDigest(state_, reinterpret_cast<uint8_t*>(digest.data()));
-  return digest;
+  Sha256StateToDigest(state_, digest);
 }
 
 std::string Sha256Digest(const Slice& data) {

@@ -58,6 +58,8 @@ class Sha256 {
 
   /// Returns the 32-byte digest of everything absorbed so far.
   std::string Finish();
+  /// Same, written to `digest` (kDigestSize bytes) without allocating.
+  void Finish(uint8_t* digest);
 
  private:
   uint32_t state_[8];

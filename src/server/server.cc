@@ -803,12 +803,56 @@ HttpResponse MedVaultServer::HandleRecordAudit(const Call& call) {
 }
 
 HttpResponse MedVaultServer::HandleAuditTrail(const Call& call) {
-  Result<std::vector<core::AuditEvent>> events =
-      vault_->ReadAuditTrail(call.actor, "");
-  if (!events.ok()) return ErrorFromStatus(events.status());
+  // One page of the merged trail, shard by shard in seq order: at most
+  // `limit` (capped at kAuditPageCap) events from shard `shard`, after
+  // seq `after`, then on into the next shards. `next` is the query
+  // string of the following page; it is absent once the walk is done.
+  constexpr uint64_t kAuditPageCap = 1000;
+  Result<uint32_t> shard =
+      DecimalParam<uint32_t>(call.request, "shard", /*required=*/false);
+  if (!shard.ok()) return ErrorFromStatus(shard.status());
+  if (*shard >= vault_->num_shards()) {
+    return ErrorResponse(400, "query parameter \"shard\" out of range");
+  }
+  uint64_t begin = 0;
+  if (!call.request.QueryParam("after").empty()) {
+    Result<uint64_t> after =
+        DecimalParam<uint64_t>(call.request, "after", /*required=*/true);
+    if (!after.ok()) return ErrorFromStatus(after.status());
+    if (*after == ~uint64_t{0}) {
+      return ErrorResponse(400, "query parameter \"after\" out of range");
+    }
+    begin = *after + 1;
+  }
+  Result<uint64_t> limit =
+      DecimalParam<uint64_t>(call.request, "limit", /*required=*/false);
+  if (!limit.ok()) return ErrorFromStatus(limit.status());
+  const uint64_t page =
+      *limit == 0 ? kAuditPageCap : std::min(*limit, kAuditPageCap);
+
   Value::Array arr;
-  for (const core::AuditEvent& e : *events) arr.push_back(AuditEventJson(e));
   Value::Object out;
+  bool any_shard = false;
+  for (uint32_t k = *shard; k < vault_->num_shards(); ++k, begin = 0) {
+    core::Vault* s = vault_->shard(k);
+    if (s == nullptr) continue;  // quarantined: skipped, as in every merge
+    any_shard = true;
+    const uint64_t want = page - arr.size();
+    Result<std::vector<core::AuditEvent>> events =
+        s->ReadAuditRange(call.actor, begin, want);
+    if (!events.ok()) return ErrorFromStatus(events.status());
+    for (const core::AuditEvent& e : *events) {
+      Value event = AuditEventJson(e);
+      event.as_object()["shard"] = Value(k);
+      arr.push_back(std::move(event));
+    }
+    if (events->size() == want) {
+      out["next"] = Value("shard=" + std::to_string(k) +
+                          "&after=" + std::to_string(events->back().seq));
+      break;
+    }
+  }
+  if (!any_shard) return ErrorResponse(503, "all shards quarantined");
   out["events"] = Value(std::move(arr));
   return JsonResponse(200, Value(std::move(out)));
 }

@@ -39,6 +39,10 @@ class Reader {
   /// resulting size.
   uint64_t ValidEnd() const { return last_record_end_; }
 
+  /// File offset of the first fragment header of the last logical
+  /// record returned by ReadRecord — the address ReadRecordAt takes.
+  uint64_t LastRecordOffset() const { return last_record_offset_; }
+
  private:
   /// Reads the next physical record; returns the type or an eof/bad marker.
   int ReadPhysicalRecord(Slice* fragment);
@@ -53,10 +57,21 @@ class Reader {
   Status status_;
   uint64_t bytes_consumed_ = 0;   ///< total bytes read from src_
   uint64_t last_record_end_ = 0;  ///< see ValidEnd()
+  uint64_t last_record_offset_ = 0;    ///< see LastRecordOffset()
+  uint64_t last_fragment_offset_ = 0;  ///< header of the last fragment read
 
   static constexpr int kEof = kMaxRecordType + 1;
   static constexpr int kBadRecord = kMaxRecordType + 2;
 };
+
+/// Reads the one logical record whose first fragment header starts at
+/// `offset` (a Reader::LastRecordOffset or Writer::AddRecords offset),
+/// with a single positional read of the bytes [offset, limit). `limit`
+/// may lie past the record's end (e.g. the next record's offset).
+/// kCorruption if the bytes there do not frame a whole, checksummed
+/// record.
+Status ReadRecordAt(const RandomAccessFile& file, uint64_t offset,
+                    uint64_t limit, std::string* record);
 
 }  // namespace medvault::storage::log
 

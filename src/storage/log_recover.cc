@@ -5,7 +5,8 @@
 namespace medvault::storage::log {
 
 Status OpenLogForAppend(Env* env, const std::string& path,
-                        const std::function<Status(const Slice&)>& replay,
+                        const std::function<Status(const Slice& record,
+                                                   uint64_t offset)>& replay,
                         LogOpenResult* result) {
   result->writer.reset();
   result->valid_size = 0;
@@ -20,7 +21,8 @@ Status OpenLogForAppend(Env* env, const std::string& path,
     Reader reader(std::move(src));
     std::string record;
     while (reader.ReadRecord(&record)) {
-      MEDVAULT_RETURN_IF_ERROR(replay(Slice(record)));
+      MEDVAULT_RETURN_IF_ERROR(
+          replay(Slice(record), reader.LastRecordOffset()));
     }
     MEDVAULT_RETURN_IF_ERROR(reader.status());
 

@@ -10,10 +10,11 @@ Writer::Writer(std::unique_ptr<WritableFile> dest, uint64_t initial_offset)
       block_offset_(static_cast<int>(initial_offset % kBlockSize)),
       file_offset_(initial_offset) {}
 
-void Writer::FrameRecord(const Slice& payload, std::string* out,
-                         int* block_offset) {
+size_t Writer::FrameRecord(const Slice& payload, std::string* out,
+                           int* block_offset) {
   const char* ptr = payload.data();
   size_t left = payload.size();
+  size_t start = 0;
 
   bool begin = true;
   do {
@@ -41,6 +42,7 @@ void Writer::FrameRecord(const Slice& payload, std::string* out,
       type = RecordType::kMiddle;
     }
 
+    if (begin) start = out->size();
     char header[kHeaderSize];
     header[4] = static_cast<char>(fragment_length & 0xff);
     header[5] = static_cast<char>(fragment_length >> 8);
@@ -59,13 +61,15 @@ void Writer::FrameRecord(const Slice& payload, std::string* out,
     left -= fragment_length;
     begin = false;
   } while (left > 0);
+  return start;
 }
 
-Status Writer::AddRecord(const Slice& payload) {
-  return AddRecords(&payload, 1);
+Status Writer::AddRecord(const Slice& payload, uint64_t* offset) {
+  return AddRecords(&payload, 1, offset);
 }
 
-Status Writer::AddRecords(const Slice* payloads, size_t n) {
+Status Writer::AddRecords(const Slice* payloads, size_t n,
+                          uint64_t* offsets) {
   std::string buf;
   // Typical case: everything fits in the current block, so framing adds
   // exactly one header per record.
@@ -75,7 +79,8 @@ Status Writer::AddRecords(const Slice* payloads, size_t n) {
 
   int block_offset = block_offset_;
   for (size_t i = 0; i < n; ++i) {
-    FrameRecord(payloads[i], &buf, &block_offset);
+    const size_t start = FrameRecord(payloads[i], &buf, &block_offset);
+    if (offsets != nullptr) offsets[i] = file_offset_ + start;
   }
 
   // Single buffered write: offsets only advance if the append succeeds,

@@ -23,12 +23,17 @@ class Writer {
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
-  Status AddRecord(const Slice& payload);
+  /// Appends one logical record. If `offset` is non-null it receives
+  /// the file offset of the record's first fragment header (the address
+  /// log::ReadRecordAt takes).
+  Status AddRecord(const Slice& payload, uint64_t* offset = nullptr);
 
   /// Appends `n` logical records with their framing coalesced into a
   /// single buffered file Append — the batched-ingest fast path (one
-  /// syscall/copy per batch instead of two per fragment).
-  Status AddRecords(const Slice* payloads, size_t n);
+  /// syscall/copy per batch instead of two per fragment). If `offsets`
+  /// is non-null, offsets[i] receives record i's offset as in AddRecord.
+  Status AddRecords(const Slice* payloads, size_t n,
+                    uint64_t* offsets = nullptr);
 
   Status Flush() { return dest_->Flush(); }
   Status Sync() { return dest_->Sync(); }
@@ -46,8 +51,9 @@ class Writer {
  private:
   /// Frames one logical record into `out`, tracking the block position
   /// in `block_offset` (same fragmenting rules as the incremental path).
-  static void FrameRecord(const Slice& payload, std::string* out,
-                          int* block_offset);
+  /// Returns the position in `out` of the record's first header.
+  static size_t FrameRecord(const Slice& payload, std::string* out,
+                            int* block_offset);
 
   std::unique_ptr<WritableFile> dest_;
   int block_offset_;  // current offset within the block

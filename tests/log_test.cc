@@ -285,7 +285,7 @@ TEST_F(LogTest, OpenLogForAppendTruncatesTornTailAndContinues) {
   std::vector<std::string> replayed;
   LogOpenResult res;
   ASSERT_TRUE(OpenLogForAppend(&env_, "log",
-                               [&](const Slice& rec) {
+                               [&](const Slice& rec, uint64_t) {
                                  replayed.push_back(rec.ToString());
                                  return Status::OK();
                                },
@@ -320,7 +320,7 @@ TEST_F(LogTest, OpenLogForAppendPropagatesMidFileCorruption) {
 
   LogOpenResult res;
   Status s = OpenLogForAppend(
-      &env_, "log", [](const Slice&) { return Status::OK(); }, &res);
+      &env_, "log", [](const Slice&, uint64_t) { return Status::OK(); }, &res);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   // Corruption is tamper evidence: the file must NOT have been cut.
   uint64_t after = 0;
@@ -335,6 +335,63 @@ TEST_F(LogTest, FileOffsetTracksBytes) {
   uint64_t size = 0;
   ASSERT_TRUE(env_.GetFileSize("log", &size).ok());
   EXPECT_EQ(writer->FileOffset(), size);
+}
+
+// Record offsets: the writer's (single and batched appends) and the
+// reader's LastRecordOffset agree, and ReadRecordAt reads each record
+// back from its offset alone — across block trailers and fragments.
+TEST_F(LogTest, RecordOffsetsAgreeAndReadBack) {
+  std::vector<std::string> payloads;
+  Random rng(7);
+  for (int i = 0; i < 60; i++) {
+    // Mostly small, some block-spanning, sizes chosen so block ends fall
+    // inside headers (trailers) and inside payloads (fragments).
+    size_t len = i % 13 == 0 ? kBlockSize + rng.Uniform(kBlockSize)
+                             : rng.Uniform(3000);
+    payloads.push_back(std::string(len, static_cast<char>('a' + i % 26)));
+  }
+  // Leaves 3 bytes in the first block: record 1 starts after a trailer.
+  payloads[0] = std::string(kBlockSize - kHeaderSize - 3, 't');
+  payloads[3] = std::string(100, 'c');
+
+  std::vector<uint64_t> written(payloads.size());
+  auto writer = NewWriter();
+  for (size_t i = 0; i < 30; i++) {
+    ASSERT_TRUE(writer->AddRecord(payloads[i], &written[i]).ok());
+  }
+  std::vector<Slice> rest(payloads.begin() + 30, payloads.end());
+  ASSERT_TRUE(
+      writer->AddRecords(rest.data(), rest.size(), &written[30]).ok());
+  const uint64_t end = writer->FileOffset();
+
+  EXPECT_EQ(written[1], static_cast<uint64_t>(kBlockSize));
+
+  auto reader = NewReader();
+  std::string record;
+  for (size_t i = 0; i < payloads.size(); i++) {
+    ASSERT_TRUE(reader->ReadRecord(&record)) << i;
+    EXPECT_EQ(reader->LastRecordOffset(), written[i]) << i;
+  }
+
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(env_.NewRandomAccessFile("log", &file).ok());
+  for (size_t i = 0; i < payloads.size(); i++) {
+    const uint64_t limit = i + 1 < payloads.size() ? written[i + 1] : end;
+    ASSERT_TRUE(ReadRecordAt(*file, written[i], limit, &record).ok()) << i;
+    EXPECT_EQ(record, payloads[i]) << i;
+  }
+
+  // A limit short of the record, a flipped payload byte and an offset
+  // that is not a record start are all corruption, never a wrong record.
+  EXPECT_TRUE(ReadRecordAt(*file, written[3], written[3] + kHeaderSize + 1,
+                           &record)
+                  .IsCorruption());
+  EXPECT_TRUE(ReadRecordAt(*file, written[3] + 1, written[4], &record)
+                  .IsCorruption());
+  ASSERT_TRUE(
+      env_.UnsafeOverwrite("log", written[3] + kHeaderSize, "#").ok());
+  EXPECT_TRUE(
+      ReadRecordAt(*file, written[3], written[4], &record).IsCorruption());
 }
 
 }  // namespace

@@ -437,6 +437,71 @@ TEST_F(ServerTest, OverloadShedsWith503InsteadOfHanging) {
   EXPECT_GE(snapshot.counters["server.accepted"], 2u);
 }
 
+// GET /v1/audit is paged: at most 1,000 events per response however
+// large `limit` is, and a walk that follows `next` returns every shard's
+// trail exactly once, in seq order. A malformed cursor is a 400.
+TEST_F(ServerTest, AuditTrailIsPagedWithACursor) {
+  Bootstrap();
+  auto record =
+      vault_->CreateRecord("dr", "pat", "text/plain", "note", {}, "hipaa-6y");
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  for (int i = 0; i < 1100; i++) {
+    ASSERT_TRUE(vault_->ReadRecord("dr", *record).ok());
+  }
+  StartServer();
+  HttpClient client = MakeClient();
+  const std::string aud = Login(&client, "aud");
+
+  auto EventsOf = [&](const ClientResponse& r) {
+    return Parsed(r).as_object().at("events").as_array();
+  };
+  for (const char* target : {"/v1/audit", "/v1/audit?limit=5000"}) {
+    auto page = client.Do("GET", target, "", aud);
+    ASSERT_TRUE(page.ok());
+    ASSERT_EQ(page->status, 200) << page->body;
+    EXPECT_EQ(EventsOf(*page).size(), 1000u) << target;
+    EXPECT_EQ(Parsed(*page).as_object().count("next"), 1u) << target;
+  }
+
+  std::vector<std::vector<uint64_t>> walked(vault_->num_shards());
+  std::string query = "limit=250";
+  int pages = 0;
+  for (; pages < 100; ++pages) {
+    auto page = client.Do("GET", "/v1/audit?" + query, "", aud);
+    ASSERT_TRUE(page.ok());
+    ASSERT_EQ(page->status, 200) << query << ": " << page->body;
+    Value body = Parsed(*page);
+    const Value::Array& events = body.as_object().at("events").as_array();
+    EXPECT_LE(events.size(), 250u);
+    for (const Value& e : events) {
+      const uint64_t shard = e.as_object().at("shard").as_uint();
+      ASSERT_LT(shard, walked.size());
+      walked[shard].push_back(e.as_object().at("seq").as_uint());
+    }
+    auto next = body.as_object().find("next");
+    if (next == body.as_object().end()) break;
+    query = next->second.as_string() + "&limit=250";
+  }
+  EXPECT_GE(pages, 4);
+  for (uint32_t k = 0; k < vault_->num_shards(); ++k) {
+    const uint64_t size = vault_->shard(k)->audit()->size();
+    ASSERT_EQ(walked[k].size(), size) << "shard " << k;
+    for (uint64_t seq = 0; seq < size; ++seq) {
+      EXPECT_EQ(walked[k][seq], seq) << "shard " << k;
+    }
+  }
+
+  for (const char* bad :
+       {"/v1/audit?after=abc", "/v1/audit?after=-1", "/v1/audit?shard=zz",
+        "/v1/audit?shard=99", "/v1/audit?limit=ten",
+        "/v1/audit?shard=0&after=18446744073709551615",
+        "/v1/audit?after=99999999999999999999"}) {
+    auto r = client.Do("GET", bad, "", aud);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->status, 400) << bad << ": " << r->body;
+  }
+}
+
 TEST_F(ServerTest, BreakGlassAuditedOnceAndSurvivesRestart) {
   Bootstrap();
   // Seed a record for the unassigned patient (clerks may create).

@@ -41,6 +41,17 @@ using server::ServerOptions;
 
 constexpr char kSecret[] = "transparency-test-secret";
 
+/// Every event of `log`, read back from disk.
+std::vector<AuditEvent> AllEvents(const AuditLog& log) {
+  std::vector<AuditEvent> out;
+  Status s = log.ForEachEvent(0, log.size(), [&](const AuditEvent& e) {
+    out.push_back(e);
+    return Status::OK();
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return out;
+}
+
 class TransparencyTest : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -104,7 +115,7 @@ class TransparencyTest : public ::testing::Test {
     for (uint32_t k = 0; k < num_shards_; ++k) {
       Vault* shard = vault_->shard(k);
       if (shard == nullptr) continue;
-      for (const AuditEvent& e : shard->audit()->SnapshotEvents()) {
+      for (const AuditEvent& e : AllEvents(*shard->audit())) {
         if (e.action == action && e.record_id == record_id) return {k, e.seq};
       }
     }
@@ -617,7 +628,7 @@ TEST_F(TransparencyTest, DisclosureReportMatchesFullScanOracle) {
     for (uint32_t k = 0; k < num_shards_; ++k) {
       Vault* shard = vault_->shard(k);
       if (shard == nullptr) continue;
-      for (const AuditEvent& e : shard->audit()->SnapshotEvents()) {
+      for (const AuditEvent& e : AllEvents(*shard->audit())) {
         if (e.action == AuditAction::kRead && !e.record_id.empty()) {
           auto meta = vault_->GetRecordMeta(e.record_id);
           if (meta.ok() && meta->patient_id == patient) {
@@ -965,7 +976,7 @@ TEST_F(TransparencyTest, HttpDisclosuresAndProofRbac) {
   // transparency surface rides the same audit discipline as the rest.
   bool denial_logged = false;
   for (uint32_t k = 0; k < num_shards_; ++k) {
-    for (const AuditEvent& e : vault_->shard(k)->audit()->SnapshotEvents()) {
+    for (const AuditEvent& e : AllEvents(*vault_->shard(k)->audit())) {
       if (e.action == AuditAction::kAccessDenied && e.actor == "pat") {
         denial_logged = true;
       }

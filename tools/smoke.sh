@@ -5,18 +5,20 @@
 # fan-outs), the observability battery, the media-fault scrub/repair
 # battery, the async-env/group-commit batteries, the HTTP server battery, the
 # verified-replication battery, the audit-transparency battery, the
-# patient-driven-sharing consent battery, and the crypto battery
-# (SHA-256 kernels, HMAC pads, WOTS/XMSS, Merkle; `ctest -L
-# "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto"`)
+# patient-driven-sharing consent battery, the crypto battery
+# (SHA-256 kernels, HMAC pads, WOTS/XMSS, Merkle) and the audit-history
+# battery (pinned roots and proofs, read-back from audit.log; `ctest -L
+# "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit"`)
 # rebuilt under AddressSanitizer and UndefinedBehaviorSanitizer, then the
 # stress + shard + obs + scrub + commit + serve + repl + transparency +
-# consent batteries under
+# consent + audit batteries under
 # ThreadSanitizer — the shared cache / ingest-pool races, the parallel
 # per-shard scrub-and-open, the lock-free
 # metrics hot path, the group-commit leader/follower handoff, the
 # acceptor/worker socket hand-off, the cut-under-exclusive-lock vs
-# apply-pool interplay, and the proof-serving-vs-concurrent-append
-# interleaving only surface instrumented.
+# apply-pool interplay, the proof-serving-vs-concurrent-append
+# interleaving, and audit read-back reading the file while appends run
+# only surface instrumented.
 # The bench_compare fixture self-test runs once up front (pure python,
 # no build needed).
 # Usage: tools/smoke.sh [build-dir-prefix]
@@ -43,8 +45,8 @@ run_config() {
 }
 
 run_config "$prefix" "" ""
-run_config "${prefix}-asan" address "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto"
-run_config "${prefix}-ubsan" undefined "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto"
-run_config "${prefix}-tsan" thread "stress|shard|obs|scrub|commit|serve|repl|transparency|consent"
+run_config "${prefix}-asan" address "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit"
+run_config "${prefix}-ubsan" undefined "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit"
+run_config "${prefix}-tsan" thread "stress|shard|obs|scrub|commit|serve|repl|transparency|consent|audit"
 
 echo "smoke suite passed"
