@@ -15,12 +15,15 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/group_commit.h"
+#include "core/sharded_vault.h"
 #include "core/vault.h"
 #include "storage/fault_env.h"
 #include "storage/mem_env.h"
@@ -30,6 +33,8 @@ namespace {
 
 using core::GroupCommitter;
 using core::Role;
+using core::ShardedVault;
+using core::ShardedVaultOptions;
 using core::Vault;
 using core::VaultOptions;
 
@@ -362,6 +367,199 @@ TEST(GroupCommitVaultTest, WindowedIngestCoalescesSyncWaves) {
   // have shared a wave. (Exact counts are scheduling-dependent.)
   EXPECT_LT(syncs, static_cast<uint64_t>(kWriters))
       << "every durable batch paid its own fsync — no group commit";
+}
+
+// ---------------------------------------------------------------------------
+// Wave order: one SyncAll is a fixed sequence of per-file Sync() calls.
+// The side logs come first, the catalog trails its segment bytes, and
+// the state log lands strictly last (the commit point).
+// ---------------------------------------------------------------------------
+
+/// Records "<dir>/<file>" of every WritableFile::Sync that goes through
+/// it, in call order.
+class SyncOrderEnv : public storage::Env {
+ public:
+  explicit SyncOrderEnv(storage::Env* base) : base_(base) {}
+
+  std::vector<std::string> TakeSyncs() {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<std::string> out;
+    out.swap(syncs_);
+    return out;
+  }
+
+  Status NewSequentialFile(
+      const std::string& f,
+      std::unique_ptr<storage::SequentialFile>* r) override {
+    return base_->NewSequentialFile(f, r);
+  }
+  Status NewRandomAccessFile(
+      const std::string& f,
+      std::unique_ptr<storage::RandomAccessFile>* r) override {
+    return base_->NewRandomAccessFile(f, r);
+  }
+  Status NewWritableFile(const std::string& f,
+                         std::unique_ptr<storage::WritableFile>* r) override {
+    return Wrap(f, base_->NewWritableFile(f, r), r);
+  }
+  Status NewAppendableFile(
+      const std::string& f,
+      std::unique_ptr<storage::WritableFile>* r) override {
+    return Wrap(f, base_->NewAppendableFile(f, r), r);
+  }
+  Status NewRandomRWFile(const std::string& f,
+                         std::unique_ptr<storage::RandomRWFile>* r) override {
+    return base_->NewRandomRWFile(f, r);
+  }
+  bool FileExists(const std::string& f) override {
+    return base_->FileExists(f);
+  }
+  Status GetChildren(const std::string& d,
+                     std::vector<std::string>* r) override {
+    return base_->GetChildren(d, r);
+  }
+  Status RemoveFile(const std::string& f) override {
+    return base_->RemoveFile(f);
+  }
+  Status CreateDirIfMissing(const std::string& d) override {
+    return base_->CreateDirIfMissing(d);
+  }
+  Status GetFileSize(const std::string& f, uint64_t* s) override {
+    return base_->GetFileSize(f, s);
+  }
+  Status RenameFile(const std::string& s, const std::string& t) override {
+    return base_->RenameFile(s, t);
+  }
+  Status Truncate(const std::string& f, uint64_t s) override {
+    return base_->Truncate(f, s);
+  }
+
+ private:
+  class File : public storage::WritableFile {
+   public:
+    File(SyncOrderEnv* env, std::string name,
+         std::unique_ptr<storage::WritableFile> base)
+        : env_(env), name_(std::move(name)), base_(std::move(base)) {}
+    Status Append(const Slice& data) override { return base_->Append(data); }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override {
+      {
+        std::lock_guard<std::mutex> lock(env_->mu_);
+        env_->syncs_.push_back(name_);
+      }
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    SyncOrderEnv* env_;
+    std::string name_;
+    std::unique_ptr<storage::WritableFile> base_;
+  };
+
+  Status Wrap(const std::string& fname, Status s,
+              std::unique_ptr<storage::WritableFile>* r) {
+    if (s.ok()) *r = std::make_unique<File>(this, fname, std::move(*r));
+    return s;
+  }
+
+  storage::Env* base_;
+  std::mutex mu_;
+  std::vector<std::string> syncs_;
+};
+
+std::string Dir(const std::string& path) {
+  return path.substr(0, path.rfind('/'));
+}
+
+std::string Base(const std::string& path) {
+  return path.substr(path.rfind('/') + 1);
+}
+
+/// Checks one vault's wave: segment, the four side logs, the catalog,
+/// then the state log, all under `dir`.
+void ExpectWave(const std::vector<std::string>& syncs, size_t at,
+                const std::string& dir) {
+  ASSERT_GE(syncs.size(), at + 7);
+  EXPECT_EQ(Dir(syncs[at]), dir + "/segments");
+  EXPECT_EQ(Base(syncs[at]).rfind("seg-", 0), 0u) << syncs[at];
+  const std::vector<std::string> rest = {"index.log",   "audit.log",
+                                         "provenance.log", "keys.db",
+                                         "catalog.log", "state.log"};
+  for (size_t i = 0; i < rest.size(); ++i) {
+    EXPECT_EQ(syncs[at + 1 + i], dir + "/" + rest[i]);
+  }
+}
+
+TEST(SyncOrderTest, VaultSyncAllIsSevenSyncsInCommitOrder) {
+  storage::MemEnv mem;
+  SyncOrderEnv env(&mem);
+  ManualClock clock(1000000);
+  auto opened = Vault::Open(TestOptions(&env, &clock, /*window_micros=*/0));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Vault* vault = opened->get();
+  ASSERT_TRUE(
+      vault->RegisterPrincipal("boot", {"admin", Role::kAdmin, "A"}).ok());
+  ASSERT_TRUE(
+      vault->RegisterPrincipal("admin", {"dr", Role::kPhysician, "D"}).ok());
+  ASSERT_TRUE(
+      vault->RegisterPrincipal("admin", {"p", Role::kPatient, "P"}).ok());
+  ASSERT_TRUE(vault->AssignCare("admin", "dr", "p").ok());
+  ASSERT_TRUE(
+      vault->CreateRecord("dr", "p", "text/plain", "note", {"k"}, "hipaa-6y")
+          .ok());
+
+  env.TakeSyncs();
+  ASSERT_TRUE(vault->SyncAll().ok());
+  const std::vector<std::string> syncs = env.TakeSyncs();
+  ASSERT_EQ(syncs.size(), 7u) << ::testing::PrintToString(syncs);
+  ExpectWave(syncs, 0, "vault");
+}
+
+TEST(SyncOrderTest, ShardedSyncAllRepeatsTheWavePerShard) {
+  constexpr uint32_t kShards = 3;
+  storage::MemEnv mem;
+  SyncOrderEnv env(&mem);
+  ManualClock clock(1000000);
+  ShardedVaultOptions options;
+  options.env = &env;
+  options.dir = "sharded";
+  options.clock = &clock;
+  options.master_key = std::string(32, 'M');
+  options.entropy = "sync-order-entropy";
+  options.num_shards = kShards;
+  options.signer_height = 4;
+  options.ingest_threads = 1;  // inline, in shard order
+  auto opened = ShardedVault::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ShardedVault* vault = opened->get();
+  ASSERT_TRUE(
+      vault->RegisterPrincipal("boot", {"admin", Role::kAdmin, "A"}).ok());
+  ASSERT_TRUE(
+      vault->RegisterPrincipal("admin", {"dr", Role::kPhysician, "D"}).ok());
+  // Enough patients that every shard holds a record, so every shard has
+  // an active segment to sync.
+  for (int p = 0; p < 12; ++p) {
+    const std::string pat = "p" + std::to_string(p);
+    ASSERT_TRUE(
+        vault->RegisterPrincipal("admin", {pat, Role::kPatient, pat}).ok());
+    ASSERT_TRUE(vault->AssignCare("admin", "dr", pat).ok());
+    ASSERT_TRUE(
+        vault->CreateRecord("dr", pat, "text/plain", "note", {"k"}, "hipaa-6y")
+            .ok());
+  }
+
+  env.TakeSyncs();
+  ASSERT_TRUE(vault->SyncAll().ok());
+  const std::vector<std::string> syncs = env.TakeSyncs();
+  ASSERT_EQ(syncs.size(), 7u * kShards) << ::testing::PrintToString(syncs);
+  std::set<std::string> shard_dirs;
+  for (uint32_t k = 0; k < kShards; ++k) {
+    const std::string dir = Dir(syncs[7 * k + 6]);
+    shard_dirs.insert(dir);
+    ExpectWave(syncs, 7 * k, dir);
+  }
+  EXPECT_EQ(shard_dirs.size(), kShards);
 }
 
 }  // namespace
