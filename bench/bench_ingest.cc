@@ -10,7 +10,6 @@
 
 #include "bench_util.h"
 #include "core/sharded_vault.h"
-#include "storage/async_env.h"
 
 namespace medvault::bench {
 namespace {
@@ -167,34 +166,26 @@ BENCHMARK(BM_Ingest_ShardedBatch)
 // costs, and how the batched/windowed commit path collapses it.
 // ---------------------------------------------------------------------------
 //
-// All durable benchmarks run on the same stack the production path
-// would use:  MemEnv (simulated ~100us media sync) → AsyncEnv (the
-// batched completion backend, so one commit window's barriers overlap)
-// → InstrumentedEnv (fsync tallies).  Every variant reports
+// All durable benchmarks run on MemEnv (simulated ~100us media sync) →
+// InstrumentedEnv (fsync tallies); a wave's syncs run one after another,
+// as they do on the daemon's PosixEnv.  Every variant reports
 // `fsync_per_op` — syncs per acknowledged record — which is the number
-// group commit is supposed to drive toward flat: 6000 milli-fsyncs/op
-// for the per-op policy, and a curve falling toward zero as the batch
-// or window grows, at IDENTICAL durability (nothing is acknowledged
-// before a covering sync wave completes).
+// group commit is supposed to drive toward flat: 7 fsyncs/op for the
+// per-op policy, and a curve falling toward zero as the batch or window
+// grows, at IDENTICAL durability (nothing is acknowledged before a
+// covering sync wave completes).
 
 /// Simulated media sync latency. ~100us sits between an enterprise SSD
 /// flush and an NVMe one; what matters is that it is large enough for
-/// overlap and coalescing to be visible in wall-clock.
+/// coalescing to be visible in wall-clock.
 constexpr uint64_t kSimSyncMicros = 100;
 
-/// MemEnv → AsyncEnv → InstrumentedEnv + an open vault, for the
-/// durable-ingest variants.
+/// MemEnv → InstrumentedEnv + an open vault, for the durable-ingest
+/// variants.
 class DurableVault {
  public:
   explicit DurableVault(uint64_t commit_window_micros)
-      : aenv_(&env_,
-              [] {
-                storage::AsyncEnv::Options o;
-                o.threads = 8;
-                return o;
-              }()),
-        ienv_(&aenv_, obs::ProcessIoStats()),
-        clock_(1000000) {
+      : ienv_(&env_, obs::ProcessIoStats()), clock_(1000000) {
     env_.SetSyncDelayMicros(kSimSyncMicros);
     core::VaultOptions options;
     options.env = &ienv_;
@@ -225,7 +216,6 @@ class DurableVault {
 
  private:
   storage::MemEnv env_;
-  storage::AsyncEnv aenv_;
   storage::InstrumentedEnv ienv_;
   ManualClock clock_;
   std::unique_ptr<core::Vault> vault_;
@@ -351,18 +341,15 @@ void BM_Ingest_DurableConcurrent(benchmark::State& state) {
 }
 
 // Cross-shard durable batch: CreateRecordsBatchDurable on a 2-shard
-// vault — one group-committed wave syncs BOTH shards concurrently on
-// the AsyncEnv backend. Compare against BM_Ingest_ShardedDurablePerOp
+// vault — one group-committed wave syncs BOTH shards, fanned out on the
+// shard pool. Compare against BM_Ingest_ShardedDurablePerOp
 // (same stack, SyncAll per record) for the headline at-equal-durability
 // speedup.
 void RunShardedDurable(benchmark::State& state, size_t batch_size) {
   constexpr int kPatients = 16;
   storage::MemEnv env;
   env.SetSyncDelayMicros(kSimSyncMicros);
-  storage::AsyncEnv::Options async_options;
-  async_options.threads = 8;
-  storage::AsyncEnv aenv(&env, async_options);
-  storage::InstrumentedEnv ienv(&aenv, obs::ProcessIoStats());
+  storage::InstrumentedEnv ienv(&env, obs::ProcessIoStats());
   ManualClock clock(1000000);
   core::ShardedVaultOptions options;
   options.env = &ienv;

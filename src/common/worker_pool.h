@@ -13,8 +13,8 @@
 
 namespace medvault {
 
-/// A small persistent pool for fan-out work (cross-shard batches, the
-/// AsyncEnv completion backend). With zero threads every submission
+/// A small persistent pool for fan-out work (cross-shard batches, sync
+/// waves, opens and verification). With zero threads every submission
 /// executes inline in submission order — the deterministic mode the
 /// crash matrix uses. Concurrent submitters interleave safely; each
 /// TaskGroup / RunEach call tracks its own completion state.
@@ -35,9 +35,9 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   /// Enqueues one fire-and-forget task. The caller must arrange its own
-  /// completion signal (TaskGroup, BatchCompletion); the pool only
-  /// guarantees the task runs before the pool is destroyed. Executes
-  /// inline when the pool has no workers or the caller is a worker.
+  /// completion signal (e.g. TaskGroup); the pool only guarantees the
+  /// task runs before the pool is destroyed. Executes inline when the
+  /// pool has no workers or the caller is a worker.
   void Submit(std::function<void()> task);
 
   /// The sizing rule of every per-shard fan-out pool: `requested` 0

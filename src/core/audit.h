@@ -132,10 +132,10 @@ class AuditLog {
   /// Durability barrier on the audit log.
   Status Sync();
 
-  /// The log file for batched sync waves (null before Open). The caller
-  /// must exclude concurrent appends for the duration of the wave — the
-  /// vault's exclusive lock does — since the barrier bypasses this
-  /// log's internal mutex.
+  /// The log file for the vault's commit wave (null before Open). The
+  /// caller must exclude concurrent appends for the duration of the
+  /// wave — the vault's exclusive lock does — since the barrier bypasses
+  /// this log's internal mutex.
   storage::WritableFile* sync_target();
 
   /// Appends an event; fills seq/prev_hash. Returns the sequence number.

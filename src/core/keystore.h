@@ -85,7 +85,7 @@ class KeyStore {
   bool IsDestroyed(const RecordId& record_id) const;
   size_t LiveKeyCount() const;
 
-  /// The key log's sync target for the vault's batched sync wave (null
+  /// The key log's sync target for the vault's commit wave (null
   /// until Open). Live-key appends are NOT synced eagerly — they become
   /// durable at the next wave, before the catalog/state commit point —
   /// so a batch of creates costs one key-log fsync, not one per record.

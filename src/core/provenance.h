@@ -66,7 +66,7 @@ class ProvenanceTracker {
   /// Durability barrier on the custody log.
   Status Sync();
 
-  /// The log file for batched sync waves (null before Open); the vault
+  /// The log file for the vault's commit wave (null before Open); the vault
   /// serializes appends against the wave.
   storage::WritableFile* sync_target();
 

@@ -45,7 +45,7 @@ class SecureIndex {
   /// Durability barrier on the posting log.
   Status Sync();
 
-  /// The log file for batched sync waves (null before Open); the vault
+  /// The log file for the vault's commit wave (null before Open); the vault
   /// serializes appends against the wave.
   storage::WritableFile* sync_target();
 

@@ -475,17 +475,19 @@ Status Vault::SyncAllLocked() {
   // Commit-point ordering: every side log becomes durable BEFORE the
   // state log. A durable meta therefore implies durable version bytes,
   // catalog entry, key, postings, and audit/custody events. The side
-  // logs carry no ordering among themselves, so they sync as one
-  // batched wave (concurrent under AsyncEnv); only the catalog must
+  // logs carry no ordering among themselves; only the catalog must
   // trail its segment bytes, and the state log lands strictly last.
-  std::vector<storage::WritableFile*> wave = {
-      versions_->SegmentSyncTarget(),
-      index_->sync_target(),
-      audit_->sync_target(),
-      provenance_->sync_target(),
+  // The side logs sync through their files, not their owners: a Sync()
+  // on AuditLog would hold its mutex across the fsync and stall the
+  // transparency/witness calls that take it without the vault lock.
+  storage::WritableFile* const side_logs[] = {
+      versions_->SegmentSyncTarget(), index_->sync_target(),
+      audit_->sync_target(),          provenance_->sync_target(),
       keystore_->sync_target(),
   };
-  MEDVAULT_RETURN_IF_ERROR(storage::SyncFilesBatch(options_.env, wave));
+  for (storage::WritableFile* file : side_logs) {
+    if (file != nullptr) MEDVAULT_RETURN_IF_ERROR(file->Sync());
+  }
   MEDVAULT_RETURN_IF_ERROR(versions_->SyncCatalog());
   return state_writer_->Sync();
 }

@@ -51,10 +51,10 @@ class VersionStore {
   /// in that order, so a durable catalog entry implies its bytes.
   Status Sync();
 
-  /// Split sync for batched commit waves: the active segment file (null
-  /// when none is open or the store is closed) may sync concurrently
-  /// with other side logs, but SyncCatalog() must only run *after* that
-  /// wave completes — same segment-before-catalog invariant as Sync().
+  /// Split sync for the vault's commit wave: the active segment file
+  /// (null when none is open or the store is closed) syncs alongside the
+  /// other side logs, and SyncCatalog() must only run *after* it — same
+  /// segment-before-catalog invariant as Sync().
   storage::WritableFile* SegmentSyncTarget();
   Status SyncCatalog();
 

@@ -148,16 +148,8 @@ json::Value HealthReport::ToJson() const {
     io["file_opens"] = json::Value(env_io.file_opens);
     io["deletes"] = json::Value(env_io.deletes);
     io["renames"] = json::Value(env_io.renames);
-    // Batched I/O and the fsync/op ratio appear only when the batched
-    // path has actually run, so golden dumps of unbatched workloads
-    // (and pre-existing consumers) see an unchanged object — the same
-    // conditional-field convention as `quarantined`/`last_scrub`.
-    if (env_io.batched_syncs > 0) {
-      io["batched_syncs"] = json::Value(env_io.batched_syncs);
-    }
-    if (env_io.batched_writes > 0) {
-      io["batched_writes"] = json::Value(env_io.batched_writes);
-    }
+    // The fsync/op ratio appears only once something has committed —
+    // the same conditional-field convention as `quarantined`/`last_scrub`.
     const uint64_t commit_ops = CommitOps();
     if (commit_ops > 0) {
       // Integer-milli fixed point keeps the report deterministic (no

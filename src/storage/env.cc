@@ -1,56 +1,6 @@
 #include "storage/env.h"
 
-#include <cassert>
-
 namespace medvault::storage {
-
-void BatchCompletion::Fulfill(size_t index, Status status) {
-  std::lock_guard<std::mutex> lock(mu_);
-  assert(index < statuses_.size());
-  assert(remaining_ > 0);
-  statuses_[index] = std::move(status);
-  if (--remaining_ == 0) cv_.notify_all();
-}
-
-void BatchCompletion::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return remaining_ == 0; });
-}
-
-Status BatchCompletion::Aggregate() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Status& s : statuses_) {
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
-void Env::SubmitWrites(WriteRequest* requests, size_t n,
-                       BatchCompletion* done) {
-  for (size_t i = 0; i < n; ++i) {
-    done->Fulfill(i, requests[i].file->Append(requests[i].data));
-  }
-}
-
-void Env::SubmitSyncs(WritableFile* const* files, size_t n,
-                      BatchCompletion* done) {
-  for (size_t i = 0; i < n; ++i) {
-    done->Fulfill(i, files[i]->Sync());
-  }
-}
-
-Status SyncFilesBatch(Env* env, WritableFile* const* files, size_t n) {
-  std::vector<WritableFile*> live;
-  live.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (files[i] != nullptr) live.push_back(files[i]);
-  }
-  if (live.empty()) return Status::OK();
-  BatchCompletion done(live.size());
-  env->SubmitSyncs(live.data(), live.size(), &done);
-  done.Wait();
-  return done.Aggregate();
-}
 
 Status ReadFileToString(Env* env, const std::string& fname,
                         std::string* data) {

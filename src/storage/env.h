@@ -1,10 +1,8 @@
 #ifndef MEDVAULT_STORAGE_ENV_H_
 #define MEDVAULT_STORAGE_ENV_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -13,51 +11,6 @@
 #include "common/status.h"
 
 namespace medvault::storage {
-
-class WritableFile;
-
-/// Completion handle for one batched submission (Env::SubmitWrites /
-/// Env::SubmitSyncs). The backend fulfills each slot exactly once —
-/// possibly from another thread, possibly before the submit call
-/// returns — and the caller blocks in Wait() until every slot is
-/// fulfilled. Single-use: the handle must outlive the submission and
-/// must not be reused for a second batch.
-class BatchCompletion {
- public:
-  explicit BatchCompletion(size_t n)
-      : statuses_(n), remaining_(n) {}
-
-  BatchCompletion(const BatchCompletion&) = delete;
-  BatchCompletion& operator=(const BatchCompletion&) = delete;
-
-  /// Backend side: records the outcome of slot `index`.
-  void Fulfill(size_t index, Status status);
-
-  /// Caller side: blocks until every slot has been fulfilled.
-  void Wait();
-
-  /// Valid after Wait(): per-slot outcome.
-  const Status& status(size_t index) const { return statuses_[index]; }
-
-  /// Valid after Wait(): the first non-OK status in slot order, or OK.
-  Status Aggregate() const;
-
-  size_t size() const { return statuses_.size(); }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Status> statuses_;
-  size_t remaining_;
-};
-
-/// One append in a batched submission. `file` is borrowed and must stay
-/// open until the batch completes; `data` is owned by the request so
-/// the backend may complete it asynchronously.
-struct WriteRequest {
-  WritableFile* file = nullptr;
-  std::string data;
-};
 
 /// Sequential read-only file.
 class SequentialFile {
@@ -163,21 +116,6 @@ class Env {
   virtual Status UnsafeTruncate(const std::string& fname, uint64_t size) {
     return Status::NotSupported("UnsafeTruncate not supported by this Env");
   }
-
-  /// Batched appends. Fulfills `done` slot i with the outcome of
-  /// `requests[i].file->Append(requests[i].data)`. Appends to the *same*
-  /// file keep their slot order; appends to distinct files may run
-  /// concurrently. The default executes inline, sequentially, in slot
-  /// order — correct for every Env, coalesced only by backends that
-  /// override it (AsyncEnv).
-  virtual void SubmitWrites(WriteRequest* requests, size_t n,
-                            BatchCompletion* done);
-
-  /// Batched durability barriers. Fulfills `done` slot i with the
-  /// outcome of `files[i]->Sync()`; barriers in one batch may run
-  /// concurrently. Default: inline, sequential, slot order.
-  virtual void SubmitSyncs(WritableFile* const* files, size_t n,
-                           BatchCompletion* done);
 };
 
 /// Convenience: reads a whole file into `*data`.
@@ -187,14 +125,6 @@ Status ReadFileToString(Env* env, const std::string& fname,
 /// Convenience: atomically-ish writes `data` as the new file contents.
 Status WriteStringToFile(Env* env, const Slice& data,
                          const std::string& fname, bool sync);
-
-/// Convenience: submits all `files` as one sync batch, waits, and
-/// returns the first error in slot order. Null entries are skipped.
-Status SyncFilesBatch(Env* env, WritableFile* const* files, size_t n);
-inline Status SyncFilesBatch(Env* env,
-                             const std::vector<WritableFile*>& files) {
-  return SyncFilesBatch(env, files.data(), files.size());
-}
 
 }  // namespace medvault::storage
 

@@ -166,20 +166,6 @@ class FaultInjectionEnv : public Env {
     return base_->UnsafeTruncate(fname, size);
   }
 
-  /// Batch API, pinned to the inline-sequential default: each coalesced
-  /// op runs through this env's own (gated) file wrappers in slot
-  /// order, so every completion in a batch stays one numbered crash
-  /// boundary and PlanCrash can kill *between* coalesced completions —
-  /// even if the env underneath has a concurrent backend.
-  void SubmitWrites(WriteRequest* requests, size_t n,
-                    BatchCompletion* done) override {
-    Env::SubmitWrites(requests, n, done);
-  }
-  void SubmitSyncs(WritableFile* const* files, size_t n,
-                   BatchCompletion* done) override {
-    Env::SubmitSyncs(files, n, done);
-  }
-
  private:
   /// Refuses metadata mutations once a planned crash has fired.
   Status CheckMutationAllowed();

@@ -203,16 +203,4 @@ Status InstrumentedEnv::UnsafeTruncate(const std::string& fname,
   return base_->UnsafeTruncate(fname, size);
 }
 
-void InstrumentedEnv::SubmitWrites(WriteRequest* requests, size_t n,
-                                   BatchCompletion* done) {
-  stats_->batched_writes.fetch_add(n, std::memory_order_relaxed);
-  base_->SubmitWrites(requests, n, done);
-}
-
-void InstrumentedEnv::SubmitSyncs(WritableFile* const* files, size_t n,
-                                  BatchCompletion* done) {
-  stats_->batched_syncs.fetch_add(n, std::memory_order_relaxed);
-  base_->SubmitSyncs(files, n, done);
-}
-
 }  // namespace medvault::storage

@@ -21,13 +21,6 @@ struct IoStatsSnapshot {
   uint64_t file_opens = 0;   ///< New*File calls that succeeded
   uint64_t deletes = 0;
   uint64_t renames = 0;
-  /// Barriers/appends that arrived through the batch API (SubmitSyncs/
-  /// SubmitWrites). Counted *in addition to* syncs/writes — the wrapped
-  /// file still tallies the per-op count when the backend executes it —
-  /// so batched vs. unbatched traffic stays separable and the fsync/op
-  /// curve is measurable.
-  uint64_t batched_syncs = 0;
-  uint64_t batched_writes = 0;
 };
 
 /// Lock-free I/O tally shared by an InstrumentedEnv and every file it
@@ -44,8 +37,6 @@ struct IoStats {
   std::atomic<uint64_t> file_opens{0};
   std::atomic<uint64_t> deletes{0};
   std::atomic<uint64_t> renames{0};
-  std::atomic<uint64_t> batched_syncs{0};
-  std::atomic<uint64_t> batched_writes{0};
 
   IoStatsSnapshot TakeSnapshot() const {
     IoStatsSnapshot s;
@@ -58,8 +49,6 @@ struct IoStats {
     s.file_opens = file_opens.load(std::memory_order_relaxed);
     s.deletes = deletes.load(std::memory_order_relaxed);
     s.renames = renames.load(std::memory_order_relaxed);
-    s.batched_syncs = batched_syncs.load(std::memory_order_relaxed);
-    s.batched_writes = batched_writes.load(std::memory_order_relaxed);
     return s;
   }
 };
@@ -106,15 +95,6 @@ class InstrumentedEnv : public Env {
   Status UnsafeOverwrite(const std::string& fname, uint64_t offset,
                          const Slice& data) override;
   Status UnsafeTruncate(const std::string& fname, uint64_t size) override;
-
-  /// Batch API: tallies batched_writes/batched_syncs, then forwards the
-  /// same (instrumented) files to the base env's backend — each op the
-  /// backend executes still lands in writes/syncs via the file wrapper,
-  /// so batched traffic is counted distinctly, never doubly.
-  void SubmitWrites(WriteRequest* requests, size_t n,
-                    BatchCompletion* done) override;
-  void SubmitSyncs(WritableFile* const* files, size_t n,
-                   BatchCompletion* done) override;
 
  private:
   Env* base_;

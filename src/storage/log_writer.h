@@ -42,10 +42,9 @@ class Writer {
   /// Bytes written through this writer plus the initial offset.
   uint64_t FileOffset() const { return file_offset_; }
 
-  /// The underlying file — exposed so commit paths can batch several
-  /// writers' durability barriers into one Env::SubmitSyncs wave. The
-  /// caller must not close or append through it; the writer stays the
-  /// only appender.
+  /// The underlying file — exposed so the vault's commit wave can sync
+  /// it without taking the owning log's mutex. The caller must not close
+  /// or append through it; the writer stays the only appender.
   WritableFile* file() { return dest_.get(); }
 
  private:

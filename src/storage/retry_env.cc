@@ -202,14 +202,4 @@ Status RetryEnv::UnsafeTruncate(const std::string& fname, uint64_t size) {
   return base_->UnsafeTruncate(fname, size);
 }
 
-void RetryEnv::SubmitWrites(WriteRequest* requests, size_t n,
-                            BatchCompletion* done) {
-  base_->SubmitWrites(requests, n, done);
-}
-
-void RetryEnv::SubmitSyncs(WritableFile* const* files, size_t n,
-                           BatchCompletion* done) {
-  base_->SubmitSyncs(files, n, done);
-}
-
 }  // namespace medvault::storage

@@ -82,15 +82,6 @@ class RetryEnv : public Env {
                          const Slice& data) override;
   Status UnsafeTruncate(const std::string& fname, uint64_t size) override;
 
-  /// Batch API: forwards the same (retrying) files to the base env's
-  /// backend. Each file wrapper retries internally when the backend
-  /// executes its op, so a transient fault inside a coalesced wave is
-  /// absorbed exactly as it would be on the unbatched path.
-  void SubmitWrites(WriteRequest* requests, size_t n,
-                    BatchCompletion* done) override;
-  void SubmitSyncs(WritableFile* const* files, size_t n,
-                   BatchCompletion* done) override;
-
   /// Runs `op`, retrying kIoError up to the attempt bound with
   /// exponential backoff; bumps `kind_counter` once per retry and the
   /// exhausted counter if the bound is hit. Used by the file wrappers;

@@ -19,7 +19,6 @@
 #include "common/crc32c.h"
 #include "core/audit.h"
 #include "core/vault.h"
-#include "storage/async_env.h"
 #include "storage/fault_env.h"
 #include "storage/log_format.h"
 #include "storage/log_reader.h"
@@ -29,13 +28,12 @@
 namespace medvault::core {
 namespace {
 
-enum class EnvKind { kMem, kPosix, kAsyncPosix, kFaultMem };
+enum class EnvKind { kMem, kPosix, kFaultMem };
 
 std::string EnvName(const ::testing::TestParamInfo<EnvKind>& info) {
   switch (info.param) {
     case EnvKind::kMem: return "Mem";
     case EnvKind::kPosix: return "Posix";
-    case EnvKind::kAsyncPosix: return "AsyncPosix";
     case EnvKind::kFaultMem: return "FaultMem";
   }
   return "Unknown";
@@ -59,10 +57,7 @@ class EnvUnderTest {
       base = storage::PosixEnv::Default();
     }
     env_ = base;
-    if (kind == EnvKind::kAsyncPosix) {
-      async_ = std::make_unique<storage::AsyncEnv>(base);
-      env_ = async_.get();
-    } else if (kind == EnvKind::kFaultMem) {
+    if (kind == EnvKind::kFaultMem) {
       fault_ = std::make_unique<storage::FaultInjectionEnv>(base);
       env_ = fault_.get();
     }
@@ -78,7 +73,6 @@ class EnvUnderTest {
 
  private:
   std::unique_ptr<storage::MemEnv> mem_;
-  std::unique_ptr<storage::AsyncEnv> async_;
   std::unique_ptr<storage::FaultInjectionEnv> fault_;
   storage::Env* env_ = nullptr;
   std::string dir_;
@@ -301,7 +295,6 @@ TEST_P(AuditReadbackTest, AppendedEventIsReadableAsSoonAsAppendReturns) {
 
 INSTANTIATE_TEST_SUITE_P(Envs, AuditReadbackTest,
                          ::testing::Values(EnvKind::kMem, EnvKind::kPosix,
-                                           EnvKind::kAsyncPosix,
                                            EnvKind::kFaultMem),
                          EnvName);
 

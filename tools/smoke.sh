@@ -3,7 +3,7 @@
 # then the crash/fault matrix, the cross-shard stress battery, the
 # shard-dispatch battery (routing, shard ids and secrets, manifest,
 # fan-outs), the observability battery, the media-fault scrub/repair
-# battery, the async-env/group-commit batteries, the HTTP server battery, the
+# battery, the env/group-commit batteries, the HTTP server battery, the
 # verified-replication battery, the audit-transparency battery, the
 # patient-driven-sharing consent battery, the crypto battery
 # (SHA-256 kernels, HMAC pads, WOTS/XMSS, Merkle) and the audit-history
