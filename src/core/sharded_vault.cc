@@ -76,6 +76,7 @@ Status ShardedVault::Init() {
   shards_.resize(options_.num_shards);
   quarantine_reasons_.resize(options_.num_shards);
   const bool degraded = options_.open_mode == OpenMode::kDegraded;
+  obs::Histogram* open_scrub = metrics_->GetHistogram("vault.open.scrub");
   MEDVAULT_RETURN_IF_ERROR(pool_->RunEach(num_shards(), [&](size_t k) {
     // Scrub before a degraded open. Vault::Open tolerates torn tails and
     // does not deep-verify, so a shard with a flipped segment byte would
@@ -83,8 +84,10 @@ Status ShardedVault::Init() {
     // the damage up front without mutating the directory. A NotFound
     // scrub means a fresh shard directory — open will create it.
     if (degraded) {
-      Result<ScrubReport> scrub =
-          Scrubber::ScrubVaultDir(env, ShardDirPath(k), Now());
+      Result<ScrubReport> scrub = [&] {
+        obs::ScopedOpTimer timer(metrics_, open_scrub, "vault.open.scrub");
+        return Scrubber::ScrubVaultDir(env, ShardDirPath(k), Now());
+      }();
       if (!scrub.ok() && !scrub.status().IsNotFound()) {
         quarantine_reasons_[k] = "scrub failed: " + scrub.status().ToString();
         return Status::OK();

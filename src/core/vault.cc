@@ -212,29 +212,48 @@ Status Vault::Init() {
   consent_.Configure(std::move(consent_root), options_.consent_id_prefix);
   access_.AttachConsentRegistry(&consent_);
 
+  // Each open phase records a "vault.open.<phase>" histogram, so a slow
+  // restart names the layer it spent its time in.
+  auto phase = [this](const char* op, auto&& fn) -> Status {
+    obs::ScopedOpTimer timer(metrics_, metrics_->GetHistogram(op), op);
+    return fn();
+  };
+
   keystore_ = std::make_unique<KeyStore>(env, dir + "/keys.db",
                                          options_.master_key, keystore_seed);
-  MEDVAULT_RETURN_IF_ERROR(keystore_->Open());
+  MEDVAULT_RETURN_IF_ERROR(
+      phase("vault.open.keystore", [&] { return keystore_->Open(); }));
 
   versions_ = std::make_unique<VersionStore>(env, dir, keystore_.get());
-  MEDVAULT_RETURN_IF_ERROR(versions_->Open());
+  MEDVAULT_RETURN_IF_ERROR(
+      phase("vault.open.versions", [&] { return versions_->Open(); }));
 
   index_ = std::make_unique<SecureIndex>(env, dir + "/index.log",
                                          index_master, keystore_.get());
-  MEDVAULT_RETURN_IF_ERROR(index_->Open());
+  MEDVAULT_RETURN_IF_ERROR(
+      phase("vault.open.index", [&] { return index_->Open(); }));
 
   audit_ = std::make_unique<AuditLog>(env, dir + "/audit.log");
-  MEDVAULT_RETURN_IF_ERROR(audit_->Open());
+  MEDVAULT_RETURN_IF_ERROR(
+      phase("vault.open.audit", [&] { return audit_->Open(); }));
 
   provenance_ = std::make_unique<ProvenanceTracker>(
       env, dir + "/provenance.log", options_.system_id);
-  MEDVAULT_RETURN_IF_ERROR(provenance_->Open());
+  MEDVAULT_RETURN_IF_ERROR(
+      phase("vault.open.provenance", [&] { return provenance_->Open(); }));
 
-  signer_ = std::make_unique<crypto::XmssSigner>(
-      signer_secret, signer_public_seed_, options_.signer_height);
+  // XMSS key generation runs in the signer's constructor.
+  MEDVAULT_RETURN_IF_ERROR(phase("vault.open.signer", [&] {
+    signer_ = std::make_unique<crypto::XmssSigner>(
+        signer_secret, signer_public_seed_, options_.signer_height);
+    return Status::OK();
+  }));
 
-  MEDVAULT_RETURN_IF_ERROR(LoadState());
-  MEDVAULT_RETURN_IF_ERROR(RecoverAfterUncleanShutdown());
+  MEDVAULT_RETURN_IF_ERROR(
+      phase("vault.open.state", [&] { return LoadState(); }));
+  MEDVAULT_RETURN_IF_ERROR(phase("vault.open.recover", [&] {
+    return RecoverAfterUncleanShutdown();
+  }));
 
   // Group commit last: recovery above syncs directly (the committer's
   // sync function takes mu_, and nothing concurrent exists yet anyway).

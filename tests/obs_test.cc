@@ -13,6 +13,7 @@
 
 #include "common/clock.h"
 #include "core/record_cache.h"
+#include "core/sharded_vault.h"
 #include "core/vault.h"
 #include "obs/health.h"
 #include "obs/json.h"
@@ -181,6 +182,37 @@ TEST(MetricsRegistryTest, VaultOpMetricsCachesNamedHistograms) {
   VaultOpMetrics sharded = VaultOpMetrics::For(&registry, "sharded");
   EXPECT_EQ(sharded.read, registry.GetHistogram("sharded.read"));
   EXPECT_NE(sharded.read, ops.read);
+}
+
+// Every restart phase records one "vault.open.<phase>" sample per shard
+// open; the structural scrub of a degraded sharded open is timed too.
+TEST(MetricsRegistryTest, OpenRecordsEveryPhaseTimer) {
+  storage::MemEnv env;
+  ManualClock clock(1000000);
+  MetricsRegistry registry;
+  core::ShardedVaultOptions options;
+  options.env = &env;
+  options.dir = "sharded";
+  options.clock = &clock;
+  options.master_key = std::string(32, 'M');
+  options.entropy = "obs-open-phases";
+  options.num_shards = 2;
+  options.signer_height = 4;
+  options.metrics = &registry;
+  options.open_mode = core::OpenMode::kDegraded;
+  const char* const kPhases[] = {
+      "vault.open.scrub",  "vault.open.keystore", "vault.open.versions",
+      "vault.open.index",  "vault.open.audit",    "vault.open.provenance",
+      "vault.open.signer", "vault.open.state",    "vault.open.recover"};
+  for (uint64_t opens = 1; opens <= 2; opens++) {
+    auto vault = core::ShardedVault::Open(options);
+    ASSERT_TRUE(vault.ok()) << vault.status().ToString();
+    const auto snap = registry.TakeSnapshot();
+    for (const char* phase : kPhases) {
+      ASSERT_EQ(snap.histograms.count(phase), 1u) << phase;
+      EXPECT_EQ(snap.histograms.at(phase).count, 2 * opens) << phase;
+    }
+  }
 }
 
 // The TSan target: concurrent recording into shared series plus
