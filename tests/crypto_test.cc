@@ -288,6 +288,28 @@ TEST_F(AeadTest, SealOpenRoundTrip) {
   EXPECT_EQ(*opened, "secret medical note");
 }
 
+// Pins the Seal wire bytes (nonce || AES-256-CTR ciphertext || HMAC
+// tag under the HKDF-split keys), so a change to how Aead holds its
+// keys cannot change what it writes. The expected bytes were checked
+// against an independent AES-CTR/HMAC/HKDF implementation. The
+// plaintext (75 bytes) ends in a partial CTR block; sealing twice with
+// one object must give equal bytes.
+TEST_F(AeadTest, SealKnownAnswer) {
+  const std::string plaintext =
+      "Patient presents with mild fever; prescribe rest and fluids. Review "
+      "in 72h.";
+  for (int i = 0; i < 2; i++) {
+    auto sealed = aead_.Seal(nonce_, plaintext, "record-aad");
+    ASSERT_TRUE(sealed.ok());
+    EXPECT_EQ(HexEncode(*sealed),
+              "4e4e4e4e4e4e4e4e4e4e4e4e4e4e4e4e"
+              "fa8b917228f563e7aa5b04e139ad06f323adac9dd166085f434563840671152b"
+              "62f69560b3795df36499b0dbb4b2ac64df683b4ce5e1d1704cda11700bf39b3c"
+              "94919b6b048364099dad3a"
+              "3830d6aea1ef8890f79e6f65cbafabc549dc8e4a8664a5d2e9a043c748780262");
+  }
+}
+
 TEST_F(AeadTest, EveryCiphertextByteFlipIsDetected) {
   auto sealed = aead_.Seal(nonce_, "payload", "aad");
   ASSERT_TRUE(sealed.ok());
