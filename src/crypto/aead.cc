@@ -1,9 +1,7 @@
 #include "crypto/aead.h"
 
 #include "common/coding.h"
-#include "crypto/ctr.h"
 #include "crypto/hkdf.h"
-#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 
 namespace medvault::crypto {
@@ -14,9 +12,8 @@ Status Aead::Init(const Slice& key) {
   }
   MEDVAULT_ASSIGN_OR_RETURN(std::string okm,
                             HkdfSha256(key, Slice(), "medvault-aead-v1", 64));
-  cipher_key_ = okm.substr(0, 32);
-  mac_key_ = okm.substr(32, 32);
-  initialized_ = true;
+  MEDVAULT_RETURN_IF_ERROR(ctr_.Init(Slice(okm.data(), 32)));
+  mac_.emplace(Slice(okm.data() + 32, 32));
   return Status::OK();
 }
 
@@ -27,19 +24,17 @@ std::string Aead::ComputeTag(const Slice& nonce, const Slice& ciphertext,
   mac_input.append(aad.data(), aad.size());
   mac_input.append(nonce.data(), nonce.size());
   mac_input.append(ciphertext.data(), ciphertext.size());
-  return HmacSha256(mac_key_, mac_input);
+  return mac_->Mac(mac_input);
 }
 
 Result<std::string> Aead::Seal(const Slice& nonce, const Slice& plaintext,
                                const Slice& aad) const {
-  if (!initialized_) return Status::FailedPrecondition("Aead not initialized");
+  if (!mac_) return Status::FailedPrecondition("Aead not initialized");
   if (nonce.size() != kCtrNonceSize) {
     return Status::InvalidArgument("AEAD nonce must be 16 bytes");
   }
-  AesCtr ctr;
-  MEDVAULT_RETURN_IF_ERROR(ctr.Init(cipher_key_));
   MEDVAULT_ASSIGN_OR_RETURN(std::string ciphertext,
-                            ctr.Crypt(nonce, plaintext));
+                            ctr_.Crypt(nonce, plaintext));
 
   std::string out;
   out.reserve(nonce.size() + ciphertext.size() + kDigestSize);
@@ -50,7 +45,7 @@ Result<std::string> Aead::Seal(const Slice& nonce, const Slice& plaintext,
 }
 
 Result<std::string> Aead::Open(const Slice& sealed, const Slice& aad) const {
-  if (!initialized_) return Status::FailedPrecondition("Aead not initialized");
+  if (!mac_) return Status::FailedPrecondition("Aead not initialized");
   if (sealed.size() < kOverhead) {
     return Status::TamperDetected("sealed blob shorter than AEAD overhead");
   }
@@ -63,9 +58,7 @@ Result<std::string> Aead::Open(const Slice& sealed, const Slice& aad) const {
   if (!ConstantTimeEqual(expected, tag)) {
     return Status::TamperDetected("AEAD tag mismatch");
   }
-  AesCtr ctr;
-  MEDVAULT_RETURN_IF_ERROR(ctr.Init(cipher_key_));
-  return ctr.Crypt(nonce, ciphertext);
+  return ctr_.Crypt(nonce, ciphertext);
 }
 
 }  // namespace medvault::crypto

@@ -1,10 +1,13 @@
 #ifndef MEDVAULT_CRYPTO_AEAD_H_
 #define MEDVAULT_CRYPTO_AEAD_H_
 
+#include <optional>
 #include <string>
 
 #include "common/result.h"
 #include "common/slice.h"
+#include "crypto/ctr.h"
+#include "crypto/hmac.h"
 
 namespace medvault::crypto {
 
@@ -17,7 +20,9 @@ namespace medvault::crypto {
 /// Wire format of Seal() output: nonce (16) || ciphertext || tag (32).
 ///
 /// The 32-byte AEAD key is split via HKDF into independent cipher and MAC
-/// keys, so a single key object cannot be misused across roles.
+/// keys, so a single key object cannot be misused across roles. Init
+/// expands both once (AES round keys, HMAC pad midstates); Seal and Open
+/// reuse them.
 class Aead {
  public:
   /// Total bytes Seal() adds to a plaintext.
@@ -39,9 +44,8 @@ class Aead {
   Result<std::string> Open(const Slice& sealed, const Slice& aad) const;
 
  private:
-  std::string mac_key_;
-  std::string cipher_key_;
-  bool initialized_ = false;
+  AesCtr ctr_;
+  std::optional<HmacSha256Key> mac_;  ///< set by Init
 
   std::string ComputeTag(const Slice& nonce, const Slice& ciphertext,
                          const Slice& aad) const;
