@@ -12,6 +12,7 @@
 #include "crypto/ctr.h"
 #include "crypto/sha256.h"
 #include "storage/fault_env.h"
+#include "storage/instrumented_env.h"
 #include "storage/mem_env.h"
 
 namespace medvault::core {
@@ -115,6 +116,27 @@ TEST_F(KeyStoreTest, PersistsAcrossReopen) {
   OpenStore();
   EXPECT_EQ(*store_->GetKey("r-1"), key1);
   EXPECT_EQ(store_->LiveKeyCount(), 2u);
+}
+
+TEST_F(KeyStoreTest, ReopenReadsKeyLogOnce) {
+  // Format detection reads only the magic record's bytes; the replay is
+  // the one full read of a v2 keys.db.
+  OpenStore();
+  for (int i = 0; i < 50; i++) {
+    ASSERT_TRUE(store_->CreateKey("r-" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(store_->Persist().ok());
+  store_.reset();
+  uint64_t file_size = 0;
+  ASSERT_TRUE(env_.GetFileSize("keys.db", &file_size).ok());
+
+  storage::InstrumentedEnv counted(&env_);
+  KeyStore reopened(&counted, "keys.db", std::string(32, 'M'), "drbg-seed");
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.LiveKeyCount(), 50u);
+  const uint64_t read_bytes = counted.stats()->TakeSnapshot().read_bytes;
+  EXPECT_GE(read_bytes, file_size);
+  EXPECT_LT(read_bytes, file_size + 64) << "keys.db is " << file_size << " B";
 }
 
 TEST_F(KeyStoreTest, DestructionSurvivesReopen) {
