@@ -1,16 +1,18 @@
 // E9 — crypto primitive throughput: the overhead budget behind every
 // other experiment. SHA-256, HMAC, AES-CTR, AEAD, Merkle operations,
-// WOTS/XMSS signing & verification, and XMSS key generation vs height.
+// WOTS/XMSS signing & verification, XMSS key generation vs height, and
+// the CRC-32C that guards every log frame.
 
 // Run with MEDVAULT_FORCE_SCALAR=1 to measure the portable fallback
 // kernels; the default run uses whatever the CPU dispatch selected
-// (SHA-NI / AES-NI where available).
+// (SHA-NI / AES-NI / SSE4.2 crc32 where available).
 
 #include <benchmark/benchmark.h>
 
 #include <string>
 
 #include "bench_util.h"
+#include "common/crc32c.h"
 #include "crypto/aead.h"
 #include "crypto/ctr.h"
 #include "crypto/hmac.h"
@@ -59,6 +61,16 @@ void BM_Sha256KernelScalar(benchmark::State& state) {
 BENCHMARK(BM_Sha256KernelActive)->Arg(1024);
 BENCHMARK(BM_Sha256KernelScalar)->Arg(1024);
 
+// Log frames, the scrub and every replay checksum their bytes with this.
+void BM_Crc32c(benchmark::State& state) {
+  std::string data(state.range(0), 'x');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c::Value(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(1024)->Arg(32768);
+
 void BM_HmacSha256(benchmark::State& state) {
   std::string key(32, 'k');
   std::string data(state.range(0), 'x');
@@ -104,7 +116,8 @@ void BM_AeadOpen(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_AeadOpen)->Arg(64)->Arg(4096)->Arg(65536);
+// 32 B is a wrapped data key: the keystore opens one per key on start.
+BENCHMARK(BM_AeadOpen)->Arg(32)->Arg(64)->Arg(4096)->Arg(65536);
 
 void BM_MerkleAppendAndRoot(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

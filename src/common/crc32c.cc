@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "crypto/cpu_features.h"
+
 namespace medvault::crc32c {
 
 namespace {
@@ -26,9 +28,20 @@ const std::array<uint32_t, 256>& Table() {
   return table;
 }
 
+internal::ExtendFn ResolveKernel() {
+#if defined(__x86_64__) && defined(MEDVAULT_HAVE_SSE42)
+  if (!crypto::ForceScalarCrypto() && crypto::GetCpuFeatures().sse42) {
+    return &internal::ExtendSse42;
+  }
+#endif
+  return &internal::ExtendTable;
+}
+
 }  // namespace
 
-uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+namespace internal {
+
+uint32_t ExtendTable(uint32_t init_crc, const char* data, size_t n) {
   const auto& table = Table();
   uint32_t crc = init_crc ^ 0xffffffffu;
   for (size_t i = 0; i < n; i++) {
@@ -36,6 +49,19 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
           (crc >> 8);
   }
   return crc ^ 0xffffffffu;
+}
+
+ExtendFn ActiveExtend() {
+  // Function-local static: resolved once, safe across translation-unit
+  // initialization order and threads.
+  static const ExtendFn fn = ResolveKernel();
+  return fn;
+}
+
+}  // namespace internal
+
+uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+  return internal::ActiveExtend()(init_crc, data, n);
 }
 
 }  // namespace medvault::crc32c

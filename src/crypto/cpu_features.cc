@@ -22,6 +22,7 @@ CpuFeatures Detect() {
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
     f.ssse3 = (ecx & (1u << 9)) != 0;
     f.sse41 = (ecx & (1u << 19)) != 0;
+    f.sse42 = (ecx & (1u << 20)) != 0;
     f.aes_ni = (ecx & (1u << 25)) != 0;
   }
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {

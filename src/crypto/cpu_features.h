@@ -3,11 +3,13 @@
 
 namespace medvault::crypto {
 
-/// Instruction-set extensions relevant to the crypto hot path, probed
-/// once at startup (CPUID on x86-64, getauxval on ARM/AArch64).
+/// Instruction-set extensions relevant to the crypto hot path and the
+/// CRC-32C log checksum (common/crc32c), probed once at startup (CPUID on
+/// x86-64, getauxval on ARM/AArch64).
 struct CpuFeatures {
   bool ssse3 = false;
   bool sse41 = false;
+  bool sse42 = false;    ///< x86 SSE4.2 (the crc32 instruction)
   bool aes_ni = false;   ///< x86 AES-NI or ARMv8 AES
   bool sha_ni = false;   ///< x86 SHA extensions or ARMv8 SHA-2
 };
@@ -16,8 +18,9 @@ struct CpuFeatures {
 const CpuFeatures& GetCpuFeatures();
 
 /// True when the MEDVAULT_FORCE_SCALAR environment variable is set to a
-/// non-empty value other than "0" — pins every primitive to the scalar
-/// fallback for differential testing. Read once at first use.
+/// non-empty value other than "0" — pins every primitive, CRC-32C
+/// included, to the scalar fallback for differential testing. Read once
+/// at first use.
 bool ForceScalarCrypto();
 
 }  // namespace medvault::crypto
