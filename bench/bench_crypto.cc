@@ -5,7 +5,8 @@
 
 // Run with MEDVAULT_FORCE_SCALAR=1 to measure the portable fallback
 // kernels; the default run uses whatever the CPU dispatch selected
-// (SHA-NI / AES-NI / SSE4.2 crc32 where available).
+// (SHA-NI / AES-NI / SSE4.2 crc32 / the AVX-512 16-lane SHA-256 where
+// available).
 
 #include <benchmark/benchmark.h>
 
@@ -60,6 +61,33 @@ void BM_Sha256KernelScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256KernelActive)->Arg(1024);
 BENCHMARK(BM_Sha256KernelScalar)->Arg(1024);
+
+// 16 streams of two-block messages in lock-step, the shape of the WOTS
+// chain steps of XMSS key generation: the dispatched lanes kernel
+// (AVX-512 where available) against the loop of single-stream calls.
+// `lane_block` is the time per 64-byte block of one lane.
+void RunSha256Lanes(benchmark::State& state, Sha256LanesFn fn) {
+  constexpr size_t kStride = 128;
+  constexpr size_t kBlocks = 2;
+  std::string blocks(kSha256Lanes * kStride, 'x');
+  uint32_t h[kSha256Lanes][8] = {};
+  for (auto _ : state) {
+    fn(h, reinterpret_cast<const uint8_t*>(blocks.data()), kStride, kBlocks);
+    benchmark::DoNotOptimize(h);
+  }
+  state.counters["lane_block"] = benchmark::Counter(
+      static_cast<double>(kSha256Lanes * kBlocks),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+void BM_Sha256LanesActive(benchmark::State& state) {
+  RunSha256Lanes(state, ActiveSha256LanesKernel());
+}
+void BM_Sha256LanesLoop(benchmark::State& state) {
+  RunSha256Lanes(state, &Sha256LanesLoop);
+}
+BENCHMARK(BM_Sha256LanesActive);
+BENCHMARK(BM_Sha256LanesLoop);
 
 // Log frames, the scrub and every replay checksum their bytes with this.
 void BM_Crc32c(benchmark::State& state) {
@@ -155,7 +183,7 @@ void BM_WotsVerify(benchmark::State& state) {
   Wots wots("secret-seed", "public-seed", 0);
   std::string digest = Sha256Digest("message");
   auto sig = *wots.Sign(digest);
-  std::string pk = wots.PublicKey();
+  std::string pk = Wots::PublicKeys("secret-seed", "public-seed", 0, 1)[0];
   for (auto _ : state) {
     Status s = Wots::Verify(digest, sig, pk, "public-seed", 0);
     if (!s.ok()) state.SkipWithError("verify failed");

@@ -12,6 +12,8 @@ struct CpuFeatures {
   bool sse42 = false;    ///< x86 SSE4.2 (the crc32 instruction)
   bool aes_ni = false;   ///< x86 AES-NI or ARMv8 AES
   bool sha_ni = false;   ///< x86 SHA extensions or ARMv8 SHA-2
+  /// x86 AVX-512 F + BW, with the OS saving the opmask and zmm state.
+  bool avx512 = false;
 };
 
 /// Cached runtime detection result.

@@ -40,8 +40,16 @@ class Wots {
   Wots(const Slice& secret_seed, const Slice& public_seed,
        uint32_t leaf_index);
 
-  /// Compressed public key: SHA-256 over the kLen chain tops.
-  std::string PublicKey() const;
+  /// Compressed public keys of leaves [first_leaf, first_leaf + count):
+  /// per leaf, SHA-256 over "wots-pk" and its kLen chain tops. The
+  /// chains of consecutive leaves are walked internal::kSha256Lanes at a
+  /// time, in lock-step, through the dispatched lanes kernel, and each
+  /// chain top is streamed into its leaf's hash, so memory stays
+  /// O(kSha256Lanes) chains whatever `count` is.
+  static std::vector<std::string> PublicKeys(const Slice& secret_seed,
+                                             const Slice& public_seed,
+                                             uint32_t first_leaf,
+                                             uint32_t count);
 
   /// Signs a 32-byte message digest. A WOTS key must sign at most once;
   /// the XMSS layer enforces that.

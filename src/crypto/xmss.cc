@@ -49,14 +49,10 @@ XmssSigner::XmssSigner(const Slice& secret_seed, const Slice& public_seed,
     : secret_seed_(secret_seed.ToString()),
       public_seed_(public_seed.ToString()),
       height_(height) {
-  const uint64_t num_leaves = 1ULL << height_;
-  leaf_hashes_.reserve(num_leaves);
-  for (uint64_t i = 0; i < num_leaves; i++) {
-    Wots wots(secret_seed_, public_seed_, static_cast<uint32_t>(i));
-    leaf_hashes_.push_back(wots.PublicKey());
-  }
-  // Build the full binary tree bottom-up.
-  nodes_.push_back(leaf_hashes_);
+  // Leaves are the WOTS public keys; the full binary tree is built
+  // bottom-up over them.
+  nodes_.push_back(Wots::PublicKeys(secret_seed_, public_seed_, 0,
+                                    static_cast<uint32_t>(1ULL << height_)));
   while (nodes_.back().size() > 1) {
     const auto& below = nodes_.back();
     std::vector<std::string> level;

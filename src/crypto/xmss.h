@@ -71,7 +71,6 @@ class XmssSigner {
   std::string public_seed_;
   int height_;
   uint64_t next_leaf_ = 0;
-  std::vector<std::string> leaf_hashes_;  ///< WOTS pk per leaf
   /// nodes_[level][i]: hash of subtree; level 0 = leaves.
   std::vector<std::vector<std::string>> nodes_;
   std::string root_;
