@@ -4,13 +4,6 @@
 
 namespace medvault {
 
-void EncodeFixed32(char* dst, uint32_t value) {
-  dst[0] = static_cast<char>(value & 0xff);
-  dst[1] = static_cast<char>((value >> 8) & 0xff);
-  dst[2] = static_cast<char>((value >> 16) & 0xff);
-  dst[3] = static_cast<char>((value >> 24) & 0xff);
-}
-
 void EncodeFixed64(char* dst, uint64_t value) {
   for (int i = 0; i < 8; i++) {
     dst[i] = static_cast<char>((value >> (8 * i)) & 0xff);

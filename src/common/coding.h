@@ -18,7 +18,13 @@ void PutVarint64(std::string* dst, uint64_t value);
 /// Varint length followed by raw bytes.
 void PutLengthPrefixed(std::string* dst, const Slice& value);
 
-void EncodeFixed32(char* dst, uint32_t value);
+/// Inline: the WOTS chain walk calls it once per lane per step.
+inline void EncodeFixed32(char* dst, uint32_t value) {
+  dst[0] = static_cast<char>(value & 0xff);
+  dst[1] = static_cast<char>((value >> 8) & 0xff);
+  dst[2] = static_cast<char>((value >> 16) & 0xff);
+  dst[3] = static_cast<char>((value >> 24) & 0xff);
+}
 void EncodeFixed64(char* dst, uint64_t value);
 
 uint32_t DecodeFixed32(const char* ptr);

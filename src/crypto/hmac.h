@@ -1,6 +1,8 @@
 #ifndef MEDVAULT_CRYPTO_HMAC_H_
 #define MEDVAULT_CRYPTO_HMAC_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "common/slice.h"
@@ -20,9 +22,17 @@ class HmacSha256Key {
   /// Returns the 32-byte tag of `message`.
   std::string Mac(const Slice& message) const;
 
+  /// Tags of internal::kSha256Lanes short messages in two calls of the
+  /// dispatched lanes kernel: lane i MACs the `len` bytes at
+  /// `messages + i * stride` and writes its kDigestSize-byte tag to
+  /// `tags + i * kDigestSize`. Each message must fit one padded block
+  /// (len <= 55).
+  void MacLanes(const uint8_t* messages, size_t stride, size_t len,
+                uint8_t* tags) const;
+
  private:
-  Sha256 inner_;
-  Sha256 outer_;
+  uint32_t inner_[8];  ///< midstate after the key^ipad block
+  uint32_t outer_[8];  ///< midstate after the key^opad block
 };
 
 /// HMAC-SHA256 (RFC 2104). Returns a 32-byte tag.

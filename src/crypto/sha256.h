@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "common/slice.h"
@@ -28,8 +29,17 @@ constexpr size_t Sha256PaddedSize(size_t len) {
 /// length of the whole `total_len`-byte message.
 void Sha256Pad(uint8_t* block, size_t len, uint64_t total_len);
 
-/// Writes a chaining state as 32 big-endian digest bytes.
-void Sha256StateToDigest(const uint32_t state[8], uint8_t* digest);
+/// Writes a chaining state as 32 big-endian digest bytes. Inline: the
+/// WOTS chain walk calls it once per lane per step.
+inline void Sha256StateToDigest(const uint32_t state[8], uint8_t* digest) {
+  for (int i = 0; i < 8; i++) {
+    uint32_t word = state[i];
+#if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ != __ORDER_BIG_ENDIAN__
+    word = __builtin_bswap32(word);
+#endif
+    memcpy(digest + 4 * i, &word, 4);
+  }
+}
 
 /// Incremental SHA-256 (FIPS 180-4), implemented from scratch.
 ///
@@ -46,6 +56,9 @@ void Sha256StateToDigest(const uint32_t state[8], uint8_t* digest);
 class Sha256 {
  public:
   Sha256() { Reset(); }
+  /// Resumes from the chaining `state` reached after absorbing the
+  /// first `absorbed` bytes of a message (a multiple of 64).
+  Sha256(const uint32_t state[8], uint64_t absorbed);
 
   Sha256(const Sha256&) = default;
   Sha256& operator=(const Sha256&) = default;

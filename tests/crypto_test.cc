@@ -14,6 +14,7 @@
 #include "crypto/hkdf.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 
 namespace medvault::crypto {
 namespace {
@@ -103,6 +104,30 @@ TEST(HmacTest, Rfc4231Case6LongKey) {
 TEST(HmacTest, KeySensitivity) {
   EXPECT_NE(HmacSha256("key1", "msg"), HmacSha256("key2", "msg"));
   EXPECT_NE(HmacSha256("key", "msg1"), HmacSha256("key", "msg2"));
+}
+
+TEST(HmacTest, MacLanesMatchesMacPerLane) {
+  // Every one-block message length, 16 distinct messages per call at a
+  // stride that is not the length: each lane's tag must equal Mac().
+  constexpr int kLanes = internal::kSha256Lanes;
+  constexpr size_t kStride = 61;
+  for (const std::string key : {std::string("Jefe"), std::string(131, 'k')}) {
+    const HmacSha256Key prf(key);
+    std::string messages(kLanes * kStride, '\0');
+    for (size_t i = 0; i < messages.size(); i++) {
+      messages[i] = static_cast<char>(i * 131 + 7);
+    }
+    for (size_t len = 0; len <= 55; len++) {
+      uint8_t tags[kLanes][kDigestSize];
+      prf.MacLanes(reinterpret_cast<const uint8_t*>(messages.data()), kStride,
+                   len, tags[0]);
+      for (int i = 0; i < kLanes; i++) {
+        ASSERT_EQ(std::string(reinterpret_cast<char*>(tags[i]), kDigestSize),
+                  prf.Mac(Slice(messages.data() + i * kStride, len)))
+            << "len=" << len << " lane=" << i;
+      }
+    }
+  }
 }
 
 TEST(ConstantTimeEqualTest, Behaviour) {
