@@ -6,9 +6,11 @@
 # battery, the env/group-commit batteries, the HTTP server battery, the
 # verified-replication battery, the audit-transparency battery, the
 # patient-driven-sharing consent battery, the crypto battery
-# (SHA-256, AES and CRC-32C hardware kernels against their scalar
-# fallbacks, HMAC pads, WOTS/XMSS, Merkle, and the signature and audit
-# pins re-run with MEDVAULT_FORCE_SCALAR=1) and the audit-history
+# (SHA-256, AES and CRC-32C hardware kernels and the 16-lane AVX-512
+# SHA-256 kernel against their scalar fallbacks, HMAC pads, WOTS/XMSS,
+# Merkle, and the signature and audit pins re-run with
+# MEDVAULT_FORCE_SCALAR=1, which also pins the lanes kernel to a loop
+# of scalar calls) and the audit-history
 # battery (pinned roots and proofs, read-back from audit.log; `ctest -L
 # "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit"`)
 # rebuilt under AddressSanitizer and UndefinedBehaviorSanitizer, then the
