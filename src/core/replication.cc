@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/coding.h"
+#include "core/scrub.h"
 #include "core/shard_router.h"
 #include "crypto/hkdf.h"
 #include "crypto/hmac.h"
@@ -21,18 +22,6 @@ constexpr size_t kHashSize = 32;
 /// falls back to verified full-file replacement.
 constexpr size_t kMaxBoundaries = 64;
 
-const char* const kTopLevelArtifacts[] = {
-    "state.log", "keys.db", "catalog.log",
-    "index.log", "audit.log", "provenance.log",
-};
-
-bool IsTopLevelArtifact(const std::string& name) {
-  for (const char* a : kTopLevelArtifacts) {
-    if (name == a) return true;
-  }
-  return false;
-}
-
 /// The relative paths replication ships: the fixed logs plus every
 /// segment. Orphans (temp files, sidecars) never ship — a replica holds
 /// artifacts only. Sorted; absent directories yield an empty list.
@@ -43,14 +32,21 @@ Result<std::vector<std::string>> ListTrackedFiles(storage::Env* env,
   Status s = env->GetChildren(dir, &children);
   if (s.IsNotFound()) return out;
   MEDVAULT_RETURN_IF_ERROR(s);
+  const std::vector<std::string>& artifacts = Scrubber::ExpectedArtifacts();
   for (const std::string& name : children) {
-    if (IsTopLevelArtifact(name)) out.push_back(name);
+    if (std::find(artifacts.begin(), artifacts.end(), name) !=
+        artifacts.end()) {
+      out.push_back(name);
+    }
   }
   std::vector<std::string> segs;
   s = env->GetChildren(dir + "/segments", &segs);
   if (s.ok()) {
     for (const std::string& name : segs) {
-      if (name.rfind("seg-", 0) == 0) out.push_back("segments/" + name);
+      uint64_t id = 0;
+      if (storage::ParseSegmentBaseName(name, &id)) {
+        out.push_back("segments/" + name);
+      }
     }
   } else if (!s.IsNotFound()) {
     return s;

@@ -7,6 +7,7 @@
 #include "common/coding.h"
 #include "common/crc32c.h"
 #include "storage/log_format.h"
+#include "storage/segment.h"
 
 namespace medvault::core {
 
@@ -38,10 +39,6 @@ void AddRange(FileScrubResult* out, uint64_t offset, uint64_t length) {
 void AppendDetail(FileScrubResult* out, const std::string& note) {
   if (!out->detail.empty()) out->detail += "; ";
   out->detail += note;
-}
-
-bool ParseSegmentId(const std::string& name, uint64_t* id) {
-  return sscanf(name.c_str(), "seg-%08" PRIu64, id) == 1;
 }
 
 }  // namespace
@@ -294,12 +291,12 @@ Result<ScrubReport> Scrubber::ScrubVaultDir(storage::Env* env,
     uint64_t max_id = 0;
     for (const std::string& name : segs) {
       uint64_t id = 0;
-      if (ParseSegmentId(name, &id) && id > max_id) max_id = id;
+      if (storage::ParseSegmentBaseName(name, &id) && id > max_id) max_id = id;
     }
     for (const std::string& name : segs) {
       if (name == "." || name == "..") continue;
       uint64_t id = 0;
-      if (ParseSegmentId(name, &id)) {
+      if (storage::ParseSegmentBaseName(name, &id)) {
         scan_file("segments/" + name, /*is_segment=*/true,
                   /*is_active=*/id == max_id);
       } else {

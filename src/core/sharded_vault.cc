@@ -11,6 +11,9 @@ namespace medvault::core {
 
 namespace {
 
+/// Byte budget of the shared authenticated read cache: 4 MiB.
+constexpr size_t kCacheBytes = 4u << 20;
+
 /// Appends one shard's part of a merged listing, in shard order.
 template <typename T>
 Status Append(Result<std::vector<T>> part, std::vector<T>* merged) {
@@ -64,9 +67,7 @@ Status ShardedVault::Init() {
   MEDVAULT_RETURN_IF_ERROR(ShardRouter::CheckOrCreateManifest(
       env, options_.dir, options_.num_shards));
 
-  if (options_.cache_bytes > 0) {
-    cache_ = std::make_unique<RecordCache>(options_.cache_bytes);
-  }
+  cache_ = std::make_unique<RecordCache>(kCacheBytes);
   pool_ = WorkerPool::ForFanOut(options_.ingest_threads, options_.num_shards);
 
   // Shards recover independently, so each shard's scrub-then-open is one
@@ -647,7 +648,6 @@ Status ShardedVault::RotateMasterKey(const PrincipalId& actor,
 }
 
 RecordCache::Stats ShardedVault::CacheStats() const {
-  if (cache_ == nullptr) return RecordCache::Stats{};
   return cache_->stats();
 }
 

@@ -56,10 +56,6 @@ struct ShardedVaultOptions {
   int signer_height = 8;  ///< per shard
   std::string system_id = "medvault-sharded";
   bool require_dual_disposal = false;
-  /// Byte budget of the shared authenticated read cache (0 disables).
-  /// One RecordCache serves all shards: record ids are globally unique
-  /// ("s<k>-r-<n>"), and a single LRU budget adapts to skewed traffic.
-  size_t cache_bytes = 4u << 20;
   /// Worker threads for every per-shard fan-out: the open (scrub and
   /// replay), sync waves, batch ingest and verification. 0 picks
   /// min(num_shards, hardware_concurrency); 1 forces inline sequential
@@ -302,7 +298,9 @@ class ShardedVault {
     std::shared_lock lock(shards_mu_);
     return shards_[k].get();
   }
-  /// The shared authenticated read cache (null when cache_bytes == 0).
+  /// The shared authenticated read cache. One RecordCache serves all
+  /// shards: record ids are globally unique ("s<k>-r-<n>"), and a
+  /// single LRU budget adapts to skewed traffic.
   RecordCache* cache() { return cache_.get(); }
   const RecordCache* cache() const { return cache_.get(); }
   RecordCache::Stats CacheStats() const;

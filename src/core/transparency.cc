@@ -9,6 +9,14 @@
 
 namespace medvault::core {
 
+namespace {
+
+/// Max memoized proofs of each kind (inclusion, consistency); the
+/// oldest is evicted first.
+constexpr size_t kProofCacheEntries = 4096;
+
+}  // namespace
+
 std::string WitnessCosignature::Encode() const {
   std::string out;
   PutLengthPrefixed(&out, witness_id);
@@ -232,7 +240,7 @@ Result<EventProof> TransparencyLog::ProveEventAt(uint64_t seq,
     std::lock_guard<std::mutex> lock(cache_mu_);
     if (inclusion_cache_.emplace(key, proof).second) {
       inclusion_fifo_.push_back(key);
-      if (inclusion_fifo_.size() > options_.proof_cache_entries) {
+      if (inclusion_fifo_.size() > kProofCacheEntries) {
         inclusion_cache_.erase(inclusion_fifo_.front());
         inclusion_fifo_.pop_front();
       }
@@ -270,7 +278,7 @@ Result<ConsistencyBundle> TransparencyLog::ConsistencyBetween(
     std::lock_guard<std::mutex> lock(cache_mu_);
     if (consistency_cache_.emplace(key, bundle.proof).second) {
       consistency_fifo_.push_back(key);
-      if (consistency_fifo_.size() > options_.proof_cache_entries) {
+      if (consistency_fifo_.size() > kProofCacheEntries) {
         consistency_cache_.erase(consistency_fifo_.front());
         consistency_fifo_.pop_front();
       }
@@ -290,7 +298,6 @@ ShardedTransparencyService::ShardedTransparencyService(ShardedVault* vault,
     if (shard == nullptr) continue;  // quarantined
     TransparencyLog::Options log_options;
     log_options.checkpoint_interval = options_.checkpoint_interval;
-    log_options.proof_cache_entries = options_.proof_cache_entries;
     logs_[k] = std::make_unique<TransparencyLog>(shard, log_options);
   }
 }

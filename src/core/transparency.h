@@ -153,8 +153,6 @@ class TransparencyLog {
     /// is a no-op until the log has grown this much past the last
     /// published checkpoint.
     uint64_t checkpoint_interval = 1024;
-    /// Max memoized proofs (inclusion + consistency share the budget).
-    size_t proof_cache_entries = 4096;
   };
 
   /// `vault` is borrowed and must outlive this object. Metrics go to
@@ -240,7 +238,6 @@ class ShardedTransparencyService {
  public:
   struct Options {
     uint64_t checkpoint_interval = 1024;
-    size_t proof_cache_entries = 4096;
     int witness_height = 8;  ///< per-shard cosignature budget
   };
 

@@ -754,40 +754,12 @@ Result<RecordId> Vault::CreateRecord(
     const std::string& retention_policy) {
   obs::ScopedOpTimer timer(metrics_, op_metrics_.create, "vault.create");
   std::unique_lock lock(mu_);
-  MEDVAULT_RETURN_IF_ERROR(
-      CheckAndAuditLocked(actor, Operation::kCreateRecord, "", patient_id));
-  Timestamp now = Now();
-  MEDVAULT_ASSIGN_OR_RETURN(Timestamp retention_until,
-                            retention_.RetentionUntil(retention_policy, now));
-
-  RecordId record_id =
-      options_.record_id_prefix + "-" + std::to_string(next_record_num_++);
-  MEDVAULT_RETURN_IF_ERROR(keystore_->CreateKey(record_id));
   MEDVAULT_ASSIGN_OR_RETURN(
-      VersionHeader header,
-      versions_->AppendVersion(record_id, actor, content_type, "", plaintext,
-                               now));
-  (void)header;
-  MEDVAULT_RETURN_IF_ERROR(index_->AddPostings(record_id, keywords));
-
-  RecordMeta meta;
-  meta.record_id = record_id;
-  meta.patient_id = patient_id;
-  meta.created_at = now;
-  meta.retention_until = retention_until;
-  meta.retention_policy = retention_policy;
-  meta.latest_version = 1;
-  MEDVAULT_RETURN_IF_ERROR(PutRecordMetaLocked(meta));
-
-  MEDVAULT_RETURN_IF_ERROR(
-      AuditLocked(actor, AuditAction::kCreate, record_id,
-                  "patient=" + patient_id + " policy=" + retention_policy));
-  MEDVAULT_RETURN_IF_ERROR(
-      provenance_
-          ->RecordEvent(record_id, CustodyEventType::kCreated, actor,
-                        "patient=" + patient_id, now)
-          .status());
-  return record_id;
+      std::vector<RecordId> ids,
+      CreateRecordsLocked(actor, {NewRecord{patient_id, content_type,
+                                            plaintext.ToString(), keywords,
+                                            retention_policy}}));
+  return std::move(ids.front());
 }
 
 Result<std::vector<RecordId>> Vault::CreateRecordsBatch(
@@ -795,6 +767,11 @@ Result<std::vector<RecordId>> Vault::CreateRecordsBatch(
   obs::ScopedOpTimer timer(metrics_, op_metrics_.batch_ingest,
                            "vault.batch_ingest");
   std::unique_lock lock(mu_);
+  return CreateRecordsLocked(actor, batch);
+}
+
+Result<std::vector<RecordId>> Vault::CreateRecordsLocked(
+    const PrincipalId& actor, const std::vector<NewRecord>& batch) {
   std::vector<RecordId> ids;
   if (batch.empty()) return ids;
 
@@ -1352,14 +1329,6 @@ Result<std::vector<AuditEvent>> Vault::AccountingOfDisclosures(
 Status Vault::CheckAuditAccess(const PrincipalId& actor) const {
   std::shared_lock lock(mu_);
   return CheckAndAuditLocked(actor, Operation::kReadAudit, "", "");
-}
-
-std::vector<RecordId> Vault::RecordIdsForPatient(
-    const PrincipalId& patient_id) const {
-  std::shared_lock lock(mu_);
-  auto it = records_by_patient_.find(patient_id);
-  if (it == records_by_patient_.end()) return {};
-  return it->second;
 }
 
 Result<std::vector<AuditEvent>> Vault::ListBreakGlassEvents(

@@ -329,13 +329,6 @@ class Vault {
   /// copying the whole trail just to test authority.
   Status CheckAuditAccess(const PrincipalId& actor) const;
 
-  /// Record ids belonging to `patient_id` (including disposed
-  /// tombstones), from the in-memory per-patient index. No access check
-  /// — internal plumbing for the transparency layer, which applies its
-  /// own RBAC before calling.
-  std::vector<RecordId> RecordIdsForPatient(
-      const PrincipalId& patient_id) const;
-
   // ---- Verification & introspection ----------------------------------
 
   Status VerifyRecord(const RecordId& record_id) const;
@@ -453,6 +446,10 @@ class Vault {
   /// prepended) as one buffered log write. Requires exclusive mu_.
   Status AppendStateEntriesLocked(const std::vector<std::string>& records);
   Status SyncAllLocked();
+  /// The one create path, behind CreateRecord (a batch of one) and
+  /// CreateRecordsBatch. Requires exclusive mu_.
+  Result<std::vector<RecordId>> CreateRecordsLocked(
+      const PrincipalId& actor, const std::vector<NewRecord>& batch);
   /// Durably records that the signer's NEXT one-time leaf is spent —
   /// appended and synced to the state log BEFORE the signature is
   /// produced. XMSS leaves must never sign twice; reserving first means

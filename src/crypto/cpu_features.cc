@@ -7,9 +7,6 @@
 #if defined(__x86_64__) || defined(_M_X64)
 #include <cpuid.h>
 #define MEDVAULT_CPU_X86 1
-#elif defined(__aarch64__) && defined(__linux__)
-#include <sys/auxv.h>
-#define MEDVAULT_CPU_AARCH64 1
 #endif
 
 namespace medvault::crypto {
@@ -49,13 +46,6 @@ CpuFeatures Detect() {
     f.avx512 = os_zmm_state && (ebx & (1u << 16)) != 0 &&
                (ebx & (1u << 30)) != 0;
   }
-#elif defined(MEDVAULT_CPU_AARCH64)
-  // HWCAP bits per arch/arm64/include/uapi/asm/hwcap.h.
-  unsigned long hwcap = getauxval(AT_HWCAP);
-  constexpr unsigned long kHwcapAes = 1ul << 3;
-  constexpr unsigned long kHwcapSha2 = 1ul << 6;
-  f.aes_ni = (hwcap & kHwcapAes) != 0;
-  f.sha_ni = (hwcap & kHwcapSha2) != 0;
 #endif
   return f;
 }

@@ -4,14 +4,14 @@
 namespace medvault::crypto {
 
 /// Instruction-set extensions relevant to the crypto hot path and the
-/// CRC-32C log checksum (common/crc32c), probed once at startup (CPUID on
-/// x86-64, getauxval on ARM/AArch64).
+/// CRC-32C log checksum (common/crc32c), probed once at startup with
+/// CPUID. Other architectures report none and run the portable kernels.
 struct CpuFeatures {
   bool ssse3 = false;
   bool sse41 = false;
   bool sse42 = false;    ///< x86 SSE4.2 (the crc32 instruction)
-  bool aes_ni = false;   ///< x86 AES-NI or ARMv8 AES
-  bool sha_ni = false;   ///< x86 SHA extensions or ARMv8 SHA-2
+  bool aes_ni = false;   ///< x86 AES-NI
+  bool sha_ni = false;   ///< x86 SHA extensions
   /// x86 AVX-512 F + BW, with the OS saving the opmask and zmm state.
   bool avx512 = false;
 };

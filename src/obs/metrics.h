@@ -158,9 +158,6 @@ class MetricsRegistry {
   void SetSlowOpThresholdMicros(uint64_t micros) {
     slow_op_threshold_micros_.store(micros, std::memory_order_relaxed);
   }
-  uint64_t SlowOpThresholdMicros() const {
-    return slow_op_threshold_micros_.load(std::memory_order_relaxed);
-  }
 
   /// Replaces the slow-op sink (default: one JSON line to stderr).
   /// The sink runs under an internal mutex; keep it cheap.

@@ -4,6 +4,14 @@
 
 namespace medvault::server {
 
+namespace {
+
+/// Queue wait after which a connection is answered 503 instead of
+/// served.
+constexpr uint64_t kMaxQueueWaitMicros = 2 * 1000 * 1000;
+
+}  // namespace
+
 AdmissionController::AdmissionController(const AdmissionOptions& options,
                                          obs::MetricsRegistry* metrics)
     : options_(options),
@@ -37,8 +45,7 @@ bool AdmissionController::Dequeue(Ticket* out) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - enqueued_at)
           .count());
-  out->timed_out = options_.max_queue_wait_micros != 0 &&
-                   out->waited_micros > options_.max_queue_wait_micros;
+  out->timed_out = out->waited_micros > kMaxQueueWaitMicros;
   if (out->timed_out) shed_timeout_->Increment();
   return true;
 }
@@ -53,11 +60,6 @@ void AdmissionController::Stop() {
   }
   cv_.notify_all();
   for (auto& [fd, at] : orphans) ::close(fd);
-}
-
-size_t AdmissionController::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
 }
 
 }  // namespace medvault::server

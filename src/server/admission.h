@@ -19,11 +19,6 @@ struct AdmissionOptions {
   /// shed immediately (503 + Retry-After) — the queue never grows
   /// without bound, so latency for admitted work stays bounded too.
   size_t max_queue = 64;
-  /// A connection that waited longer than this before a worker picked
-  /// it up is answered 503 instead of served: its client has likely
-  /// given up, and serving it would only delay fresher work. 0 disables
-  /// the wait limit.
-  uint64_t max_queue_wait_micros = 2 * 1000 * 1000;
 };
 
 /// Hand-off point between the acceptor thread and the worker pool.
@@ -32,8 +27,11 @@ struct AdmissionOptions {
 /// Dequeue() for the next one. Offer never blocks: when the queue is
 /// full the socket is refused (shed) and the *acceptor* writes the 503,
 /// so overload costs one syscall per shed connection instead of a
-/// worker. Telemetry: server.queued / server.shed counters and the
-/// server.queue_depth gauge.
+/// worker. A connection that waited longer than the fixed 2 s wait
+/// limit before a worker picked it up is handed out `timed_out`: its
+/// client has likely given up, and serving it would only delay fresher
+/// work. Telemetry: server.queued / server.shed_timeout counters and
+/// the server.queue_depth gauge.
 class AdmissionController {
  public:
   AdmissionController(const AdmissionOptions& options,
@@ -50,8 +48,8 @@ class AdmissionController {
   struct Ticket {
     int fd = -1;
     uint64_t waited_micros = 0;
-    /// Exceeded max_queue_wait_micros: respond 503 and close instead
-    /// of serving.
+    /// Exceeded the wait limit: respond 503 and close instead of
+    /// serving.
     bool timed_out = false;
   };
 
@@ -64,8 +62,6 @@ class AdmissionController {
   /// that never started).
   void Stop();
 
-  size_t QueueDepth() const;
-
  private:
   using TimePoint = std::chrono::steady_clock::time_point;
 
@@ -74,7 +70,7 @@ class AdmissionController {
   obs::Counter* shed_timeout_;
   obs::Gauge* depth_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::pair<int, TimePoint>> queue_;
   bool stopped_ = false;

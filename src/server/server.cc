@@ -27,6 +27,13 @@ namespace {
 
 using obs::json::Value;
 
+/// Lifetime of a login session: 8 hours.
+constexpr uint64_t kSessionTtlMicros = 8ull * 3600 * 1000 * 1000;
+/// Seconds suggested to shed clients via Retry-After.
+constexpr unsigned kRetryAfterSeconds = 1;
+/// Header and body caps of every request the server reads.
+constexpr HttpLimits kHttpLimits;
+
 HttpResponse JsonResponse(int status, const Value& v) {
   HttpResponse r;
   r.status = status;
@@ -372,7 +379,7 @@ Status MedVaultServer::Init() {
     clock = shard->options().clock;
   }
   sessions_ = std::make_unique<SessionManager>(
-      options_.session_entropy, clock, options_.session_ttl_micros);
+      options_.session_entropy, clock, kSessionTtlMicros);
   admission_ =
       std::make_unique<AdmissionController>(options_.admission, metrics_);
 
@@ -454,7 +461,7 @@ void MedVaultServer::AcceptLoop() {
       // costs one serialized 503 write, never a worker slot.
       shed_->Increment();
       HttpResponse r = ErrorResponse(503, "server overloaded, retry later");
-      r.headers["Retry-After"] = std::to_string(options_.retry_after_seconds);
+      r.headers["Retry-After"] = std::to_string(kRetryAfterSeconds);
       r.close = true;
       WriteAll(fd, SerializeHttpResponse(r));
       ::close(fd);
@@ -483,7 +490,7 @@ void MedVaultServer::ServeConnection(
     // already — answer 503 rather than spend vault work on it.
     shed_->Increment();
     HttpResponse r = ErrorResponse(503, "queue wait exceeded, retry later");
-    r.headers["Retry-After"] = std::to_string(options_.retry_after_seconds);
+    r.headers["Retry-After"] = std::to_string(kRetryAfterSeconds);
     r.close = true;
     WriteAll(fd, SerializeHttpResponse(r));
   } else {
@@ -491,8 +498,7 @@ void MedVaultServer::ServeConnection(
     std::string leftover;
     while (!stopping_.load(std::memory_order_relaxed)) {
       HttpRequest request;
-      ReadOutcome rc =
-          ReadHttpRequest(fd, options_.limits, &leftover, &request);
+      ReadOutcome rc = ReadHttpRequest(fd, kHttpLimits, &leftover, &request);
       if (rc == ReadOutcome::kOk) {
         HttpResponse response = Handle(request);
         response.close = response.close || !request.KeepAlive() ||
@@ -594,33 +600,22 @@ HttpResponse MedVaultServer::Handle(const HttpRequest& request) {
 
 HttpResponse MedVaultServer::HandleHealth(const Call&) {
   obs::HealthReport report = obs::CollectHealth(*vault_);
-  obs::FillReplicationHealth(&report, options_.repl_source,
-                             options_.repl_applier);
+  obs::FillReplicationHealth(&report, options_.repl_source, nullptr);
   obs::FillTransparencyHealth(&report, options_.transparency);
   return JsonResponse(200, report.ToJson());
 }
 
 HttpResponse MedVaultServer::HandleReplicationStatus(const Call&) {
   const core::ShardedReplicationSource* source = options_.repl_source;
-  const core::ShardedReplicaApplier* applier = options_.repl_applier;
-  if (source == nullptr && applier == nullptr) {
+  if (source == nullptr) {
     return ErrorResponse(404, "replication not configured");
   }
   Value::Object o;
-  o["role"] = Value(source != nullptr ? "primary" : "replica");
-  if (source != nullptr) {
-    o["num_shards"] = Value(static_cast<uint64_t>(source->num_shards()));
-    o["shipped_batches"] = Value(source->batches_shipped());
-    o["shipped_bytes"] = Value(source->bytes_shipped());
-    o["lag_bytes"] = Value(source->lag_bytes());
-  }
-  if (applier != nullptr) {
-    o["num_shards"] = Value(static_cast<uint64_t>(applier->num_shards()));
-    o["applied_batches"] = Value(applier->applied_batches());
-    o["lag_bytes"] = Value(applier->lag_bytes());
-    o["quarantined_shards"] =
-        Value(static_cast<uint64_t>(applier->quarantined_shards()));
-  }
+  o["role"] = Value("primary");
+  o["num_shards"] = Value(static_cast<uint64_t>(source->num_shards()));
+  o["shipped_batches"] = Value(source->batches_shipped());
+  o["shipped_bytes"] = Value(source->bytes_shipped());
+  o["lag_bytes"] = Value(source->lag_bytes());
   return JsonResponse(200, Value(std::move(o)));
 }
 

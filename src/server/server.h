@@ -21,7 +21,6 @@
 
 namespace medvault::core {
 class ShardedReplicationSource;
-class ShardedReplicaApplier;
 class ShardedTransparencyService;
 }  // namespace medvault::core
 
@@ -38,7 +37,6 @@ struct ServerOptions {
   /// admission queue or are shed. Clamped to >= 1.
   unsigned worker_threads = 4;
   AdmissionOptions admission;
-  HttpLimits limits;
   /// Shared API secret required by POST /v1/login alongside a known
   /// principal id. Empty refuses every login (health-only server).
   std::string api_secret;
@@ -47,7 +45,6 @@ struct ServerOptions {
   /// Clock for session expiry. Null uses the vault's clock (tests pass
   /// the same ManualClock they opened the vault with).
   const Clock* clock = nullptr;
-  uint64_t session_ttl_micros = 8ull * 3600 * 1000 * 1000;  ///< 8 hours
   /// Sync the vault after every mutating endpoint before answering —
   /// an acknowledged write survives power failure. Concurrent handlers
   /// coalesce into one group-commit wave, so durability costs one
@@ -56,15 +53,10 @@ struct ServerOptions {
   /// Blocking-read timeout on connection sockets: an idle keep-alive
   /// connection is closed after this long. 0 = no timeout.
   uint64_t idle_timeout_micros = 30ull * 1000 * 1000;
-  /// Seconds suggested to shed clients via Retry-After.
-  unsigned retry_after_seconds = 1;
-  /// Replication endpoints this process runs (both borrowed; either or
-  /// both may be null). A primary sets `repl_source` and serves
-  /// POST /v1/replication/cut/<shard>; a standby that fronts its
-  /// applier sets `repl_applier`. Either role reports posture on
-  /// GET /v1/replication and in /v1/health's `repl` section.
+  /// Replication source of a primary (borrowed; may be null). When set,
+  /// the server serves POST /v1/replication/cut/<shard> and reports
+  /// posture on GET /v1/replication and in /v1/health's `repl` section.
   core::ShardedReplicationSource* repl_source = nullptr;
-  core::ShardedReplicaApplier* repl_applier = nullptr;
   /// Audit-transparency service (borrowed; may be null). When set, the
   /// server serves GET /v1/transparency* — latest cosigned checkpoint,
   /// inclusion/consistency proofs, and per-patient disclosure reports —

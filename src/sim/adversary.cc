@@ -44,11 +44,6 @@ Result<int> InsiderAdversary::TamperRandomBytes(
   return applied;
 }
 
-Status InsiderAdversary::TamperAt(const std::string& file, uint64_t offset,
-                                  const Slice& bytes) {
-  return env_->UnsafeOverwrite(file, offset, bytes);
-}
-
 Status InsiderAdversary::Truncate(const std::string& file, uint64_t bytes) {
   uint64_t size = 0;
   MEDVAULT_RETURN_IF_ERROR(env_->GetFileSize(file, &size));

@@ -28,10 +28,6 @@ class InsiderAdversary {
   Result<int> TamperRandomBytes(const std::vector<std::string>& files,
                                 int count);
 
-  /// Overwrites bytes at a specific location.
-  Status TamperAt(const std::string& file, uint64_t offset,
-                  const Slice& bytes);
-
   /// Cuts the last `bytes` off a file (log-truncation attack).
   Status Truncate(const std::string& file, uint64_t bytes);
 

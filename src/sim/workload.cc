@@ -28,6 +28,9 @@ const char* const kNoteFillers[] = {
 };
 constexpr size_t kNumFillers = sizeof(kNoteFillers) / sizeof(kNoteFillers[0]);
 
+/// Zipf exponent of patient and condition access skew.
+constexpr double kZipfS = 1.0;
+
 }  // namespace
 
 Zipf::Zipf(uint64_t n, double s, uint64_t seed) : rng_(seed) {
@@ -58,8 +61,8 @@ uint64_t Zipf::Next() {
 EhrGenerator::EhrGenerator(uint64_t seed, Options options)
     : options_(options),
       rng_(seed),
-      patient_zipf_(options.num_patients, options.zipf_s, seed ^ 0x5151),
-      condition_zipf_(kNumConditions, options.zipf_s, seed ^ 0xa7a7) {}
+      patient_zipf_(options.num_patients, kZipfS, seed ^ 0x5151),
+      condition_zipf_(kNumConditions, kZipfS, seed ^ 0xa7a7) {}
 
 const std::vector<std::string>& EhrGenerator::Conditions() {
   static const std::vector<std::string>* conditions = [] {

@@ -36,7 +36,6 @@ class EhrGenerator {
   struct Options {
     uint64_t num_patients = 1000;
     size_t note_bytes = 512;   ///< approximate note size
-    double zipf_s = 1.0;       ///< patient access skew
   };
 
   EhrGenerator(uint64_t seed, Options options);

@@ -9,6 +9,13 @@ namespace medvault::storage {
 
 namespace {
 
+/// Total attempts per operation: 1 initial try + 3 retries.
+constexpr int kMaxAttempts = 4;
+/// Backoff before the first retry; doubles per retry.
+constexpr uint64_t kInitialBackoffMicros = 100;
+/// Backoff ceiling.
+constexpr uint64_t kMaxBackoffMicros = 10000;
+
 class RetrySequentialFile : public SequentialFile {
  public:
   RetrySequentialFile(std::unique_ptr<SequentialFile> base, RetryEnv* env)
@@ -97,7 +104,6 @@ class RetryRandomRWFile : public RandomRWFile {
 RetryEnv::RetryEnv(Env* base, RetryOptions options,
                    obs::MetricsRegistry* metrics)
     : base_(base), options_(std::move(options)) {
-  if (options_.max_attempts < 1) options_.max_attempts = 1;
   if (metrics == nullptr) metrics = obs::MetricsRegistry::Default();
   retry_reads_ = metrics->GetCounter("env.retry.reads");
   retry_writes_ = metrics->GetCounter("env.retry.writes");
@@ -107,16 +113,15 @@ RetryEnv::RetryEnv(Env* base, RetryOptions options,
 
 Status RetryEnv::RunWithRetry(obs::Counter* kind_counter,
                               const std::function<Status()>& op) {
-  uint64_t backoff = options_.initial_backoff_micros;
+  uint64_t backoff = kInitialBackoffMicros;
   Status s = op();
-  for (int attempt = 1; attempt < options_.max_attempts && s.IsIoError();
-       ++attempt) {
+  for (int attempt = 1; attempt < kMaxAttempts && s.IsIoError(); ++attempt) {
     if (options_.sleeper) {
       options_.sleeper(backoff);
-    } else if (backoff > 0) {
+    } else {
       std::this_thread::sleep_for(std::chrono::microseconds(backoff));
     }
-    backoff = std::min(backoff * 2, options_.max_backoff_micros);
+    backoff = std::min(backoff * 2, kMaxBackoffMicros);
     kind_counter->Increment();
     s = op();
   }

@@ -13,18 +13,11 @@
 
 namespace medvault::storage {
 
-/// Retry policy for RetryEnv: bounded attempts with exponential
-/// backoff. Defaults absorb a handful of transient faults in well
-/// under 100ms while a persistent fault (dying media) still surfaces
-/// quickly.
+/// Options of RetryEnv. The retry policy itself is fixed in
+/// retry_env.cc: a few attempts with exponential backoff absorb a
+/// handful of transient faults in well under 100ms while a persistent
+/// fault (dying media) still surfaces quickly.
 struct RetryOptions {
-  /// Total attempts per operation (1 initial try + max_attempts-1
-  /// retries). Must be >= 1.
-  int max_attempts = 4;
-  /// Backoff before the first retry; doubles per retry.
-  uint64_t initial_backoff_micros = 100;
-  /// Backoff ceiling.
-  uint64_t max_backoff_micros = 10000;
   /// Injectable sleep (tests pass a recorder so retries are instant and
   /// the backoff sequence is assertable). Null sleeps the thread.
   std::function<void(uint64_t micros)> sleeper;

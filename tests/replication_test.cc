@@ -201,6 +201,41 @@ TEST(ReplicationTest, ReplicaConvergesToByteEqualityAndServesReads) {
   EXPECT_EQ(corrected->plaintext, "alpha note, corrected");
 }
 
+// Only vault artifacts ship: the fixed logs and files named exactly as
+// SegmentStore names segments. Orphans beside them never reach a replica.
+TEST(ReplicationTest, OrphansBesideArtifactsNeverShip) {
+  storage::MemEnv env;
+  ManualClock clock(1000000);
+  auto opened = Vault::Open(PrimaryOptions(&env, &clock));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ASSERT_EQ(SeedPrimary(opened->get()).size(), 3u);
+  const std::vector<std::string> orphans = {
+      "segments/seg-junk", "segments/seg-00000001.tmp", "segments/seg-1",
+      "state.log.tmp", "notes.txt"};
+  for (const std::string& rel : orphans) {
+    ASSERT_TRUE(storage::WriteStringToFile(&env, Slice("orphan bytes"),
+                                           "primary/" + rel, false)
+                    .ok());
+  }
+
+  const std::string key = core::DeriveReplicationAuthKey(kEntropy);
+  auto cursor = core::CursorForVaultDir(&env, "primary", key);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  EXPECT_EQ(cursor->files.count("segments/seg-00000001"), 1u);
+  for (const std::string& rel : orphans) {
+    EXPECT_EQ(cursor->files.count(rel), 0u) << rel;
+  }
+
+  ReplicationSource source(opened->get());
+  auto applier = ReplicaApplier::Open(ApplierOptions(&env));
+  ASSERT_TRUE(applier.ok()) << applier.status().ToString();
+  ASSERT_TRUE(Ship(&source, applier->get()).ok());
+  ExpectDirsEqual(&env, "primary", &env, "replica");
+  for (const std::string& rel : orphans) {
+    EXPECT_FALSE(env.FileExists("replica/" + rel)) << rel;
+  }
+}
+
 TEST(ReplicationTest, CryptoShredReplicates) {
   storage::MemEnv env;
   ManualClock clock(1000000);

@@ -42,6 +42,39 @@ TEST_F(SegmentTest, HandleEncodingRoundTrip) {
   EXPECT_FALSE(EntryHandle::Decode("junk!").ok());
 }
 
+TEST_F(SegmentTest, FileNamesParseOnlyAsWritten) {
+  for (uint64_t id : {1ull, 42ull, 99999999ull, 123456789ull}) {
+    uint64_t parsed = 0;
+    EXPECT_TRUE(ParseSegmentBaseName(SegmentBaseName(id), &parsed)) << id;
+    EXPECT_EQ(parsed, id);
+  }
+  EXPECT_EQ(SegmentBaseName(1), "seg-00000001");
+  for (const char* name :
+       {"seg-junk", "seg-1", "seg-00000001.tmp", "seg-", "seg-+0000001",
+        "seg--0000001", "xseg-00000001", "", "seg-99999999999999999999"}) {
+    uint64_t parsed = 0;
+    EXPECT_FALSE(ParseSegmentBaseName(name, &parsed)) << name;
+  }
+}
+
+TEST_F(SegmentTest, OpenIgnoresFilesThatAreNotSegments) {
+  {
+    SegmentStore store(&env_, "seg", {});
+    ASSERT_TRUE(store.Open().ok());
+    ASSERT_TRUE(store.Append("persisted").ok());
+  }
+  ASSERT_TRUE(
+      WriteStringToFile(&env_, Slice("stray"), "seg/seg-00000009.tmp", false)
+          .ok());
+  SegmentStore store(&env_, "seg", {});
+  ASSERT_TRUE(store.Open().ok());
+  const std::vector<uint64_t> ids = store.SegmentIds();
+  ASSERT_FALSE(ids.empty());
+  EXPECT_EQ(ids.front(), 1u);
+  EXPECT_LT(ids.back(), 9u);
+  EXPECT_TRUE(store.Append("after the stray file").ok());
+}
+
 TEST_F(SegmentTest, RollsToNewSegmentWhenFull) {
   SegmentStore store(&env_, "seg", SmallSegments());
   ASSERT_TRUE(store.Open().ok());

@@ -7,7 +7,10 @@
 // state-log persistence bugfix, observed end to end).
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,6 +20,7 @@
 #include "core/sharded_vault.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "server/admission.h"
 #include "server/http.h"
 #include "server/http_client.h"
 #include "server/server.h"
@@ -435,6 +439,53 @@ TEST_F(ServerTest, OverloadShedsWith503InsteadOfHanging) {
   auto snapshot = registry_.TakeSnapshot();
   EXPECT_GE(snapshot.counters["server.shed"], 1u);
   EXPECT_GE(snapshot.counters["server.accepted"], 2u);
+}
+
+// The admission queue's fixed 2 s wait limit: a connection that waited
+// past it reaches its worker `timed_out` (answered 503, not served) and
+// is counted in server.shed_timeout; one dequeued promptly is served.
+class AdmissionWaitTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_), 0);
+  }
+  void TearDown() override {
+    ::close(fds_[0]);
+    ::close(fds_[1]);
+  }
+
+  /// Queues one end of the pair, waits `wait`, and dequeues it again.
+  AdmissionController::Ticket QueueFor(std::chrono::milliseconds wait) {
+    AdmissionController admission(AdmissionOptions{}, &registry_);
+    EXPECT_TRUE(admission.Offer(fds_[0]));
+    std::this_thread::sleep_for(wait);
+    AdmissionController::Ticket ticket;
+    EXPECT_TRUE(admission.Dequeue(&ticket));
+    EXPECT_EQ(ticket.fd, fds_[0]);
+    return ticket;
+  }
+
+  uint64_t ShedTimeouts() {
+    return registry_.TakeSnapshot().counters["server.shed_timeout"];
+  }
+
+  int fds_[2] = {-1, -1};
+  obs::MetricsRegistry registry_;
+};
+
+TEST_F(AdmissionWaitTest, WaitPastTheLimitIsTimedOutAndShed) {
+  AdmissionController::Ticket ticket =
+      QueueFor(std::chrono::milliseconds(2100));
+  EXPECT_TRUE(ticket.timed_out);
+  EXPECT_GT(ticket.waited_micros, 2000000u);
+  EXPECT_EQ(ShedTimeouts(), 1u);
+}
+
+TEST_F(AdmissionWaitTest, PromptDequeueIsNotTimedOut) {
+  AdmissionController::Ticket ticket = QueueFor(std::chrono::milliseconds(0));
+  EXPECT_FALSE(ticket.timed_out);
+  EXPECT_LT(ticket.waited_micros, 2000000u);
+  EXPECT_EQ(ShedTimeouts(), 0u);
 }
 
 // GET /v1/audit is paged: at most 1,000 events per response however

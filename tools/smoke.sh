@@ -24,7 +24,9 @@
 # interleaving, and audit read-back reading the file while appends run
 # only surface instrumented.
 # The bench_compare fixture self-test runs once up front (pure python,
-# no build needed).
+# no build needed), then the perfbench self-test: ctest never compiles
+# perfbench/, so this is where a src/ header change that breaks the
+# service benchmark's build (or its request streams) shows up.
 # Usage: tools/smoke.sh [build-dir-prefix]
 set -euo pipefail
 
@@ -33,6 +35,7 @@ prefix="${1:-build}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 python3 tools/bench_compare.py --self-test
+python3 perfbench/run.py --selftest
 
 run_config() {
   local dir="$1" sanitize="$2" label="$3"
