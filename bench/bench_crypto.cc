@@ -208,6 +208,20 @@ BENCHMARK(BM_XmssKeygen)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+// The reopen path: the same tree rebuilt from its stored leaves, which
+// hashes only the 2^h - 1 inner nodes (what Vault::Open pays when
+// signer.tree is intact).
+void BM_XmssSignerFromLeaves(benchmark::State& state) {
+  const int height = static_cast<int>(state.range(0));
+  const XmssSigner keygen("secret", "public", height);
+  for (auto _ : state) {
+    XmssSigner signer("secret", "public", height, keygen.leaves());
+    benchmark::DoNotOptimize(signer.public_key());
+  }
+  state.counters["signatures"] = static_cast<double>(1 << height);
+}
+BENCHMARK(BM_XmssSignerFromLeaves)->Arg(8)->Unit(benchmark::kMillisecond);
+
 void BM_XmssSign(benchmark::State& state) {
   XmssSigner signer("secret", "public", 10);  // 1024 signatures
   for (auto _ : state) {

@@ -19,8 +19,8 @@
 
 namespace medvault::core {
 
-/// Verified log shipping to warm standbys (ROADMAP item 1; the paper's
-/// availability requirement at production scale).
+/// Verified log shipping to warm standbys (the paper's availability
+/// requirement at production scale).
 ///
 /// Model: the primary's on-disk artifacts are append-only streams
 /// (record segments, catalog, index, audit, provenance, state log, key

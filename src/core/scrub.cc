@@ -269,6 +269,7 @@ Result<ScrubReport> Scrubber::ScrubVaultDir(storage::Env* env,
       initialized = true;
       continue;
     }
+    if (name == kSignerTreeFile) continue;  // derived; checked on open
     if (std::find(expected.begin(), expected.end(), name) != expected.end()) {
       initialized = true;
       scan_file(name, /*is_segment=*/false, /*is_active=*/false);

@@ -12,6 +12,12 @@
 
 namespace medvault::core {
 
+/// The per-directory file holding the vault signer's XMSS leaves under
+/// an entropy-keyed tag. It is derived: Vault::Open rebuilds it when it
+/// is absent or fails its tag, so a scrub reports it neither missing
+/// nor orphaned, and replication never ships it.
+inline constexpr char kSignerTreeFile[] = "signer.tree";
+
 /// Per-file outcome of a media scrub.
 enum class ScrubVerdict {
   kClean = 0,    // every frame/record checks out (torn tails excluded)

@@ -27,6 +27,11 @@ constexpr uint8_t kStateGrant = 6;
 constexpr uint8_t kStateConsent = 7;
 constexpr uint8_t kStateConsentRevoke = 8;
 
+/// signer.tree layout: version, height, the 2^height leaves, then an
+/// HMAC-SHA256 tag over version || height || public seed || leaves.
+constexpr uint8_t kSignerTreeVersion = 1;
+constexpr size_t kSignerTreeHeader = 2;
+
 std::string EncodeConsentRevoke(const std::string& grant_id) {
   std::string out;
   PutLengthPrefixed(&out, grant_id);
@@ -242,11 +247,8 @@ Status Vault::Init() {
   MEDVAULT_RETURN_IF_ERROR(
       phase("vault.open.provenance", [&] { return provenance_->Open(); }));
 
-  // XMSS key generation runs in the signer's constructor.
   MEDVAULT_RETURN_IF_ERROR(phase("vault.open.signer", [&] {
-    signer_ = std::make_unique<crypto::XmssSigner>(
-        signer_secret, signer_public_seed_, options_.signer_height);
-    return Status::OK();
+    return LoadOrBuildSigner(signer_secret);
   }));
 
   MEDVAULT_RETURN_IF_ERROR(
@@ -266,6 +268,62 @@ Status Vault::Init() {
         return SyncAllLocked();
       },
       std::move(commit_options));
+  return Status::OK();
+}
+
+Status Vault::LoadOrBuildSigner(const std::string& signer_secret) {
+  // The leaves are public; the tag binds them to this vault's entropy
+  // (so another shard's file, or a forged one, is refused) and to the
+  // height, so a file that passes rebuilds exactly the keygen tree.
+  MEDVAULT_ASSIGN_OR_RETURN(
+      std::string tag_key,
+      crypto::HkdfSha256(options_.entropy, Slice(), "signer-tree", 32));
+  const int height = options_.signer_height;
+  const size_t leaves_bytes = (size_t{1} << height) * crypto::Wots::kN;
+  auto tag_of = [&](const Slice& header, const Slice& leaves) {
+    std::string message = header.ToString();
+    message.append(signer_public_seed_);
+    message.append(leaves.data(), leaves.size());
+    return crypto::HmacSha256(tag_key, message);
+  };
+
+  const std::string path = options_.dir + "/" + kSignerTreeFile;
+  std::string file;
+  if (storage::ReadFileToString(options_.env, path, &file).ok() &&
+      file.size() == kSignerTreeHeader + leaves_bytes + crypto::kDigestSize &&
+      static_cast<uint8_t>(file[0]) == kSignerTreeVersion &&
+      static_cast<uint8_t>(file[1]) == height) {
+    const Slice header(file.data(), kSignerTreeHeader);
+    const Slice leaves(file.data() + kSignerTreeHeader, leaves_bytes);
+    const Slice tag(file.data() + kSignerTreeHeader + leaves_bytes,
+                    crypto::kDigestSize);
+    if (crypto::ConstantTimeEqual(tag_of(header, leaves), tag)) {
+      std::vector<std::string> leaf_list;
+      leaf_list.reserve(size_t{1} << height);
+      for (size_t off = 0; off < leaves_bytes; off += crypto::Wots::kN) {
+        leaf_list.emplace_back(leaves.data() + off, crypto::Wots::kN);
+      }
+      signer_ = std::make_unique<crypto::XmssSigner>(
+          signer_secret, signer_public_seed_, height, std::move(leaf_list));
+      return Status::OK();
+    }
+  }
+
+  // Missing, short, another height or a failed tag: run key generation
+  // and write the file once. Its check is the tag, so it needs no log
+  // framing, no tmp/rename, no place in the commit wave and no sync: a
+  // file lost or torn by a crash fails the tag and is rebuilt.
+  signer_ = std::make_unique<crypto::XmssSigner>(signer_secret,
+                                                 signer_public_seed_, height);
+  metrics_->GetCounter("vault.open.signer_rebuilt")->Increment();
+  std::string out;
+  out.reserve(kSignerTreeHeader + leaves_bytes + crypto::kDigestSize);
+  out.push_back(static_cast<char>(kSignerTreeVersion));
+  out.push_back(static_cast<char>(height));
+  for (const std::string& leaf : signer_->leaves()) out.append(leaf);
+  out.append(tag_of(Slice(out.data(), kSignerTreeHeader),
+                    Slice(out.data() + kSignerTreeHeader, leaves_bytes)));
+  (void)storage::WriteStringToFile(options_.env, out, path, /*sync=*/false);
   return Status::OK();
 }
 

@@ -428,6 +428,12 @@ class Vault {
   explicit Vault(VaultOptions options);
 
   Status Init();
+  /// Builds signer_ from the leaves in signer.tree when the file is
+  /// intact and tagged for this vault; otherwise runs key generation,
+  /// rewrites the file and counts "vault.open.signer_rebuilt". The file
+  /// never fails an open: a write error only means the next open runs
+  /// key generation again.
+  Status LoadOrBuildSigner(const std::string& signer_secret);
   Status LoadState();
   /// Cross-log reconciliation after a possible crash (runs on every
   /// open; idempotent). The state log is the commit point: catalog refs

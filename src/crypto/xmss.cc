@@ -53,6 +53,19 @@ XmssSigner::XmssSigner(const Slice& secret_seed, const Slice& public_seed,
   // bottom-up over them.
   nodes_.push_back(Wots::PublicKeys(secret_seed_, public_seed_, 0,
                                     static_cast<uint32_t>(1ULL << height_)));
+  BuildTree();
+}
+
+XmssSigner::XmssSigner(const Slice& secret_seed, const Slice& public_seed,
+                       int height, std::vector<std::string> leaves)
+    : secret_seed_(secret_seed.ToString()),
+      public_seed_(public_seed.ToString()),
+      height_(height) {
+  nodes_.push_back(std::move(leaves));
+  BuildTree();
+}
+
+void XmssSigner::BuildTree() {
   while (nodes_.back().size() > 1) {
     const auto& below = nodes_.back();
     std::vector<std::string> level;

@@ -38,6 +38,14 @@ class XmssSigner {
   /// cost grows as 2^height; heights 4-10 are practical here.
   XmssSigner(const Slice& secret_seed, const Slice& public_seed, int height);
 
+  /// Rebuilds the same signer from its 2^height leaves (the WOTS public
+  /// keys `leaves()` returned), hashing only the 2^height - 1 inner
+  /// nodes. The caller must have authenticated `leaves` and checked
+  /// that there are exactly 2^height of them, each Wots::kN bytes: a
+  /// wrong leaf gives a wrong public key, never a wrong secret.
+  XmssSigner(const Slice& secret_seed, const Slice& public_seed, int height,
+             std::vector<std::string> leaves);
+
   XmssSigner(const XmssSigner&) = delete;
   XmssSigner& operator=(const XmssSigner&) = delete;
   XmssSigner(XmssSigner&&) = default;
@@ -47,6 +55,9 @@ class XmssSigner {
   const std::string& public_key() const { return root_; }
   const std::string& public_seed() const { return public_seed_; }
   int height() const { return height_; }
+  /// The 2^height leaves, in order: public values (auth paths in
+  /// published signatures reveal them too).
+  const std::vector<std::string>& leaves() const { return nodes_[0]; }
 
   uint64_t SignaturesUsed() const { return next_leaf_; }
   uint64_t SignaturesRemaining() const {
@@ -67,6 +78,9 @@ class XmssSigner {
                        int height);
 
  private:
+  /// Hashes the levels above nodes_[0] and sets root_.
+  void BuildTree();
+
   std::string secret_seed_;
   std::string public_seed_;
   int height_;

@@ -118,6 +118,10 @@ TEST(CreatePinTest, VaultFilesAfterFixedCreateSequence) {
        "4a9ea7ebbe027a641994fac82e5d31f3847aaba3be5e2381874d2cedf92e534e"},
       {"vault/segments/seg-00000001",
        "6eee7023a8b89f78c3637df29c3c32b68fecfa8812906c7f79dbf0aaf47f5212"},
+      // The signer's leaves under their entropy-keyed tag, written by
+      // the first open; it pins the file layout and the tag label.
+      {"vault/signer.tree",
+       "9911927e4cb3dd38395cf6f87a97a5753bdb5c1817e4c3849f1c51f4638947ae"},
       {"vault/state.log",
        "d17c3b4b4646d416672df6683c0d381114f7747aa77933019e3443ef36acbf91"},
   };

@@ -34,6 +34,7 @@
 #include "core/sharded_vault.h"
 #include "core/vault.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "server/http_client.h"
 #include "server/server.h"
 #include "storage/fault_env.h"
@@ -234,6 +235,51 @@ TEST(ReplicationTest, OrphansBesideArtifactsNeverShip) {
   for (const std::string& rel : orphans) {
     EXPECT_FALSE(env.FileExists("replica/" + rel)) << rel;
   }
+}
+
+// signer.tree is derived from the vault's own keys, so it never ships:
+// not in the primary's cursor, not in a batch, not on the replica. A
+// promoted replica builds its signer once and writes its own file.
+TEST(ReplicationTest, SignerTreeNeverShips) {
+  storage::MemEnv env;
+  ManualClock clock(1000000);
+  auto opened = Vault::Open(PrimaryOptions(&env, &clock));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ASSERT_EQ(SeedPrimary(opened->get()).size(), 3u);
+  ASSERT_TRUE(env.FileExists("primary/signer.tree"));
+
+  const std::string key = core::DeriveReplicationAuthKey(kEntropy);
+  auto cursor = core::CursorForVaultDir(&env, "primary", key);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  EXPECT_EQ(cursor->files.count(core::kSignerTreeFile), 0u);
+
+  ReplicationSource source(opened->get());
+  auto applier = ReplicaApplier::Open(ApplierOptions(&env));
+  ASSERT_TRUE(applier.ok()) << applier.status().ToString();
+  auto replica_cursor = (*applier)->Cursor();
+  ASSERT_TRUE(replica_cursor.ok());
+  auto batch = source.CutBatch(*replica_cursor);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  for (const auto& chunk : batch->chunks) {
+    EXPECT_NE(chunk.path, core::kSignerTreeFile);
+  }
+  ASSERT_TRUE((*applier)->Apply(*batch).ok());
+  ExpectDirsEqual(&env, "primary", &env, "replica");
+  EXPECT_FALSE(env.FileExists("replica/signer.tree"));
+
+  const std::string signer_key = (*opened)->SignerPublicKey();
+  opened->reset();
+  obs::MetricsRegistry metrics;
+  VaultOptions promote_options = PrimaryOptions(&env, &clock);
+  promote_options.metrics = &metrics;
+  auto promoted = (*applier)->Promote(promote_options);
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  EXPECT_EQ((*promoted)->SignerPublicKey(), signer_key);
+  EXPECT_EQ(metrics.GetCounter("vault.open.signer_rebuilt")->Value(), 1u);
+  EXPECT_TRUE(env.FileExists("replica/signer.tree"));
+  auto promoted_cursor = core::CursorForVaultDir(&env, "replica", key);
+  ASSERT_TRUE(promoted_cursor.ok());
+  EXPECT_EQ(promoted_cursor->files.count(core::kSignerTreeFile), 0u);
 }
 
 TEST(ReplicationTest, CryptoShredReplicates) {

@@ -313,6 +313,8 @@ TEST_F(ScrubTest, RepairRestoresOnlyDamagedFilesByteIdentical) {
   EXPECT_EQ(summary->removed_orphans, std::vector<std::string>{"stale.tmp"});
   EXPECT_TRUE(summary->unrepairable.empty());
   EXPECT_TRUE(summary->verified_clean);
+  // signer.tree is derived, not an orphan: repair leaves it in place.
+  EXPECT_TRUE(env_.FileExists("vault/signer.tree"));
 
   // Every vault file — the repaired one included — is byte-identical to
   // its pre-damage state; repair touched nothing else.

@@ -238,6 +238,26 @@ TEST(SignatureKnownAnswerTest, ProductionShapeHeight8) {
             "6651732cffe2e7d77c5dc69bc0047f56eb235a0a19c64213013127aad6423f6a");
 }
 
+TEST(SignatureKnownAnswerTest, SignerFromLeavesMatchesKeygen) {
+  // The leaves a vault keeps in signer.tree rebuild the production-shape
+  // key without WOTS key generation: the same root, and a byte-identical
+  // signature from the same leaf.
+  XmssSigner keygen(std::string(32, 'S'), std::string(32, 'P'), 8);
+  XmssSigner cached(std::string(32, 'S'), std::string(32, 'P'), 8,
+                    keygen.leaves());
+  EXPECT_EQ(HexEncode(cached.public_key()),
+            "6651732cffe2e7d77c5dc69bc0047f56eb235a0a19c64213013127aad6423f6a");
+  EXPECT_EQ(cached.leaves(), keygen.leaves());
+  ASSERT_TRUE(keygen.RestoreState(37).ok());
+  ASSERT_TRUE(cached.RestoreState(37).ok());
+  auto from_keygen = keygen.Sign("known-answer checkpoint");
+  auto from_leaves = cached.Sign("known-answer checkpoint");
+  ASSERT_TRUE(from_keygen.ok() && from_leaves.ok());
+  EXPECT_EQ(from_leaves->Encode(), from_keygen->Encode());
+  EXPECT_EQ(HexEncode(Sha256Digest(from_leaves->Encode())),
+            "9cb7156b4a72b7faebc1db254b716be417fb5e5c67019370ed3970d58e5b5444");
+}
+
 TEST(SignatureKnownAnswerTest, ShortSeeds) {
   XmssSigner signer("ret-secret", "ret-public", 3);
   EXPECT_EQ(HexEncode(signer.public_key()),

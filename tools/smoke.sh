@@ -11,7 +11,11 @@
 # Merkle, and the signature and audit pins re-run with
 # MEDVAULT_FORCE_SCALAR=1, which also pins the lanes kernel to a loop
 # of scalar calls) and the audit-history
-# battery (pinned roots and proofs, read-back from audit.log; `ctest -L
+# battery (pinned roots and proofs, read-back from audit.log) and the
+# signer.tree battery (signer_tree_test, labels crash and crypto:
+# tampered, foreign, wrong-height and torn files, a power cut at every
+# boundary of a first open, the upgrade of a layout without the file;
+# `ctest -L
 # "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit"`)
 # rebuilt under AddressSanitizer and UndefinedBehaviorSanitizer, then the
 # stress + shard + obs + scrub + commit + serve + repl + transparency +
