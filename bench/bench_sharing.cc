@@ -3,7 +3,7 @@
 // "Patient-driven sharing"; paper §3: the patient controls disclosure,
 // so revocation must be synchronous — no cached grant may outlive it).
 //
-// Two tables:
+// Three tables:
 //
 //   1. Grant-check overhead: the same record set read over HTTP by the
 //      treating physician (care-relation basis) and by a specialist
@@ -15,6 +15,11 @@
 //      FIRST try — synchronous revocation, measured as revoke-POST
 //      start to refused-read completion). Any post-revoke 200 is a
 //      correctness violation and aborts the bench.
+//   3. Embedded grant lookups: ns per consent check (hit and miss) on a
+//      standalone ConsentRegistry, and per break-glass check through
+//      AccessController::CheckAccess, at 1, 1k, 10k and 100k live
+//      grants. Flat rows mean a lookup walks one (patient, grantee)
+//      pair's grants, not the table.
 //
 // Writes BENCH_sharing.json (google-benchmark result format, consumed
 // by tools/bench_compare.py against bench/baselines/BENCH_sharing.json)
@@ -29,6 +34,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/access.h"
+#include "core/consent.h"
 #include "core/sharded_vault.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -291,6 +298,96 @@ ChurnResult RunChurn(Instance* in, int tenants, int iterations) {
   return result;
 }
 
+/// Mean ns per call of `probe(i)`, called with i = 0, 1, ... until at
+/// least 20 ms and 3 calls have passed.
+template <typename Probe>
+double NsPerCall(Probe probe) {
+  const double start = NowUs();
+  double elapsed_us = 0;
+  int calls = 0;
+  do {
+    probe(calls++);
+    elapsed_us = NowUs() - start;
+  } while (calls < 3 || elapsed_us < 20000);
+  return elapsed_us * 1000 / calls;
+}
+
+struct LookupRow {
+  double consent_hit_ns = 0;
+  double consent_miss_ns = 0;
+  double breakglass_hit_ns = 0;
+  double breakglass_miss_ns = 0;
+};
+
+/// E18c: `live` consent grants (10 grantees per patient, even ones
+/// patient-wide, odd ones on one record) and `live` break-glass grants
+/// (up to 100 clinicians, each on every patient), then hit and miss
+/// lookups against each table.
+LookupRow MeasureLookups(int live) {
+  constexpr Timestamp kNow = 1000000;
+  const Timestamp expires = kNow + kGrantDuration;
+  LookupRow row;
+  auto fail = [](const Status& s) {
+    fprintf(stderr, "grant failed: %s\n", s.ToString().c_str());
+    abort();
+  };
+
+  core::ConsentRegistry consents;
+  consents.Configure(std::string(32, 'K'), "cg");
+  const int patients = std::max(1, live / 10);
+  for (int i = 0; i < live; i++) {
+    const int g = i % 10;
+    auto grant = consents.Grant(
+        "pat-" + std::to_string(i / 10), "dr-" + std::to_string(g),
+        g % 2 == 0 ? "" : "r-" + std::to_string(i), "study", kNow, expires);
+    if (!grant.ok()) fail(grant.status());
+  }
+  bool ok = true;
+  row.consent_hit_ns = NsPerCall([&](int i) {
+    ok &= consents.HasActiveConsent(
+        "dr-0", "pat-" + std::to_string(i % patients), "r-1", kNow, nullptr);
+  });
+  row.consent_miss_ns = NsPerCall([&](int i) {
+    ok &= !consents.HasActiveConsent(
+        "spec", "pat-" + std::to_string(i % patients), "r-1", kNow, nullptr);
+  });
+
+  core::AccessController access;
+  const int clinicians = std::min(live, 100);
+  const int bg_patients = live / clinicians;
+  for (int c = 0; c < clinicians; c++) {
+    Status s = access.RegisterPrincipal(
+        {"dr-" + std::to_string(c), Role::kPhysician, "Dr"});
+    if (!s.ok()) fail(s);
+    for (int p = 0; p < bg_patients; p++) {
+      auto grant = access.BreakGlass("dr-" + std::to_string(c),
+                                     "pat-" + std::to_string(p), "ER", kNow,
+                                     expires);
+      if (!grant.ok()) fail(grant.status());
+    }
+  }
+  row.breakglass_hit_ns = NsPerCall([&](int i) {
+    ok &= access
+              .CheckAccess("dr-" + std::to_string(i % clinicians),
+                           core::Operation::kReadRecord,
+                           "pat-" + std::to_string(i % bg_patients), "",
+                           kNow, nullptr)
+              .ok();
+  });
+  row.breakglass_miss_ns = NsPerCall([&](int i) {
+    ok &= !access
+               .CheckAccess("dr-" + std::to_string(i % clinicians),
+                            core::Operation::kReadRecord, "stranger", "",
+                            kNow, nullptr)
+               .ok();
+  });
+  if (!ok) {
+    fprintf(stderr, "a grant lookup gave the wrong answer\n");
+    abort();
+  }
+  return row;
+}
+
 void WriteBenchJson(const ReadPoint& care, const ReadPoint& consent,
                     const ChurnResult& churn) {
   FILE* f = fopen("BENCH_sharing.json", "w");
@@ -383,6 +480,18 @@ int main() {
       abort();
     }
     in->server->Stop();
+  }
+
+  printf("\nE18c: embedded grant lookups — ns per check against N live "
+         "grants (consent: ConsentRegistry::HasActiveConsent; break-glass: "
+         "AccessController::CheckAccess)\n");
+  printf("%12s %16s %16s %16s %16s\n", "live-grants", "consent-hit-ns",
+         "consent-miss-ns", "bg-hit-ns", "bg-miss-ns");
+  for (int live : {1, 1000, 10000, 100000}) {
+    LookupRow row = MeasureLookups(live);
+    printf("%12d %16.0f %16.0f %16.0f %16.0f\n", live, row.consent_hit_ns,
+           row.consent_miss_ns, row.breakglass_hit_ns,
+           row.breakglass_miss_ns);
   }
 
   WriteBenchJson(care, consent, churn);

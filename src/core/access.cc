@@ -1,7 +1,6 @@
 #include "core/access.h"
 
-#include <algorithm>
-#include <charconv>
+#include "common/coding.h"
 
 namespace medvault::core {
 
@@ -84,43 +83,6 @@ bool AccessController::InCare(const PrincipalId& clinician,
   return care_.count({clinician, patient}) > 0;
 }
 
-void AccessController::PruneExpiredLocked(Timestamp now) const {
-  for (auto it = grants_.begin(); it != grants_.end();) {
-    if (it->second.expires_at <= now) {
-      it = grants_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-bool AccessController::HasActiveGrant(const PrincipalId& clinician,
-                                      const PrincipalId& patient,
-                                      Timestamp now,
-                                      std::string* grant_id_out) const {
-  std::lock_guard<std::mutex> lock(grants_mu_);
-  // Every expiry check doubles as garbage collection: without it the
-  // table only ever grew (grants were inserted, never erased), so a
-  // long-lived daemon scanned an ever-longer list of dead entries.
-  // Pruning drops expires_at <= now, so surviving entries are active
-  // strictly before expiry — a grant exercised at exactly expires_at
-  // is refused.
-  PruneExpiredLocked(now);
-  for (const auto& [id, grant] : grants_) {
-    if (grant.clinician == clinician && grant.patient == patient) {
-      if (grant_id_out != nullptr) *grant_id_out = id;
-      return true;  // pruned above, so present => expires_at > now
-    }
-  }
-  return false;
-}
-
-Status AccessController::CheckAccess(const PrincipalId& actor, Operation op,
-                                     const PrincipalId& patient_id,
-                                     Timestamp now) const {
-  return CheckAccess(actor, op, patient_id, RecordId(), now, nullptr);
-}
-
 Status AccessController::CheckAccess(const PrincipalId& actor, Operation op,
                                      const PrincipalId& patient_id,
                                      const RecordId& record_id, Timestamp now,
@@ -141,13 +103,16 @@ Status AccessController::CheckAccess(const PrincipalId& actor, Operation op,
 
   const bool clinician = (role == Role::kPhysician || role == Role::kNurse);
   const bool in_care = clinician && InCare(actor, patient_id);
-  std::string bg_grant;
-  const bool via_grant = clinician && !in_care &&
-                         HasActiveGrant(actor, patient_id, now, &bg_grant);
+  const BreakGlassGrant* bg_grant =
+      clinician && !in_care
+          ? grants_.FindLive(patient_id, actor, now,
+                             [](const BreakGlassGrant&) { return true; })
+          : nullptr;
+  const bool via_grant = bg_grant != nullptr;
   const bool scoped_ok = in_care || via_grant;
   auto scoped_basis = [&]() {
     return in_care ? allow(AccessBasis::Kind::kCare)
-                   : allow(AccessBasis::Kind::kBreakGlass, bg_grant);
+                   : allow(AccessBasis::Kind::kBreakGlass, bg_grant->grant_id);
   };
 
   switch (op) {
@@ -198,7 +163,7 @@ Status AccessController::CheckAccess(const PrincipalId& actor, Operation op,
   return deny("unmapped operation");
 }
 
-Result<std::string> AccessController::BreakGlass(
+Result<BreakGlassGrant> AccessController::BreakGlass(
     const PrincipalId& clinician, const PrincipalId& patient,
     const std::string& justification, Timestamp now, Timestamp expires_at) {
   MEDVAULT_ASSIGN_OR_RETURN(Principal p, GetPrincipal(clinician));
@@ -211,42 +176,48 @@ Result<std::string> AccessController::BreakGlass(
   if (expires_at <= now) {
     return Status::InvalidArgument("break-glass grant must expire in future");
   }
-  std::lock_guard<std::mutex> lock(grants_mu_);
-  PruneExpiredLocked(now);
-  std::string grant_id = "bg-" + std::to_string(next_grant_++);
-  grants_[grant_id] = Grant{clinician, patient, justification, expires_at};
-  return grant_id;
+  BreakGlassGrant grant{grants_.NextId(), clinician, patient, justification,
+                        expires_at};
+  grants_.Insert(grant, now);
+  return grant;
 }
 
-Status AccessController::RestoreGrant(const std::string& grant_id,
-                                      const PrincipalId& clinician,
-                                      const PrincipalId& patient,
-                                      const std::string& justification,
-                                      Timestamp now, Timestamp expires_at) {
-  if (grant_id.empty() || clinician.empty() || patient.empty()) {
-    return Status::InvalidArgument("malformed grant");
-  }
-  std::lock_guard<std::mutex> lock(grants_mu_);
+void AccessController::RestoreGrant(const BreakGlassGrant& grant,
+                                    Timestamp now) {
   // Keep fresh ids ahead of every replayed one, including grants that
   // already expired — an id must never be issued twice.
-  if (grant_id.rfind("bg-", 0) == 0) {
-    uint64_t n = 0;
-    const char* first = grant_id.data() + 3;
-    const char* last = grant_id.data() + grant_id.size();
-    auto [ptr, ec] = std::from_chars(first, last, n, 10);
-    if (ec == std::errc() && ptr == last) {
-      next_grant_ = std::max(next_grant_, n + 1);
-    }
-  }
-  if (expires_at <= now) return Status::OK();  // dead on arrival: skip
-  grants_[grant_id] = Grant{clinician, patient, justification, expires_at};
-  return Status::OK();
+  grants_.NoteId(grant.grant_id);
+  grants_.Insert(grant, now);  // skips a grant dead on arrival
 }
 
 size_t AccessController::ActiveGrantCount(Timestamp now) const {
-  std::lock_guard<std::mutex> lock(grants_mu_);
-  PruneExpiredLocked(now);
-  return grants_.size();
+  return grants_.LiveCount(now);
+}
+
+std::string BreakGlassGrant::Encode() const {
+  std::string out;
+  PutLengthPrefixed(&out, grant_id);
+  PutLengthPrefixed(&out, clinician);
+  PutLengthPrefixed(&out, patient);
+  PutLengthPrefixed(&out, justification);
+  PutVarint64(&out, static_cast<uint64_t>(expires_at));
+  return out;
+}
+
+Result<BreakGlassGrant> BreakGlassGrant::Decode(const Slice& data) {
+  Slice in = data;
+  BreakGlassGrant g;
+  uint64_t expires = 0;
+  if (!GetLengthPrefixedString(&in, &g.grant_id) ||
+      !GetLengthPrefixedString(&in, &g.clinician) ||
+      !GetLengthPrefixedString(&in, &g.patient) ||
+      !GetLengthPrefixedString(&in, &g.justification) ||
+      !GetVarint64(&in, &expires) || !in.empty() || g.grant_id.empty() ||
+      g.clinician.empty() || g.patient.empty()) {
+    return Status::Corruption("malformed grant entry");
+  }
+  g.expires_at = static_cast<Timestamp>(expires);
+  return g;
 }
 
 }  // namespace medvault::core

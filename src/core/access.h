@@ -3,14 +3,14 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/result.h"
+#include "common/slice.h"
 #include "core/consent.h"
+#include "core/grant_table.h"
 #include "core/record.h"
 
 namespace medvault::core {
@@ -68,6 +68,20 @@ struct AccessBasis {
 
 const char* AccessBasisName(AccessBasis::Kind kind);
 
+/// An emergency override: `clinician` may read `patient`'s records
+/// until `expires_at`. Persisted in the state log, so a reopen never
+/// silently revokes access the audit trail says was granted.
+struct BreakGlassGrant {
+  std::string grant_id;
+  PrincipalId clinician;
+  PrincipalId patient;
+  std::string justification;
+  Timestamp expires_at = 0;
+
+  std::string Encode() const;
+  static Result<BreakGlassGrant> Decode(const Slice& data);
+};
+
 /// Role-based access control with treating-relationship scoping and
 /// emergency break-glass (paper §3: "only authorized personnel should
 /// have access"; availability requires an override that never blocks
@@ -107,29 +121,25 @@ class AccessController {
 
   /// Decides whether `actor` may perform `op` on a record belonging to
   /// `patient_id` (empty for non-record operations). OK or
-  /// kPermissionDenied (kNotFound for unknown actors).
-  Status CheckAccess(const PrincipalId& actor, Operation op,
-                     const PrincipalId& patient_id, Timestamp now) const;
-
-  /// Record-aware overload: also consults the consent registry (a
-  /// delegated grant authorizes kReadRecord only — sharing is
-  /// read-only) and reports the basis of a successful check via
-  /// `*basis` (may be null). `record_id` may be empty for
-  /// patient-scoped decisions.
+  /// kPermissionDenied (kNotFound for unknown actors). Consults the
+  /// consent registry too (a delegated grant authorizes kReadRecord
+  /// only — sharing is read-only) and reports the basis of a
+  /// successful check via `*basis` (may be null). `record_id` may be
+  /// empty for patient-scoped decisions.
   Status CheckAccess(const PrincipalId& actor, Operation op,
                      const PrincipalId& patient_id, const RecordId& record_id,
                      Timestamp now, AccessBasis* basis) const;
 
   /// Emergency override: grants `clinician` read access to `patient`'s
-  /// records until `expires_at`. Returns the grant id. The caller MUST
-  /// audit this (Vault does) AND persist it (Vault appends a state-log
-  /// entry, replayed via RestoreGrant on reopen) — a grant that exists
-  /// only in memory silently revokes emergency access on crash while
-  /// the audit trail claims it was active.
-  Result<std::string> BreakGlass(const PrincipalId& clinician,
-                                 const PrincipalId& patient,
-                                 const std::string& justification,
-                                 Timestamp now, Timestamp expires_at);
+  /// records until `expires_at`. The caller MUST audit this (Vault does)
+  /// AND persist it (Vault appends a state-log entry, replayed via
+  /// RestoreGrant on reopen) — a grant that exists only in memory
+  /// silently revokes emergency access on crash while the audit trail
+  /// claims it was active.
+  Result<BreakGlassGrant> BreakGlass(const PrincipalId& clinician,
+                                     const PrincipalId& patient,
+                                     const std::string& justification,
+                                     Timestamp now, Timestamp expires_at);
 
   /// Re-installs a persisted grant under its original id (state-log
   /// replay on open). Keeps the grant-id counter ahead of replayed ids
@@ -137,47 +147,16 @@ class AccessController {
   /// counted but not re-installed. No role/justification re-validation:
   /// BreakGlass validated at grant time, and replay must never make a
   /// previously-open vault unopenable.
-  Status RestoreGrant(const std::string& grant_id,
-                      const PrincipalId& clinician,
-                      const PrincipalId& patient,
-                      const std::string& justification, Timestamp now,
-                      Timestamp expires_at);
+  void RestoreGrant(const BreakGlassGrant& grant, Timestamp now);
 
-  /// Active break-glass grants. Exact: expired grants are pruned from
-  /// the table first, so this equals the table size afterwards — a
-  /// long-lived daemon's grant table cannot grow without bound.
+  /// Active break-glass grants (expired ones never count).
   size_t ActiveGrantCount(Timestamp now) const;
 
  private:
-  struct Grant {
-    PrincipalId clinician;
-    PrincipalId patient;
-    std::string justification;
-    Timestamp expires_at = 0;
-  };
-
-  /// Fills `*grant_id_out` (if non-null) with the matching grant's id.
-  bool HasActiveGrant(const PrincipalId& clinician,
-                      const PrincipalId& patient, Timestamp now,
-                      std::string* grant_id_out) const;
-  /// Drops every grant with expires_at <= now. Requires grants_mu_.
-  void PruneExpiredLocked(Timestamp now) const;
-
   std::map<PrincipalId, Principal> principals_;
   std::set<std::pair<PrincipalId, PrincipalId>> care_;  // (clinician, patient)
-  /// Grants live under their own mutex (unlike the rest of the
-  /// controller, which relies on the Vault's lock): CheckAccess runs
-  /// under the vault's *shared* lock, and pruning dead grants during
-  /// the expiry scan there is a write — without an internal mutex,
-  /// parallel readers would race on the map. The table is tiny
-  /// (active emergencies only, now that expired entries are pruned),
-  /// so the serialization is negligible.
-  mutable std::mutex grants_mu_;
-  mutable std::map<std::string, Grant> grants_;
-  uint64_t next_grant_ = 1;  // guarded by grants_mu_
-  /// Borrowed from the Vault; null until AttachConsentRegistry. The
-  /// registry has its own leaf mutex, so consulting it under the
-  /// vault's shared lock is safe, exactly like grants_mu_.
+  GrantTable<BreakGlassGrant, &BreakGlassGrant::clinician> grants_{"bg"};
+  /// Borrowed from the Vault; null until AttachConsentRegistry.
   const ConsentRegistry* consents_ = nullptr;
 };
 

@@ -106,8 +106,7 @@ Result<BackupManifest> BackupManager::Backup(Vault* vault,
                                              const PrincipalId& actor,
                                              storage::Env* offsite_env,
                                              const std::string& offsite_dir) {
-  MEDVAULT_RETURN_IF_ERROR(vault->access()->CheckAccess(
-      actor, Operation::kBackup, "", vault->Now()));
+  MEDVAULT_RETURN_IF_ERROR(vault->CheckAccess(actor, Operation::kBackup));
 
   storage::Env* src_env = vault->options().env;
   const std::string& src_dir = vault->options().dir;
@@ -152,8 +151,7 @@ Result<BackupManifest> BackupManager::Backup(Vault* vault,
 Result<BackupManifest> BackupManager::BackupIncremental(
     Vault* vault, const PrincipalId& actor, storage::Env* offsite_env,
     const std::string& offsite_dir, const BackupManifest& base) {
-  MEDVAULT_RETURN_IF_ERROR(vault->access()->CheckAccess(
-      actor, Operation::kBackup, "", vault->Now()));
+  MEDVAULT_RETURN_IF_ERROR(vault->CheckAccess(actor, Operation::kBackup));
 
   storage::Env* src_env = vault->options().env;
   const std::string& src_dir = vault->options().dir;
@@ -412,8 +410,7 @@ Result<BackupManager::RepairSummary> BackupManager::Repair(
 
 Status BackupManager::AuditRepair(Vault* vault, const PrincipalId& actor,
                                   const RepairSummary& summary) {
-  MEDVAULT_RETURN_IF_ERROR(vault->access()->CheckAccess(
-      actor, Operation::kBackup, "", vault->Now()));
+  MEDVAULT_RETURN_IF_ERROR(vault->CheckAccess(actor, Operation::kBackup));
   return vault->Audit(
       actor, AuditAction::kRestore, "",
       "repair restored=" + std::to_string(summary.restored.size()) +

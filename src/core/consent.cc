@@ -1,6 +1,5 @@
 #include "core/consent.h"
 
-#include <charconv>
 #include <utility>
 
 #include "common/coding.h"
@@ -18,29 +17,31 @@ const char* ConsentScopeName(ConsentScope scope) {
   return "unknown";
 }
 
+namespace {
+
+/// Every field but the signature, in wire order.
+void PutUnsignedFields(const ConsentGrant& g, std::string* out) {
+  PutLengthPrefixed(out, g.grant_id);
+  PutLengthPrefixed(out, g.patient);
+  PutLengthPrefixed(out, g.grantee);
+  PutLengthPrefixed(out, g.record_id);
+  PutVarint64(out, static_cast<uint64_t>(g.scope));
+  PutLengthPrefixed(out, g.purpose);
+  PutVarint64(out, static_cast<uint64_t>(g.issued_at));
+  PutVarint64(out, static_cast<uint64_t>(g.expires_at));
+}
+
+}  // namespace
+
 std::string ConsentGrant::SignedPayload() const {
   std::string payload("medvault-consent-v1");
-  PutLengthPrefixed(&payload, grant_id);
-  PutLengthPrefixed(&payload, patient);
-  PutLengthPrefixed(&payload, grantee);
-  PutLengthPrefixed(&payload, record_id);
-  PutVarint64(&payload, static_cast<uint64_t>(scope));
-  PutLengthPrefixed(&payload, purpose);
-  PutVarint64(&payload, static_cast<uint64_t>(issued_at));
-  PutVarint64(&payload, static_cast<uint64_t>(expires_at));
+  PutUnsignedFields(*this, &payload);
   return payload;
 }
 
 std::string ConsentGrant::Encode() const {
   std::string out;
-  PutLengthPrefixed(&out, grant_id);
-  PutLengthPrefixed(&out, patient);
-  PutLengthPrefixed(&out, grantee);
-  PutLengthPrefixed(&out, record_id);
-  PutVarint64(&out, static_cast<uint64_t>(scope));
-  PutLengthPrefixed(&out, purpose);
-  PutVarint64(&out, static_cast<uint64_t>(issued_at));
-  PutVarint64(&out, static_cast<uint64_t>(expires_at));
+  PutUnsignedFields(*this, &out);
   PutLengthPrefixed(&out, signature);
   return out;
 }
@@ -76,9 +77,8 @@ Result<ConsentGrant> ConsentGrant::Decode(const Slice& data) {
 
 void ConsentRegistry::Configure(std::string signing_root,
                                 std::string id_prefix) {
-  std::lock_guard<std::mutex> lock(mu_);
   signing_root_ = std::move(signing_root);
-  if (!id_prefix.empty()) id_prefix_ = std::move(id_prefix);
+  if (!id_prefix.empty()) grants_.set_prefix(std::move(id_prefix));
 }
 
 std::string ConsentRegistry::SigningKeyFor(const PrincipalId& patient) const {
@@ -104,9 +104,8 @@ Result<ConsentGrant> ConsentRegistry::Grant(const PrincipalId& patient,
   if (expires_at <= now) {
     return Status::InvalidArgument("consent must be time-boxed in the future");
   }
-  std::lock_guard<std::mutex> lock(mu_);
   ConsentGrant grant;
-  grant.grant_id = id_prefix_ + "-" + std::to_string(next_id_++);
+  grant.grant_id = grants_.NextId();
   grant.patient = patient;
   grant.grantee = grantee;
   grant.record_id = record_id;
@@ -117,27 +116,23 @@ Result<ConsentGrant> ConsentRegistry::Grant(const PrincipalId& patient,
   grant.expires_at = expires_at;
   grant.signature =
       crypto::HmacSha256(SigningKeyFor(patient), grant.SignedPayload());
-  grants_[grant.grant_id] = grant;
+  grants_.Insert(grant, now);
   return grant;
 }
 
 Status ConsentRegistry::Revoke(const std::string& grant_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = grants_.find(grant_id);
-  if (it == grants_.end()) {
+  if (!grants_.Erase(grant_id)) {
     return Status::NotFound("no such consent grant: " + grant_id);
   }
-  grants_.erase(it);
   return Status::OK();
 }
 
 Result<ConsentGrant> ConsentRegistry::Get(const std::string& grant_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = grants_.find(grant_id);
-  if (it == grants_.end()) {
+  const ConsentGrant* grant = grants_.Find(grant_id);
+  if (grant == nullptr) {
     return Status::NotFound("no such consent grant: " + grant_id);
   }
-  return it->second;
+  return *grant;
 }
 
 bool ConsentRegistry::HasActiveConsent(const PrincipalId& grantee,
@@ -145,78 +140,41 @@ bool ConsentRegistry::HasActiveConsent(const PrincipalId& grantee,
                                        const RecordId& record_id,
                                        Timestamp now,
                                        std::string* grant_id_out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  PruneExpiredLocked(now);
-  for (const auto& [id, grant] : grants_) {
-    if (grant.grantee != grantee || grant.patient != patient) continue;
-    if (grant.scope == ConsentScope::kRecord && grant.record_id != record_id) {
-      continue;
-    }
-    if (grant_id_out != nullptr) *grant_id_out = id;
-    return true;
-  }
-  return false;
-}
-
-bool ConsentRegistry::HasActiveConsentForRecord(const RecordId& record_id,
-                                                Timestamp now) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  PruneExpiredLocked(now);
-  for (const auto& [id, grant] : grants_) {
-    (void)id;
-    if (grant.scope == ConsentScope::kRecord && grant.record_id == record_id) {
-      return true;
-    }
-  }
-  return false;
+  const ConsentGrant* grant =
+      grants_.FindLive(patient, grantee, now, [&](const ConsentGrant& g) {
+        return g.scope == ConsentScope::kPatient || g.record_id == record_id;
+      });
+  if (grant == nullptr) return false;
+  if (grant_id_out != nullptr) *grant_id_out = grant->grant_id;
+  return true;
 }
 
 std::vector<ConsentGrant> ConsentRegistry::ListForPatient(
     const PrincipalId& patient, Timestamp now) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  PruneExpiredLocked(now);
-  std::vector<ConsentGrant> out;
-  for (const auto& [id, grant] : grants_) {
-    (void)id;
-    if (grant.patient == patient) out.push_back(grant);
-  }
+  std::vector<ConsentGrant> out = grants_.ForPatient(patient);
+  std::erase_if(out, [now](const ConsentGrant& g) {
+    return g.expires_at <= now;
+  });
   return out;
 }
 
 std::vector<ConsentGrant> ConsentRegistry::RevokeAllForRecord(
-    const RecordId& record_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ConsentGrant> revoked;
-  for (auto it = grants_.begin(); it != grants_.end();) {
-    if (it->second.scope == ConsentScope::kRecord &&
-        it->second.record_id == record_id) {
-      revoked.push_back(it->second);
-      it = grants_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+    const PrincipalId& patient, const RecordId& record_id) {
+  std::vector<ConsentGrant> revoked = grants_.ForPatient(patient);
+  std::erase_if(revoked, [&](const ConsentGrant& g) {
+    return g.scope != ConsentScope::kRecord || g.record_id != record_id;
+  });
+  for (const ConsentGrant& g : revoked) grants_.Erase(g.grant_id);
   return revoked;
 }
 
 std::vector<ConsentGrant> ConsentRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ConsentGrant> out;
-  out.reserve(grants_.size());
-  for (const auto& [id, grant] : grants_) {
-    (void)id;
-    out.push_back(grant);
-  }
-  return out;
+  return grants_.All();
 }
 
 Status ConsentRegistry::VerifySignature(const ConsentGrant& grant) const {
-  std::string expected;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    expected =
-        crypto::HmacSha256(SigningKeyFor(grant.patient), grant.SignedPayload());
-  }
+  const std::string expected =
+      crypto::HmacSha256(SigningKeyFor(grant.patient), grant.SignedPayload());
   if (!crypto::ConstantTimeEqual(expected, grant.signature)) {
     return Status::TamperDetected("consent grant " + grant.grant_id +
                                   " signature mismatch");
@@ -225,45 +183,19 @@ Status ConsentRegistry::VerifySignature(const ConsentGrant& grant) const {
 }
 
 Status ConsentRegistry::Restore(const ConsentGrant& grant, Timestamp now) {
-  std::lock_guard<std::mutex> lock(mu_);
-  NoteReplayedIdLocked(grant.grant_id);
-  if (grant.expires_at <= now) return Status::OK();  // dead on arrival: skip
-  grants_[grant.grant_id] = grant;
+  grants_.NoteId(grant.grant_id);
+  grants_.Insert(grant, now);  // skips a grant dead on arrival
   return Status::OK();
 }
 
 Status ConsentRegistry::RestoreRevoke(const std::string& grant_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  NoteReplayedIdLocked(grant_id);
-  grants_.erase(grant_id);
+  grants_.NoteId(grant_id);
+  grants_.Erase(grant_id);
   return Status::OK();
 }
 
 size_t ConsentRegistry::ActiveCount(Timestamp now) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  PruneExpiredLocked(now);
-  return grants_.size();
-}
-
-void ConsentRegistry::PruneExpiredLocked(Timestamp now) const {
-  for (auto it = grants_.begin(); it != grants_.end();) {
-    if (it->second.expires_at <= now) {
-      it = grants_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ConsentRegistry::NoteReplayedIdLocked(const std::string& grant_id) {
-  size_t dash = grant_id.rfind('-');
-  if (dash == std::string::npos || dash + 1 >= grant_id.size()) return;
-  uint64_t n = 0;
-  const char* first = grant_id.data() + dash + 1;
-  const char* last = grant_id.data() + grant_id.size();
-  auto [ptr, ec] = std::from_chars(first, last, n, 10);
-  if (ec != std::errc() || ptr != last) return;
-  if (n >= next_id_) next_id_ = n + 1;
+  return grants_.LiveCount(now);
 }
 
 }  // namespace medvault::core

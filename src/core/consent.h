@@ -2,14 +2,13 @@
 #define MEDVAULT_CORE_CONSENT_H_
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/result.h"
 #include "common/slice.h"
+#include "core/grant_table.h"
 #include "core/record.h"
 
 namespace medvault::core {
@@ -53,10 +52,8 @@ struct ConsentGrant {
 /// record ownership, persists grants in the state log, and audits every
 /// exercise; AccessController consults the registry on reads.
 ///
-/// Thread safety: all methods lock an internal mutex, a leaf in the
-/// lock order exactly like AccessController::grants_mu_ — CheckAccess
-/// runs under the vault's *shared* lock while pruning expired grants is
-/// a write, so the table needs its own serialization.
+/// Thread safety: none of its own. The Vault calls the const lookups
+/// under its shared lock and every mutation under its exclusive lock.
 class ConsentRegistry {
  public:
   ConsentRegistry() = default;
@@ -79,7 +76,8 @@ class ConsentRegistry {
                              const std::string& purpose, Timestamp now,
                              Timestamp expires_at);
 
-  /// Removes a grant; kNotFound if absent (already revoked or expired).
+  /// Removes a grant; kNotFound if absent (revoked, or expired and
+  /// pruned).
   Status Revoke(const std::string& grant_id);
 
   Result<ConsentGrant> Get(const std::string& grant_id) const;
@@ -93,21 +91,19 @@ class ConsentRegistry {
                         const PrincipalId& patient, const RecordId& record_id,
                         Timestamp now, std::string* grant_id_out) const;
 
-  /// Any live grant scoped to exactly `record_id` (crash-matrix and
-  /// disposal invariants: a shredded record must have none).
-  bool HasActiveConsentForRecord(const RecordId& record_id,
-                                 Timestamp now) const;
-
-  /// Live grants naming `patient` as the granting principal.
+  /// Live grants naming `patient` as the granting principal, in id
+  /// order.
   std::vector<ConsentGrant> ListForPatient(const PrincipalId& patient,
                                            Timestamp now) const;
 
-  /// Removes every record-scoped grant naming `record_id` and returns
-  /// them (crypto-shredding kills outstanding record grants; the Vault
-  /// persists and audits each revocation). Patient-scoped grants stay:
-  /// they cover the patient's *other* records, and the shredded one is
-  /// unreadable regardless once its key is destroyed.
-  std::vector<ConsentGrant> RevokeAllForRecord(const RecordId& record_id);
+  /// Removes every record-scoped grant `patient` issued on `record_id`
+  /// and returns them in id order (crypto-shredding kills outstanding
+  /// record grants; the Vault persists and audits each revocation).
+  /// Patient-scoped grants stay: they cover the patient's *other*
+  /// records, and the shredded one is unreadable regardless once its
+  /// key is destroyed.
+  std::vector<ConsentGrant> RevokeAllForRecord(const PrincipalId& patient,
+                                               const RecordId& record_id);
 
   /// Copy of the whole table (recovery reconciliation sweep).
   std::vector<ConsentGrant> Snapshot() const;
@@ -127,22 +123,14 @@ class ConsentRegistry {
   /// (it may have expired out of the table before the revoke landed).
   Status RestoreRevoke(const std::string& grant_id);
 
-  /// Live grants after pruning expired ones — exact, like
-  /// AccessController::ActiveGrantCount.
+  /// Live grants, like AccessController::ActiveGrantCount.
   size_t ActiveCount(Timestamp now) const;
 
  private:
   std::string SigningKeyFor(const PrincipalId& patient) const;
-  /// Drops every grant with expires_at <= now. Requires mu_.
-  void PruneExpiredLocked(Timestamp now) const;
-  /// Keeps next_id_ ahead of a replayed "<prefix>-<n>" id. Requires mu_.
-  void NoteReplayedIdLocked(const std::string& grant_id);
 
   std::string signing_root_;
-  std::string id_prefix_ = "cg";
-  mutable std::mutex mu_;
-  mutable std::map<std::string, ConsentGrant> grants_;
-  uint64_t next_id_ = 1;  // guarded by mu_
+  GrantTable<ConsentGrant, &ConsentGrant::grantee> grants_{"cg"};
 };
 
 }  // namespace medvault::core

@@ -60,10 +60,8 @@ Result<MigrationReceipt> Migrator::Migrate(Vault* source, Vault* target,
       source->metrics_registry()->GetHistogram("vault.migrate"),
       "vault.migrate");
   // Both sides must authorize the movement.
-  MEDVAULT_RETURN_IF_ERROR(source->access()->CheckAccess(
-      actor, Operation::kMigrate, "", source->Now()));
-  MEDVAULT_RETURN_IF_ERROR(target->access()->CheckAccess(
-      actor, Operation::kMigrate, "", target->Now()));
+  MEDVAULT_RETURN_IF_ERROR(source->CheckAccess(actor, Operation::kMigrate));
+  MEDVAULT_RETURN_IF_ERROR(target->CheckAccess(actor, Operation::kMigrate));
 
   Timestamp now = source->Now();
   crypto::MerkleTree source_tree;

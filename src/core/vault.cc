@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 
 #include "common/coding.h"
 #include "common/hex.h"
@@ -68,42 +69,15 @@ std::string EncodeCare(const PrincipalId& clinician,
   return out;
 }
 
-/// Persisted break-glass grant: id, clinician, patient, justification,
-/// absolute expiry. The grant itself must survive a crash — the audit
-/// log records that emergency access was active, and a reopen that
-/// silently revoked it would contradict the trail (and cut off care
-/// mid-emergency).
-struct GrantEntry {
-  std::string grant_id;
-  PrincipalId clinician;
-  PrincipalId patient;
-  std::string justification;
-  Timestamp expires_at = 0;
-};
-
-std::string EncodeGrant(const GrantEntry& g) {
-  std::string out;
-  PutLengthPrefixed(&out, g.grant_id);
-  PutLengthPrefixed(&out, g.clinician);
-  PutLengthPrefixed(&out, g.patient);
-  PutLengthPrefixed(&out, g.justification);
-  PutVarint64(&out, static_cast<uint64_t>(g.expires_at));
-  return out;
-}
-
-Result<GrantEntry> DecodeGrant(const Slice& data) {
-  Slice in = data;
-  GrantEntry g;
-  uint64_t expires = 0;
-  if (!GetLengthPrefixedString(&in, &g.grant_id) ||
-      !GetLengthPrefixedString(&in, &g.clinician) ||
-      !GetLengthPrefixedString(&in, &g.patient) ||
-      !GetLengthPrefixedString(&in, &g.justification) ||
-      !GetVarint64(&in, &expires) || !in.empty()) {
-    return Status::Corruption("malformed grant entry");
+/// A grant's expiry, `now + duration`. Durations arrive from HTTP, so
+/// a non-positive one, or one whose sum overflows, is refused.
+Result<Timestamp> GrantExpiry(Timestamp now, Timestamp duration) {
+  if (duration <= 0 ||
+      now > std::numeric_limits<Timestamp>::max() - duration) {
+    return Status::InvalidArgument(
+        "grant duration must be positive and end before the clock's limit");
   }
-  g.expires_at = static_cast<Timestamp>(expires);
-  return g;
+  return now + duration;
 }
 
 /// Keyword terms never enter the audit log in cleartext; we log a short
@@ -371,10 +345,9 @@ Status Vault::LoadState() {
             break;
           }
           case kStateGrant: {
-            MEDVAULT_ASSIGN_OR_RETURN(GrantEntry g, DecodeGrant(payload));
-            MEDVAULT_RETURN_IF_ERROR(access_.RestoreGrant(
-                g.grant_id, g.clinician, g.patient, g.justification, Now(),
-                g.expires_at));
+            MEDVAULT_ASSIGN_OR_RETURN(BreakGlassGrant g,
+                                      BreakGlassGrant::Decode(payload));
+            access_.RestoreGrant(g, Now());
             break;
           }
           case kStateConsent: {
@@ -664,6 +637,11 @@ Status Vault::RegisterPrincipal(const PrincipalId& actor,
                          RoleName(principal.role));
 }
 
+Status Vault::CheckAccess(const PrincipalId& actor, Operation op) const {
+  std::shared_lock lock(mu_);
+  return access_.CheckAccess(actor, op, "", "", Now(), nullptr);
+}
+
 Status Vault::AssignCare(const PrincipalId& actor,
                          const PrincipalId& clinician,
                          const PrincipalId& patient) {
@@ -683,22 +661,21 @@ Result<std::string> Vault::BreakGlass(const PrincipalId& clinician,
                                       Timestamp duration) {
   std::unique_lock lock(mu_);
   Timestamp now = Now();
+  MEDVAULT_ASSIGN_OR_RETURN(Timestamp expires_at, GrantExpiry(now, duration));
   MEDVAULT_ASSIGN_OR_RETURN(
-      std::string grant_id,
-      access_.BreakGlass(clinician, patient, justification, now,
-                         now + duration));
+      BreakGlassGrant grant,
+      access_.BreakGlass(clinician, patient, justification, now, expires_at));
   // The grant is vault *state*, not just an audit fact: without a
   // state-log entry a crash/reopen silently revoked active emergency
   // access while the audit trail still claimed it was in force.
-  MEDVAULT_RETURN_IF_ERROR(AppendStateEntryLocked(
-      kStateGrant, EncodeGrant(GrantEntry{grant_id, clinician, patient,
-                                          justification, now + duration})));
+  MEDVAULT_RETURN_IF_ERROR(
+      AppendStateEntryLocked(kStateGrant, grant.Encode()));
   // Break-glass is the one path that must never be silent.
   MEDVAULT_RETURN_IF_ERROR(
       AuditLocked(clinician, AuditAction::kBreakGlass, "",
-                  "patient=" + patient + " grant=" + grant_id +
+                  "patient=" + patient + " grant=" + grant.grant_id +
                       " justification=" + justification));
-  return grant_id;
+  return grant.grant_id;
 }
 
 // ---- Patient-driven sharing ----------------------------------------------
@@ -733,10 +710,10 @@ Result<ConsentGrant> Vault::GrantConsent(const PrincipalId& actor,
       return Status::KeyDestroyed("record was disposed of");
     }
   }
+  MEDVAULT_ASSIGN_OR_RETURN(Timestamp expires_at, GrantExpiry(now, duration));
   MEDVAULT_ASSIGN_OR_RETURN(
       ConsentGrant grant,
-      consent_.Grant(actor, grantee, record_id, purpose, now,
-                     now + duration));
+      consent_.Grant(actor, grantee, record_id, purpose, now, expires_at));
   // Like break-glass, the grant is vault *state*: persisted before the
   // audit entry, replayed (signature-verified) on reopen.
   MEDVAULT_RETURN_IF_ERROR(
@@ -1124,7 +1101,8 @@ Result<DisposalCertificate> Vault::ExecuteDisposalLocked(
   // before the disposal is acknowledged. (Patient-scoped grants stay:
   // they cover the patient's other records, and this one is unreadable
   // without its key regardless.)
-  for (const ConsentGrant& g : consent_.RevokeAllForRecord(record_id)) {
+  for (const ConsentGrant& g :
+       consent_.RevokeAllForRecord(meta.patient_id, record_id)) {
     MEDVAULT_RETURN_IF_ERROR(AppendStateEntryLocked(
         kStateConsentRevoke, EncodeConsentRevoke(g.grant_id)));
     MEDVAULT_RETURN_IF_ERROR(

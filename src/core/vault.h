@@ -388,7 +388,6 @@ class Vault {
   ProvenanceTracker* provenance() { return provenance_.get(); }
   AuditLog* audit() { return audit_.get(); }
   AccessController* access() { return &access_; }
-  ConsentRegistry* consent() { return &consent_; }
   RetentionManager* retention() { return &retention_; }
   crypto::XmssSigner* signer() { return signer_.get(); }
   SecureIndex* index() { return index_.get(); }
@@ -401,6 +400,10 @@ class Vault {
   const std::string& SignerPublicKey() const;
   const std::string& SignerPublicSeed() const;
   int SignerHeight() const { return options_.signer_height; }
+
+  /// Unaudited role check for a non-record operation, under the vault's
+  /// shared lock (migration and backup authorize through this).
+  Status CheckAccess(const PrincipalId& actor, Operation op) const;
 
   /// Appends an audit event on behalf of internal modules (migration,
   /// backup).

@@ -46,7 +46,7 @@ class Value {
   bool is_object() const { return std::holds_alternative<Object>(v_); }
 
   bool as_bool() const { return std::get<bool>(v_); }
-  /// Signed view of any integer (asserts the value fits).
+  /// Signed view of any integer; one above INT64_MAX wraps negative.
   int64_t as_int() const;
   uint64_t as_uint() const;
   const std::string& as_string() const { return std::get<std::string>(v_); }

@@ -31,7 +31,7 @@ class AccessTest : public ::testing::Test {
 
   Status Check(const std::string& actor, Operation op,
                const std::string& patient = "") {
-    return ac_.CheckAccess(actor, op, patient, now_);
+    return ac_.CheckAccess(actor, op, patient, "", now_, nullptr);
   }
 
   AccessController ac_;

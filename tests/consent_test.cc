@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/access.h"
 #include "core/consent.h"
 #include "core/record_cache.h"
 #include "core/shard_router.h"
@@ -129,9 +130,15 @@ TEST_F(ConsentRegistryTest, RevokeAllForRecordSparesPatientScope) {
       registry_.Grant("pat-p", "dr-c", "", "why", now_, now_ + kHour);
   ASSERT_TRUE(broad.ok());
 
-  auto killed = registry_.RevokeAllForRecord("r-1");
+  auto killed = registry_.RevokeAllForRecord("pat-p", "r-1");
   EXPECT_EQ(killed.size(), 2u);
-  EXPECT_FALSE(registry_.HasActiveConsentForRecord("r-1", now_));
+  // No record-scoped grant on r-1 is left: its grantees lose it, and a
+  // second sweep finds nothing.
+  EXPECT_FALSE(
+      registry_.HasActiveConsent("dr-a", "pat-p", "r-1", now_, nullptr));
+  EXPECT_FALSE(
+      registry_.HasActiveConsent("dr-b", "pat-p", "r-1", now_, nullptr));
+  EXPECT_TRUE(registry_.RevokeAllForRecord("pat-p", "r-1").empty());
   // The patient-scoped grant survives — it covers the patient's other
   // records, and the shredded one is unreadable once its key is gone.
   EXPECT_TRUE(
@@ -204,6 +211,131 @@ TEST_F(ConsentRegistryTest, RestoreKeepsIdCounterAhead) {
   late.Configure(std::string(32, 'K'), "cg");
   ASSERT_TRUE(late.Restore(*g, g->expires_at).ok());
   EXPECT_EQ(late.ActiveCount(g->expires_at), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Lookups stay flat at 100k live grants. No timing is asserted: a table
+// that scanned every grant per lookup (~14 ms each at 100k) needs hours
+// for these loops and fails on the suite's timeout instead.
+// ---------------------------------------------------------------------------
+
+std::string Nth(const char* prefix, int n) {
+  return prefix + std::to_string(n);
+}
+
+TEST(GrantScaleTest, ConsentLookupsStayFlatAt100kGrants) {
+  constexpr int kPatients = 10000;
+  constexpr int kGrantees = 10;  // 100k grants
+  ConsentRegistry registry;
+  registry.Configure(std::string(32, 'K'), "cg");
+  const Timestamp now = 1000000;
+  // Even grantees hold patient scope, odd ones one record; grantee 0's
+  // grants end an hour before the rest.
+  for (int p = 0; p < kPatients; ++p) {
+    for (int g = 0; g < kGrantees; ++g) {
+      const RecordId record = g % 2 == 0 ? "" : Nth("r-", p * kGrantees + g);
+      const Timestamp expires = now + (g == 0 ? kHour : 2 * kHour);
+      ASSERT_TRUE(registry
+                      .Grant(Nth("pat-", p), Nth("dr-", g), record, "study",
+                             now, expires)
+                      .ok());
+    }
+  }
+  EXPECT_EQ(registry.ActiveCount(now), 100000u);
+
+  for (int i = 0; i < 20000; ++i) {
+    const int p = (i * 7919) % kPatients;
+    const std::string patient = Nth("pat-", p);
+    const RecordId own = Nth("r-", p * kGrantees + 3);
+    std::string id;
+    EXPECT_TRUE(registry.HasActiveConsent("dr-2", patient, own, now, &id));
+    EXPECT_TRUE(registry.HasActiveConsent("dr-3", patient, own, now, &id));
+    EXPECT_FALSE(registry.HasActiveConsent(
+        "dr-5", patient, own, now, nullptr));  // another record's grant
+    EXPECT_FALSE(registry.HasActiveConsent(
+        "dr-404", patient, own, now, nullptr));  // no grant at all
+  }
+  for (int p = 0; p < kPatients; p += 5) {
+    EXPECT_EQ(registry.ListForPatient(Nth("pat-", p), now).size(),
+              static_cast<size_t>(kGrantees));
+  }
+
+  // Revoke every patient's dr-1 grant; each miss then stays flat too.
+  for (int p = 0; p < kPatients; ++p) {
+    const std::string grant_id = Nth("cg-", p * kGrantees + 2);
+    ASSERT_TRUE(registry.Revoke(grant_id).ok()) << grant_id;
+  }
+  for (int p = 0; p < kPatients; ++p) {
+    EXPECT_FALSE(registry.HasActiveConsent("dr-1", Nth("pat-", p),
+                                           Nth("r-", p * kGrantees + 1), now,
+                                           nullptr));
+  }
+
+  // An hour on, every dr-0 grant has lapsed: never matched, not counted,
+  // not listed, and the next grant prunes them all.
+  const Timestamp later = now + kHour;
+  EXPECT_FALSE(registry.HasActiveConsent("dr-0", "pat-7", "r-1", later,
+                                         nullptr));
+  EXPECT_EQ(registry.ActiveCount(later), 80000u);
+  EXPECT_EQ(registry.ListForPatient("pat-7", later).size(), 8u);
+  ASSERT_TRUE(registry.Grant("pat-7", "dr-0", "", "renewed", later,
+                             later + kHour)
+                  .ok());
+  EXPECT_EQ(registry.ActiveCount(later), 80001u);
+  EXPECT_TRUE(registry.HasActiveConsent("dr-0", "pat-7", "r-1", later,
+                                        nullptr));
+}
+
+TEST(GrantScaleTest, BreakGlassLookupsStayFlatAt100kGrants) {
+  constexpr int kClinicians = 100;
+  constexpr int kPatients = 1000;  // 100k grants
+  AccessController access;
+  for (int c = 0; c < kClinicians; ++c) {
+    ASSERT_TRUE(access
+                    .RegisterPrincipal({Nth("dr-", c), Role::kPhysician,
+                                        Nth("Dr ", c)})
+                    .ok());
+  }
+  const Timestamp now = 1000000;
+  for (int c = 0; c < kClinicians; ++c) {
+    for (int p = 0; p < kPatients; ++p) {
+      // Odd patients' grants end an hour before the even ones'.
+      const Timestamp expires = now + (p % 2 == 1 ? kHour : 2 * kHour);
+      ASSERT_TRUE(access
+                      .BreakGlass(Nth("dr-", c), Nth("pat-", p), "ER", now,
+                                  expires)
+                      .ok());
+    }
+  }
+  EXPECT_EQ(access.ActiveGrantCount(now), 100000u);
+
+  for (int i = 0; i < 20000; ++i) {
+    const std::string clinician = Nth("dr-", i % kClinicians);
+    const std::string patient = Nth("pat-", (i * 7919) % kPatients);
+    AccessBasis basis;
+    EXPECT_TRUE(access
+                    .CheckAccess(clinician, Operation::kReadRecord, patient,
+                                 "", now, &basis)
+                    .ok());
+    EXPECT_EQ(basis.kind, AccessBasis::Kind::kBreakGlass);
+    EXPECT_TRUE(access
+                    .CheckAccess(clinician, Operation::kReadRecord,
+                                 Nth("stranger-", i), "", now, nullptr)
+                    .IsPermissionDenied());
+  }
+
+  // An hour on, the odd patients' grants have lapsed.
+  const Timestamp later = now + kHour;
+  EXPECT_EQ(access.ActiveGrantCount(later), 50000u);
+  for (int i = 0; i < 20000; ++i) {
+    const std::string clinician = Nth("dr-", i % kClinicians);
+    const int p = (i * 7919) % kPatients;
+    EXPECT_EQ(access
+                  .CheckAccess(clinician, Operation::kReadRecord,
+                               Nth("pat-", p), "", later, nullptr)
+                  .ok(),
+              p % 2 == 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -678,6 +810,27 @@ TEST_F(ConsentVaultTest, ConcurrentReadersNeverOutliveARevocation) {
   // ...and the owner's reads may refill the cache, but a purge did run
   // the instant the grant died (revocation is synchronous and total).
   EXPECT_GT(cache_.stats().purges, 0u);
+}
+
+TEST_F(ConsentVaultTest, AuthorizationReadsGrantsUnderTheVaultLock) {
+  // Backup and migration authorize through Vault::CheckAccess. For a
+  // clinician it looks up break-glass grants, which another thread is
+  // adding; the vault's lock is the only thing ordering the two.
+  std::atomic<bool> done{false};
+  std::thread checker([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      EXPECT_TRUE(
+          vault_->CheckAccess("dr-b", Operation::kBackup).IsPermissionDenied());
+    }
+  });
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_TRUE(vault_->BreakGlass("dr-b", "pat-" + std::to_string(i),
+                                   "ER", kHour)
+                    .ok());
+  }
+  done.store(true, std::memory_order_release);
+  checker.join();
+  EXPECT_TRUE(vault_->CheckAccess("admin-r", Operation::kBackup).ok());
 }
 
 }  // namespace

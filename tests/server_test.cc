@@ -11,6 +11,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -676,6 +678,44 @@ TEST_F(ServerTest, ExpiredGrantsDoNotAccumulateAndIdsNeverRecycle) {
   auto fresh = vault_->BreakGlass("dr2", "lone", "fresh episode", 1000000);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   EXPECT_EQ(*fresh, "bg-9");  // 8 replayed ids stay burned
+}
+
+TEST_F(ServerTest, OverflowingGrantDurationsAreRefused) {
+  Bootstrap();
+  StartServer();
+  HttpClient client = MakeClient();
+  const std::string dr2 = Login(&client, "dr2");
+  const std::string pat = Login(&client, "pat");
+
+  // INT64_MAX overflows `now + duration`; UINT64_MAX is above INT64_MAX
+  // and reads back as a negative duration. Both are client errors, and
+  // neither leaves a grant behind.
+  const Value durations[] = {
+      Value(std::numeric_limits<int64_t>::max()),
+      Value(std::numeric_limits<uint64_t>::max()),
+  };
+  for (const Value& duration : durations) {
+    auto bg = client.Do("POST", "/v1/break-glass",
+                        Obj({{"patient_id", Value("lone")},
+                             {"justification", Value("ER")},
+                             {"duration_micros", duration}}),
+                        dr2);
+    ASSERT_TRUE(bg.ok()) << bg.status().ToString();
+    EXPECT_EQ(bg->status, 400) << bg->body;
+    auto consent = client.Do("POST", "/v1/consent",
+                             Obj({{"grantee", Value("dr2")},
+                                  {"purpose", Value("referral")},
+                                  {"duration_micros", duration}}),
+                             pat);
+    ASSERT_TRUE(consent.ok()) << consent.status().ToString();
+    EXPECT_EQ(consent->status, 400) << consent->body;
+  }
+  size_t active = 0;
+  for (uint32_t k = 0; k < vault_->num_shards(); ++k) {
+    active += vault_->shard(k)->access()->ActiveGrantCount(clock_.Now());
+  }
+  EXPECT_EQ(active, 0u);
+  EXPECT_EQ(vault_->ActiveConsentCount(), 0u);
 }
 
 TEST_F(ServerTest, ConsentLifecycleOverHttpSurvivesRestart) {
