@@ -21,6 +21,7 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "storage/fault_env.h"
+#include "storage/log_writer.h"
 #include "storage/mem_env.h"
 #include "storage/retry_env.h"
 
@@ -75,6 +76,211 @@ TEST(ScrubSegmentDataTest, TornTailLegalOnlyOnActiveSegment) {
   ASSERT_EQ(sealed.verdict, ScrubVerdict::kCorrupt);
   ASSERT_EQ(sealed.corrupt_ranges.size(), 1u);
   EXPECT_EQ(sealed.corrupt_ranges[0].offset, full.size());
+}
+
+// ---------------------------------------------------------------------
+// Streamed against whole-image scans. ScrubVaultDir reads each file
+// through a bounded window of 256 KiB; these files are larger than
+// that and put frames, records and damage across its edges, so any
+// slip in the window bookkeeping shows up as a verdict, range or detail
+// that differs from the whole-image scanners.
+
+constexpr uint64_t kScrubWindow = 256 * 1024;
+
+// Deterministic payload of `n` bytes, distinct per `tag`.
+std::string Payload(size_t n, int tag) {
+  std::string p(n, '\0');
+  for (size_t i = 0; i < n; ++i) {
+    p[i] = static_cast<char>('a' + (i * 7 + static_cast<size_t>(tag)) % 26);
+  }
+  return p;
+}
+
+// Segment image holding one frame per entry of `sizes`.
+std::string SegmentImage(const std::vector<size_t>& sizes) {
+  std::string out;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    out += Frame(Payload(sizes[i], static_cast<int>(i)));
+  }
+  return out;
+}
+
+// Writes `sizes.size()` records through log::Writer into `fname` and
+// returns the file's bytes.
+std::string LogImage(storage::Env* env, const std::string& fname,
+                     const std::vector<size_t>& sizes) {
+  std::unique_ptr<storage::WritableFile> file;
+  EXPECT_TRUE(env->NewWritableFile(fname, &file).ok());
+  storage::log::Writer writer(std::move(file));
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_TRUE(
+        writer.AddRecord(Payload(sizes[i], static_cast<int>(i))).ok());
+  }
+  EXPECT_TRUE(writer.Close().ok());
+  std::string data;
+  EXPECT_TRUE(storage::ReadFileToString(env, fname, &data).ok());
+  return data;
+}
+
+void Put(storage::Env* env, const std::string& fname,
+         const std::string& data) {
+  ASSERT_TRUE(storage::WriteStringToFile(env, Slice(data), fname, false).ok());
+}
+
+void ExpectSameScan(const FileScrubResult& streamed,
+                    const FileScrubResult& whole, uint64_t size) {
+  EXPECT_EQ(streamed.verdict, whole.verdict) << streamed.path;
+  EXPECT_EQ(streamed.detail, whole.detail) << streamed.path;
+  EXPECT_EQ(streamed.bytes, size) << streamed.path;
+  ASSERT_EQ(streamed.corrupt_ranges.size(), whole.corrupt_ranges.size())
+      << streamed.path;
+  for (size_t i = 0; i < whole.corrupt_ranges.size(); ++i) {
+    EXPECT_EQ(streamed.corrupt_ranges[i].offset,
+              whole.corrupt_ranges[i].offset)
+        << streamed.path << " range " << i;
+    EXPECT_EQ(streamed.corrupt_ranges[i].length,
+              whole.corrupt_ranges[i].length)
+        << streamed.path << " range " << i;
+  }
+}
+
+TEST(ScrubStreamTest, StreamedScanMatchesWholeImageScan) {
+  storage::MemEnv env;
+  const std::string dir = "v";
+  ASSERT_TRUE(env.CreateDirIfMissing(dir).ok());
+  ASSERT_TRUE(env.CreateDirIfMissing(dir + "/segments").ok());
+  const uint64_t w = kScrubWindow;
+
+  // seg 1, sealed: 260 frames of 1008 bytes and one of 60 bytes end at
+  // w - 4, so the next header straddles the window edge. A frame
+  // larger than the window follows, then small frames again.
+  std::vector<size_t> sizes1(260, 1000);
+  sizes1.push_back(52);
+  sizes1.push_back(900);
+  sizes1.push_back(300 * 1024);
+  sizes1.insert(sizes1.end(), 300, 1000);
+  std::string seg1 = SegmentImage(sizes1);
+  ASSERT_GT(seg1.size(), 2 * w);
+
+  // seg 2, sealed: a payload straddles the edge and its byte at the
+  // edge is flipped; past one clean frame, the frame larger than the
+  // window has a flip two windows in; the file ends in a torn frame.
+  std::vector<size_t> sizes2(259, 1000);
+  sizes2.push_back(1500);  // starts at 259 * 1008, crosses w
+  sizes2.push_back(1000);
+  sizes2.push_back(400 * 1024);
+  sizes2.insert(sizes2.end(), 50, 1000);
+  std::string seg2 = SegmentImage(sizes2);
+  const uint64_t straddler = 259 * 1008;
+  const uint64_t large = straddler + 1508 + 1008;
+  ASSERT_LT(straddler + 8, w);
+  ASSERT_GT(straddler + 8 + 1500, w);
+  seg2[w] ^= 0x10;
+  seg2[large + 8 + 300 * 1024] ^= 0x01;
+  seg2.resize(seg2.size() - 500);
+
+  // seg 3, sealed: a partial header trails the last whole frame.
+  std::string seg3 = SegmentImage(std::vector<size_t>(300, 1000));
+  seg3 += Frame("tail").substr(0, 5);
+
+  // seg 4, the active one: a torn frame at EOF is legal there.
+  std::string seg4 = SegmentImage(std::vector<size_t>(280, 1000));
+  seg4 += Frame(Payload(2000, 9)).substr(0, 1200);
+
+  Put(&env, dir + "/segments/seg-00000001", seg1);
+  Put(&env, dir + "/segments/seg-00000002", seg2);
+  Put(&env, dir + "/segments/seg-00000003", seg3);
+  Put(&env, dir + "/segments/seg-00000004", seg4);
+
+  // audit.log: records of up to 20 KiB, fragmented across blocks, until
+  // the block before the window edge; then one that ends 3 bytes short
+  // of the edge, so the writer pads those 3 bytes, and one of them is
+  // set non-zero. The record right after the edge has a flipped byte.
+  std::vector<size_t> log_sizes;
+  uint64_t end = 0;
+  while (end < w - storage::log::kBlockSize + 64) {
+    log_sizes.push_back(500 + 1700 * log_sizes.size() % 19000);
+    storage::MemEnv probe;
+    end = LogImage(&probe, "p", log_sizes).size();
+  }
+  ASSERT_LE(end + storage::log::kHeaderSize + 3, w);
+  log_sizes.push_back(w - end - storage::log::kHeaderSize - 3);
+  for (int i = 0; i < 40; ++i) log_sizes.push_back(500 + 977 * i % 30000);
+  std::string audit = LogImage(&env, dir + "/audit.log", log_sizes);
+  ASSERT_GT(audit.size(), 2 * w);
+  ASSERT_EQ(audit[w - 2], '\0');
+  audit[w - 2] = 'x';
+  audit[w + storage::log::kHeaderSize + 5] ^= 0x04;
+  Put(&env, dir + "/audit.log", audit);
+
+  // state.log: clean, larger than the window, torn at EOF.
+  std::vector<size_t> state_sizes;
+  for (int i = 0; i < 30; ++i) state_sizes.push_back(700 + 3100 * i % 50000);
+  std::string state = LogImage(&env, dir + "/state.log", state_sizes);
+  ASSERT_GT(state.size(), w);
+  state.resize(state.size() - 100);
+  Put(&env, dir + "/state.log", state);
+
+  // The other core logs: small and clean.
+  for (const char* name : {"catalog.log", "index.log", "provenance.log",
+                           "keys.db"}) {
+    LogImage(&env, dir + "/" + name, {10, 20, 30});
+  }
+
+  auto report = Scrubber::ScrubVaultDir(&env, dir, 7);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->files_scanned, 10u);
+
+  const std::map<std::string, std::string> segments = {
+      {"segments/seg-00000001", seg1},
+      {"segments/seg-00000002", seg2},
+      {"segments/seg-00000003", seg3},
+      {"segments/seg-00000004", seg4},
+  };
+  uint64_t bytes = 0;
+  for (const auto& [rel, image] : segments) {
+    const FileScrubResult* got = report->Find(rel);
+    ASSERT_NE(got, nullptr) << rel;
+    FileScrubResult want;
+    Scrubber::ScrubSegmentData(Slice(image),
+                               rel == "segments/seg-00000004", &want);
+    ExpectSameScan(*got, want, image.size());
+    bytes += image.size();
+  }
+  for (const std::string& rel : Scrubber::ExpectedArtifacts()) {
+    const FileScrubResult* got = report->Find(rel);
+    ASSERT_NE(got, nullptr) << rel;
+    std::string image;
+    ASSERT_TRUE(storage::ReadFileToString(&env, dir + "/" + rel, &image).ok());
+    FileScrubResult want;
+    Scrubber::ScrubLogData(Slice(image), &want);
+    ExpectSameScan(*got, want, image.size());
+    bytes += image.size();
+  }
+  EXPECT_EQ(report->bytes_scanned, bytes);
+
+  // The images hold the damage they were built to hold.
+  EXPECT_EQ(report->Find("segments/seg-00000001")->verdict,
+            ScrubVerdict::kClean);
+  const FileScrubResult* s2 = report->Find("segments/seg-00000002");
+  ASSERT_EQ(s2->corrupt_ranges.size(), 3u) << report->Summary();
+  EXPECT_EQ(s2->corrupt_ranges[0].offset, straddler);
+  EXPECT_EQ(s2->corrupt_ranges[1].offset, large);
+  EXPECT_EQ(s2->corrupt_ranges[1].length, 8 + 400 * 1024);
+  EXPECT_EQ(report->Find("segments/seg-00000003")->verdict,
+            ScrubVerdict::kCorrupt);
+  const FileScrubResult* s4 = report->Find("segments/seg-00000004");
+  EXPECT_EQ(s4->verdict, ScrubVerdict::kClean);
+  EXPECT_EQ(s4->detail, "torn tail frame");
+  // The padding and the record after it are contiguous: one range.
+  const FileScrubResult* a = report->Find("audit.log");
+  ASSERT_EQ(a->corrupt_ranges.size(), 1u) << report->Summary();
+  EXPECT_EQ(a->corrupt_ranges[0].offset, w - 3);
+  EXPECT_EQ(a->corrupt_ranges[0].length, 3 + storage::log::kHeaderSize + 500);
+  const FileScrubResult* st = report->Find("state.log");
+  EXPECT_EQ(st->verdict, ScrubVerdict::kClean);
+  EXPECT_EQ(st->detail, "torn tail record");
+  EXPECT_EQ(report->corrupt_files, 3u);
 }
 
 // ---------------------------------------------------------------------
