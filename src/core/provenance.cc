@@ -1,5 +1,7 @@
 #include "core/provenance.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 #include "crypto/sha256.h"
 #include "storage/log_reader.h"
@@ -59,18 +61,22 @@ ProvenanceTracker::ProvenanceTracker(storage::Env* env, std::string path,
     : env_(env), path_(std::move(path)), system_id_(std::move(system_id)) {}
 
 Status ProvenanceTracker::Open() {
+  // An event's read bound is the next event's offset, or the log's end.
+  EventSpan* newest = nullptr;
   storage::log::LogOpenResult res;
   MEDVAULT_RETURN_IF_ERROR(storage::log::OpenLogForAppend(
       env_, path_,
-      [this](const Slice& record, uint64_t) -> Status {
+      [&](const Slice& record, uint64_t offset) -> Status {
         MEDVAULT_ASSIGN_OR_RETURN(CustodyEvent e,
                                   CustodyEvent::Decode(record));
-        heads_[e.record_id] = crypto::Sha256Digest(record.ToString());
-        chains_[e.record_id].push_back(std::move(e));
+        if (newest != nullptr) newest->limit = offset;
+        newest = &AddEvent(e.record_id, record, offset, 0);
         return Status::OK();
       },
       &res));
+  if (newest != nullptr) newest->limit = res.valid_size;
   writer_ = std::move(res.writer);
+  MEDVAULT_RETURN_IF_ERROR(env_->NewRandomAccessFile(path_, &file_));
   open_ = true;
   return Status::OK();
 }
@@ -85,6 +91,25 @@ storage::WritableFile* ProvenanceTracker::sync_target() {
   return writer_->file();
 }
 
+ProvenanceTracker::EventSpan& ProvenanceTracker::AddEvent(
+    const RecordId& record_id, const Slice& encoded, uint64_t offset,
+    uint64_t limit) {
+  Chain& chain = chains_[record_id];
+  const std::string head = crypto::Sha256Digest(encoded);
+  std::copy(head.begin(), head.end(), chain.head.begin());
+  chain.events.push_back(EventSpan{offset, limit});
+  return chain.events.back();
+}
+
+Status ProvenanceTracker::LogEvent(const RecordId& record_id,
+                                   const CustodyEvent& e) {
+  const std::string encoded = e.Encode();
+  uint64_t offset = 0;
+  MEDVAULT_RETURN_IF_ERROR(writer_->AddRecord(encoded, &offset));
+  AddEvent(record_id, encoded, offset, writer_->FileOffset());
+  return Status::OK();
+}
+
 Result<std::string> ProvenanceTracker::RecordEvent(
     const RecordId& record_id, CustodyEventType type,
     const PrincipalId& actor, const std::string& details, Timestamp now) {
@@ -97,61 +122,98 @@ Result<std::string> ProvenanceTracker::RecordEvent(
   e.timestamp = now;
   e.details = details;
   e.prev_hash = ChainHead(record_id);
-
-  std::string encoded = e.Encode();
-  MEDVAULT_RETURN_IF_ERROR(writer_->AddRecord(encoded));
-  std::string head = crypto::Sha256Digest(encoded);
-  heads_[record_id] = head;
-  chains_[record_id].push_back(std::move(e));
-  return head;
+  MEDVAULT_RETURN_IF_ERROR(LogEvent(record_id, e));
+  return ChainHead(record_id);
 }
 
-Result<std::vector<CustodyEvent>> ProvenanceTracker::GetChain(
-    const RecordId& record_id) const {
+Status ProvenanceTracker::ReadChain(
+    const RecordId& record_id,
+    const std::function<void(const Slice&, CustodyEvent&&)>& fn) const {
   auto it = chains_.find(record_id);
   if (it == chains_.end()) return Status::NotFound("no custody chain");
-  return it->second;
-}
-
-std::string ProvenanceTracker::ChainHead(const RecordId& record_id) const {
-  auto it = heads_.find(record_id);
-  return it == heads_.end() ? std::string() : it->second;
-}
-
-Status ProvenanceTracker::VerifyEvents(
-    const std::vector<CustodyEvent>& events) {
   std::string prev;
-  for (const CustodyEvent& e : events) {
-    if (e.prev_hash != prev) {
-      return Status::TamperDetected("custody chain broken");
+  std::string record;
+  for (const EventSpan& span : it->second.events) {
+    Status read =
+        storage::log::ReadRecordAt(*file_, span.offset, span.limit, &record);
+    if (read.IsCorruption()) {
+      return Status::TamperDetected("custody event of " + record_id +
+                                    " unreadable: " + read.message());
     }
-    prev = crypto::Sha256Digest(e.Encode());
+    MEDVAULT_RETURN_IF_ERROR(read);
+    Result<CustodyEvent> e = CustodyEvent::Decode(record);
+    if (!e.ok() || e->record_id != record_id || e->prev_hash != prev) {
+      return Status::TamperDetected("custody chain of " + record_id +
+                                    " broken");
+    }
+    prev = crypto::Sha256Digest(record);
+    fn(record, std::move(*e));
+  }
+  if (prev != ChainHead(record_id)) {
+    return Status::TamperDetected("custody chain of " + record_id +
+                                  " does not end at its head");
   }
   return Status::OK();
 }
 
-Status ProvenanceTracker::VerifyChain(const RecordId& record_id) const {
+Result<std::vector<CustodyEvent>> ProvenanceTracker::GetChain(
+    const RecordId& record_id) const {
+  std::vector<CustodyEvent> events;
+  MEDVAULT_RETURN_IF_ERROR(
+      ReadChain(record_id, [&](const Slice&, CustodyEvent&& e) {
+        events.push_back(std::move(e));
+      }));
+  return events;
+}
+
+std::string ProvenanceTracker::ChainHead(const RecordId& record_id) const {
   auto it = chains_.find(record_id);
-  if (it == chains_.end()) return Status::NotFound("no custody chain");
-  return VerifyEvents(it->second);
+  if (it == chains_.end()) return std::string();
+  return std::string(it->second.head.data(), it->second.head.size());
+}
+
+Status ProvenanceTracker::VerifyChain(const RecordId& record_id) const {
+  return ReadChain(record_id, [](const Slice&, CustodyEvent&&) {});
 }
 
 Status ProvenanceTracker::VerifyAllChains() const {
-  for (const auto& [record_id, events] : chains_) {
-    MEDVAULT_RETURN_IF_ERROR(VerifyEvents(events));
+  if (!open_) return Status::FailedPrecondition("provenance not open");
+  uint64_t chained = 0;
+  for (const auto& [record_id, chain] : chains_) {
+    MEDVAULT_RETURN_IF_ERROR(VerifyChain(record_id));
+    chained += chain.events.size();
+  }
+  // Every whole record on the log must be one of the events just
+  // verified: an appended event outside them is tampering too.
+  std::unique_ptr<storage::SequentialFile> src;
+  MEDVAULT_RETURN_IF_ERROR(env_->NewSequentialFile(path_, &src));
+  storage::log::Reader reader(std::move(src));
+  uint64_t logged = 0;
+  std::string record;
+  while (reader.ReadRecord(&record)) logged++;
+  if (reader.status().IsCorruption()) {
+    return Status::TamperDetected("custody log bytes corrupted: " +
+                                  reader.status().message());
+  }
+  MEDVAULT_RETURN_IF_ERROR(reader.status());
+  if (logged != chained) {
+    return Status::TamperDetected("custody log holds events outside chains");
   }
   return Status::OK();
 }
 
 Result<std::string> ProvenanceTracker::ExportChain(
     const RecordId& record_id) const {
-  MEDVAULT_ASSIGN_OR_RETURN(std::vector<CustodyEvent> events,
-                            GetChain(record_id));
+  uint32_t count = 0;
+  std::string events;
+  MEDVAULT_RETURN_IF_ERROR(
+      ReadChain(record_id, [&](const Slice& encoded, CustodyEvent&&) {
+        PutLengthPrefixed(&events, encoded);
+        count++;
+      }));
   std::string out;
-  PutVarint32(&out, static_cast<uint32_t>(events.size()));
-  for (const CustodyEvent& e : events) {
-    PutLengthPrefixed(&out, e.Encode());
-  }
+  PutVarint32(&out, count);
+  out += events;
   // Terminal head commits to the last event (which nothing chains
   // after). Naive corruption of the export is caught here; malicious
   // substitution of the whole export is covered by the dual-signed
@@ -172,7 +234,6 @@ Status ProvenanceTracker::ImportChain(const RecordId& record_id,
     return Status::Corruption("malformed custody export");
   }
   std::vector<CustodyEvent> events;
-  events.reserve(count);
   std::string computed_head;
   for (uint32_t i = 0; i < count; i++) {
     Slice enc;
@@ -193,17 +254,18 @@ Status ProvenanceTracker::ImportChain(const RecordId& record_id,
   if (claimed_head != computed_head) {
     return Status::TamperDetected("custody export head mismatch");
   }
-  MEDVAULT_RETURN_IF_ERROR(VerifyEvents(events));
+  std::string prev;
+  for (const CustodyEvent& e : events) {
+    if (e.prev_hash != prev) {
+      return Status::TamperDetected("custody chain broken");
+    }
+    prev = crypto::Sha256Digest(e.Encode());
+  }
 
   // Re-log the imported events so they persist locally.
-  std::string head;
   for (const CustodyEvent& e : events) {
-    std::string encoded = e.Encode();
-    MEDVAULT_RETURN_IF_ERROR(writer_->AddRecord(encoded));
-    head = crypto::Sha256Digest(encoded);
+    MEDVAULT_RETURN_IF_ERROR(LogEvent(record_id, e));
   }
-  heads_[record_id] = head;
-  chains_[record_id] = std::move(events);
   return Status::OK();
 }
 

@@ -1,8 +1,11 @@
 #ifndef MEDVAULT_CORE_PROVENANCE_H_
 #define MEDVAULT_CORE_PROVENANCE_H_
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,7 +53,10 @@ struct CustodyEvent {
   static Result<CustodyEvent> Decode(const Slice& data);
 };
 
-/// Per-record custody chains on an append-only log.
+/// Per-record custody chains on an append-only log. Memory holds, per
+/// record, only its chain head and where its events sit in the log (16
+/// bytes per event); every chain read goes back to the log and is
+/// checked link by link against that head.
 class ProvenanceTracker {
  public:
   ProvenanceTracker(storage::Env* env, std::string path,
@@ -77,19 +83,23 @@ class ProvenanceTracker {
                                   const PrincipalId& actor,
                                   const std::string& details, Timestamp now);
 
-  /// The full chain for a record, oldest first.
+  /// The full chain for a record, oldest first, read back from the log.
+  /// kTamperDetected if the log no longer holds the chain whose head is
+  /// resident (a broken link, a changed event, unreadable bytes).
   Result<std::vector<CustodyEvent>> GetChain(const RecordId& record_id) const;
 
   /// Current chain-head hash ("" if the record has no events).
   std::string ChainHead(const RecordId& record_id) const;
 
-  /// Recomputes and checks one record's hash chain.
+  /// Reads one record's chain back and checks its hash links and head.
   Status VerifyChain(const RecordId& record_id) const;
 
-  /// Verifies every chain.
+  /// Verifies every chain from the log's bytes, and that the log holds
+  /// no event outside them.
   Status VerifyAllChains() const;
 
-  /// Serialized chain for handover to another system (migration).
+  /// Serialized chain for handover to another system (migration), read
+  /// back and verified like GetChain.
   Result<std::string> ExportChain(const RecordId& record_id) const;
 
   /// Installs an imported chain (verifying it) for a record this system
@@ -100,14 +110,39 @@ class ProvenanceTracker {
   size_t RecordCount() const { return chains_.size(); }
 
  private:
-  static Status VerifyEvents(const std::vector<CustodyEvent>& events);
+  /// Where one event's record sits in the log: log::ReadRecordAt's
+  /// address and read bound.
+  struct EventSpan {
+    uint64_t offset = 0;
+    uint64_t limit = 0;
+  };
+  /// A record's chain as held in memory.
+  struct Chain {
+    std::array<char, 32> head{};  ///< SHA-256 of the newest event
+    std::vector<EventSpan> events;
+  };
+
+  /// Reads `record_id`'s events back, oldest first, handing each event's
+  /// encoding and decoding to `fn`; checks every prev_hash link and the
+  /// final hash against the resident head.
+  Status ReadChain(
+      const RecordId& record_id,
+      const std::function<void(const Slice&, CustodyEvent&&)>& fn) const;
+
+  /// Adds the event encoded as `encoded`, logged at [offset, limit), to
+  /// `record_id`'s chain.
+  EventSpan& AddEvent(const RecordId& record_id, const Slice& encoded,
+                      uint64_t offset, uint64_t limit);
+
+  /// Appends `e` to the log and to `record_id`'s chain.
+  Status LogEvent(const RecordId& record_id, const CustodyEvent& e);
 
   storage::Env* env_;
   std::string path_;
   std::string system_id_;
   std::unique_ptr<storage::log::Writer> writer_;
-  std::map<RecordId, std::vector<CustodyEvent>> chains_;
-  std::map<RecordId, std::string> heads_;
+  std::unique_ptr<storage::RandomAccessFile> file_;  ///< read-back handle
+  std::map<RecordId, Chain> chains_;
   bool open_ = false;
 };
 

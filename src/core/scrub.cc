@@ -13,8 +13,6 @@ namespace medvault::core {
 
 namespace {
 
-constexpr size_t kFrameHeaderSize = 8;  // crc32c(4) + length(4)
-
 bool AllZero(const char* p, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     if (p[i] != 0) return false;
@@ -113,15 +111,26 @@ std::string ScrubReport::Summary() const {
   return out;
 }
 
-void Scrubber::ScrubSegmentData(const Slice& data, bool is_active,
-                                FileScrubResult* out) {
-  const char* base = data.data();
-  const uint64_t n = data.size();
-  uint64_t offset = 0;
-  while (offset + kFrameHeaderSize <= n) {
-    const uint32_t stored = DecodeFixed32(base + offset);
-    const uint32_t length = DecodeFixed32(base + offset + 4);
-    if (offset + kFrameHeaderSize + length > n) {
+namespace {
+
+// Frame-checks a segment walk; `size` is the image's length.
+void ScanSegment(storage::SegmentFrameWalker* walker, uint64_t size,
+                 bool is_active, FileScrubResult* out) {
+  storage::SegmentFrameWalker::Frame frame;
+  while (walker->Next(&frame)) {
+    if (!frame.crc_ok) {
+      // The length field still framed a plausible payload, so the walk
+      // resyncs at the next frame boundary to localize the damage.
+      AddRange(out, frame.offset, frame.end - frame.offset);
+      AppendDetail(out, "frame crc mismatch");
+    }
+  }
+  if (!walker->status().ok()) return;
+  const uint64_t end = walker->end();
+  switch (walker->tail()) {
+    case storage::SegmentFrameWalker::Tail::kNone:
+      break;
+    case storage::SegmentFrameWalker::Tail::kTornFrame:
       // The frame claims bytes past EOF. In the active (highest-id)
       // segment that is the torn tail of a crashed append, which crash
       // recovery truncates; in a sealed segment nothing may be torn, so
@@ -129,92 +138,125 @@ void Scrubber::ScrubSegmentData(const Slice& data, bool is_active,
       if (is_active) {
         AppendDetail(out, "torn tail frame");
       } else {
-        AddRange(out, offset, n - offset);
+        AddRange(out, end, size - end);
         AppendDetail(out, "frame extends past EOF in sealed segment");
       }
-      return;
+      break;
+    case storage::SegmentFrameWalker::Tail::kPartialHeader:
+      if (is_active) {
+        AppendDetail(out, "torn tail frame header");
+      } else {
+        AddRange(out, end, size - end);
+        AppendDetail(out, "trailing partial frame in sealed segment");
+      }
+      break;
+  }
+}
+
+// Block-scans the `avail` bytes of the log block at file offset `block`;
+// `last_block` marks the block holding EOF.
+void ScanLogBlock(const char* data, uint64_t block, uint64_t avail,
+                  bool last_block, FileScrubResult* out) {
+  using storage::log::kHeaderSize;
+  using storage::log::kMaxRecordType;
+  uint64_t p = 0;
+  while (p + kHeaderSize <= avail) {
+    const char* header = data + p;
+    const uint32_t stored = DecodeFixed32(header);
+    const uint32_t length = static_cast<uint8_t>(header[4]) |
+                            (static_cast<uint8_t>(header[5]) << 8);
+    const int type = static_cast<uint8_t>(header[6]);
+    if (type == 0 && length == 0) {
+      // Zero trailer: the writer pads the rest of the block with
+      // zeros. Anything non-zero in the padding is rot the reader
+      // would silently skip — flag it so repair restores the file.
+      if (!AllZero(header, avail - p)) {
+        AddRange(out, block + p, avail - p);
+        AppendDetail(out, "non-zero bytes in block trailer");
+      }
+      return;  // rest of block is padding
+    }
+    if (p + kHeaderSize + length > avail) {
+      // Record claims bytes past the block end. At EOF that is the
+      // torn tail of a crashed append (recovery truncates it);
+      // anywhere else it is damage.
+      if (last_block) {
+        AppendDetail(out, "torn tail record");
+        return;
+      }
+      AddRange(out, block + p, avail - p);
+      AppendDetail(out, "record extends past block end");
+      return;  // resync at the next block boundary
     }
     const uint32_t actual =
-        crc32c::Mask(crc32c::Value(base + offset + kFrameHeaderSize, length));
-    if (actual != stored) {
-      AddRange(out, offset, kFrameHeaderSize + length);
-      AppendDetail(out, "frame crc mismatch");
-      // The length field still framed a plausible payload, so resync at
-      // the next frame boundary to localize the damage.
+        crc32c::Mask(crc32c::Value(header + 6, 1 + length));
+    if (actual != stored || type > kMaxRecordType) {
+      AddRange(out, block + p, kHeaderSize + length);
+      AppendDetail(out, actual != stored ? "record crc mismatch"
+                                         : "invalid record type");
+      // Length framed a plausible record: resync after it.
     }
-    offset += kFrameHeaderSize + length;
+    p += kHeaderSize + length;
   }
-  if (offset < n) {
-    if (is_active) {
-      AppendDetail(out, "torn tail frame header");
+  // Fewer than kHeaderSize bytes left in the block: the writer
+  // zero-pads full blocks; at EOF a partial header is a torn tail.
+  if (p < avail && !AllZero(data + p, avail - p)) {
+    if (last_block) {
+      AppendDetail(out, "torn tail header");
     } else {
-      AddRange(out, offset, n - offset);
-      AppendDetail(out, "trailing partial frame in sealed segment");
+      AddRange(out, block + p, avail - p);
+      AppendDetail(out, "non-zero bytes in block padding");
     }
   }
 }
 
-void Scrubber::ScrubLogData(const Slice& data, FileScrubResult* out) {
+// Block-scans the `n` bytes at file offset `at` (a whole number of
+// blocks unless they end the file) of a log of `size` bytes.
+void ScanLogBlocks(const char* data, uint64_t at, uint64_t n, uint64_t size,
+                   FileScrubResult* out) {
   using storage::log::kBlockSize;
-  using storage::log::kHeaderSize;
-  using storage::log::kMaxRecordType;
-  const char* base = data.data();
-  const uint64_t n = data.size();
-  for (uint64_t block = 0; block < n; block += kBlockSize) {
-    const uint64_t avail = std::min<uint64_t>(kBlockSize, n - block);
-    const bool last_block = block + avail == n;
-    uint64_t p = 0;
-    while (p + kHeaderSize <= avail) {
-      const char* header = base + block + p;
-      const uint32_t stored = DecodeFixed32(header);
-      const uint32_t length = static_cast<uint8_t>(header[4]) |
-                              (static_cast<uint8_t>(header[5]) << 8);
-      const int type = static_cast<uint8_t>(header[6]);
-      if (type == 0 && length == 0) {
-        // Zero trailer: the writer pads the rest of the block with
-        // zeros. Anything non-zero in the padding is rot the reader
-        // would silently skip — flag it so repair restores the file.
-        if (!AllZero(header, avail - p)) {
-          AddRange(out, block + p, avail - p);
-          AppendDetail(out, "non-zero bytes in block trailer");
-        }
-        break;  // rest of block is padding
-      }
-      if (p + kHeaderSize + length > avail) {
-        // Record claims bytes past the block end. At EOF that is the
-        // torn tail of a crashed append (recovery truncates it);
-        // anywhere else it is damage.
-        if (last_block) {
-          AppendDetail(out, "torn tail record");
-          return;
-        }
-        AddRange(out, block + p, avail - p);
-        AppendDetail(out, "record extends past block end");
-        break;  // resync at the next block boundary
-      }
-      const uint32_t actual =
-          crc32c::Mask(crc32c::Value(header + 6, 1 + length));
-      if (actual != stored || type > kMaxRecordType) {
-        AddRange(out, block + p, kHeaderSize + length);
-        AppendDetail(out, actual != stored ? "record crc mismatch"
-                                           : "invalid record type");
-        // Length framed a plausible record: resync after it.
-      }
-      p += kHeaderSize + length;
-    }
-    // Fewer than kHeaderSize bytes left in the block: the writer
-    // zero-pads full blocks; at EOF a partial header is a torn tail.
-    if (p < avail && p + kHeaderSize > avail) {
-      if (last_block) {
-        if (!AllZero(base + block + p, avail - p)) {
-          AppendDetail(out, "torn tail header");
-        }
-      } else if (!AllZero(base + block + p, avail - p)) {
-        AddRange(out, block + p, avail - p);
-        AppendDetail(out, "non-zero bytes in block padding");
-      }
-    }
+  for (uint64_t off = 0; off < n; off += kBlockSize) {
+    const uint64_t avail = std::min<uint64_t>(kBlockSize, n - off);
+    ScanLogBlock(data + off, at + off, avail, at + off + avail == size, out);
   }
+}
+
+// Scrubs the file at `path` through `*window` into `out` (verdict,
+// ranges, detail, bytes). A non-OK status means it could not be read.
+Status ScanFile(storage::Env* env, const std::string& path, bool is_segment,
+                bool is_active, std::string* window, FileScrubResult* out) {
+  uint64_t size = 0;
+  MEDVAULT_RETURN_IF_ERROR(env->GetFileSize(path, &size));
+  std::unique_ptr<storage::RandomAccessFile> file;
+  MEDVAULT_RETURN_IF_ERROR(env->NewRandomAccessFile(path, &file));
+  out->bytes = size;
+  if (is_segment) {
+    storage::SegmentFrameWalker walker(file.get(), size, /*check_crc=*/true,
+                                       window);
+    ScanSegment(&walker, size, is_active, out);
+    return walker.status();
+  }
+  for (uint64_t at = 0; at < size; at += storage::kScanWindowBytes) {
+    const uint64_t n = std::min<uint64_t>(storage::kScanWindowBytes, size - at);
+    MEDVAULT_RETURN_IF_ERROR(file->Read(at, n, window));
+    if (window->size() != n) {
+      return Status::Corruption("log shorter than its recorded size");
+    }
+    ScanLogBlocks(window->data(), at, n, size, out);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+void Scrubber::ScrubSegmentData(const Slice& data, bool is_active,
+                                FileScrubResult* out) {
+  storage::SegmentFrameWalker walker(data, /*check_crc=*/true);
+  ScanSegment(&walker, data.size(), is_active, out);
+}
+
+void Scrubber::ScrubLogData(const Slice& data, FileScrubResult* out) {
+  ScanLogBlocks(data.data(), 0, data.size(), data.size(), out);
 }
 
 const std::vector<std::string>& Scrubber::ExpectedArtifacts() {
@@ -235,27 +277,25 @@ Result<ScrubReport> Scrubber::ScrubVaultDir(storage::Env* env,
   std::vector<std::string> children;
   MEDVAULT_RETURN_IF_ERROR(env->GetChildren(dir, &children));
 
+  // One window serves every file of the scan.
+  std::string window;
   auto scan_file = [&](const std::string& rel, bool is_segment,
                        bool is_active) {
     FileScrubResult r;
     r.path = rel;
-    std::string contents;
-    Status s = storage::ReadFileToString(env, dir + "/" + rel, &contents);
+    Status s =
+        ScanFile(env, dir + "/" + rel, is_segment, is_active, &window, &r);
     if (!s.ok()) {
+      r = FileScrubResult{};
+      r.path = rel;
       r.verdict =
           s.IsNotFound() ? ScrubVerdict::kMissing : ScrubVerdict::kCorrupt;
       r.detail = "unreadable: " + s.ToString();
       report.files.push_back(std::move(r));
       return;
     }
-    r.bytes = contents.size();
     report.files_scanned++;
-    report.bytes_scanned += contents.size();
-    if (is_segment) {
-      ScrubSegmentData(Slice(contents), is_active, &r);
-    } else {
-      ScrubLogData(Slice(contents), &r);
-    }
+    report.bytes_scanned += r.bytes;
     report.files.push_back(std::move(r));
   };
 

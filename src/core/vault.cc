@@ -642,6 +642,11 @@ Status Vault::CheckAccess(const PrincipalId& actor, Operation op) const {
   return access_.CheckAccess(actor, op, "", "", Now(), nullptr);
 }
 
+Result<Principal> Vault::GetPrincipal(const PrincipalId& id) const {
+  std::shared_lock lock(mu_);
+  return access_.GetPrincipal(id);
+}
+
 Status Vault::AssignCare(const PrincipalId& actor,
                          const PrincipalId& clinician,
                          const PrincipalId& patient) {

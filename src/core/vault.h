@@ -405,6 +405,10 @@ class Vault {
   /// shared lock (migration and backup authorize through this).
   Status CheckAccess(const PrincipalId& actor, Operation op) const;
 
+  /// A registered principal, read under the vault's shared lock (the
+  /// server's login and proof checks look principals up through this).
+  Result<Principal> GetPrincipal(const PrincipalId& id) const;
+
   /// Appends an audit event on behalf of internal modules (migration,
   /// backup).
   Status Audit(const PrincipalId& actor, AuditAction action,

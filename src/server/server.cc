@@ -658,7 +658,7 @@ HttpResponse MedVaultServer::HandleLogin(const Call& call) {
     if (shard == nullptr) {
       return ErrorResponse(503, "all shards quarantined");
     }
-    Result<core::Principal> found = shard->access()->GetPrincipal(*principal);
+    Result<core::Principal> found = shard->GetPrincipal(*principal);
     if (!found.ok()) {
       ok = false;
     } else {
@@ -1080,7 +1080,7 @@ HttpResponse MedVaultServer::HandleTransparencyProof(const Call& call) {
   // (checked and audited by the shard, denial included).
   core::Vault* any = AnyShard();
   if (any == nullptr) return ErrorResponse(503, "all shards quarantined");
-  Result<core::Principal> who = any->access()->GetPrincipal(call.actor);
+  Result<core::Principal> who = any->GetPrincipal(call.actor);
   if (!who.ok()) return ErrorFromStatus(who.status());
   bool own_event = false;
   if (who->role == core::Role::kPatient) {

@@ -1,5 +1,6 @@
 #include "storage/segment.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
@@ -49,6 +50,87 @@ bool ParseSegmentBaseName(const std::string& name, uint64_t* id) {
          name == SegmentBaseName(*id);
 }
 
+SegmentFrameWalker::SegmentFrameWalker(const Slice& data, bool check_crc)
+    : size_(data.size()),
+      capacity_(data.size()),
+      check_crc_(check_crc),
+      buf_(data) {}
+
+SegmentFrameWalker::SegmentFrameWalker(const RandomAccessFile* file,
+                                       uint64_t size, bool check_crc,
+                                       std::string* window)
+    : file_(file),
+      window_(window),
+      size_(size),
+      capacity_(kScanWindowBytes),
+      check_crc_(check_crc) {}
+
+bool SegmentFrameWalker::Load(uint64_t offset, uint64_t n) {
+  if (offset >= buf_start_ && offset + n <= buf_start_ + buf_.size()) {
+    return true;
+  }
+  // Only a file walk gets here: a whole image is one window.
+  const size_t want =
+      static_cast<size_t>(std::min<uint64_t>(capacity_, size_ - offset));
+  status_ = file_->Read(offset, want, window_);
+  if (status_.ok() && window_->size() < n) {
+    status_ = Status::Corruption("segment shorter than its recorded size");
+  }
+  if (!status_.ok()) return false;
+  buf_ = Slice(*window_);
+  buf_start_ = offset;
+  return true;
+}
+
+bool SegmentFrameWalker::StreamCrc(uint64_t offset, uint64_t n,
+                                   uint32_t* crc) {
+  *crc = 0;
+  while (n > 0) {
+    const uint64_t chunk = std::min<uint64_t>(n, capacity_);
+    if (!Load(offset, chunk)) return false;
+    *crc = crc32c::Extend(*crc, buf_.data() + (offset - buf_start_), chunk);
+    offset += chunk;
+    n -= chunk;
+  }
+  return true;
+}
+
+bool SegmentFrameWalker::Next(Frame* frame) {
+  if (!status_.ok() || tail_ != Tail::kNone) return false;
+  if (pos_ + kFrameHeaderSize > size_) {
+    if (pos_ < size_) tail_ = Tail::kPartialHeader;
+    return false;
+  }
+  if (!Load(pos_, kFrameHeaderSize)) return false;
+  const char* header = buf_.data() + (pos_ - buf_start_);
+  const uint32_t expected_crc = crc32c::Unmask(DecodeFixed32(header));
+  const uint32_t length = DecodeFixed32(header + 4);
+  if (pos_ + kFrameHeaderSize + length > size_) {
+    tail_ = Tail::kTornFrame;
+    return false;
+  }
+  frame->offset = pos_;
+  frame->end = pos_ + kFrameHeaderSize + length;
+  frame->length = length;
+  frame->crc_ok = true;
+  frame->payload = Slice();
+  if (check_crc_) {
+    const uint64_t payload_at = pos_ + kFrameHeaderSize;
+    uint32_t crc = 0;
+    if (kFrameHeaderSize + length <= capacity_) {
+      if (!Load(pos_, kFrameHeaderSize + length)) return false;
+      frame->payload =
+          Slice(buf_.data() + (payload_at - buf_start_), length);
+      crc = crc32c::Value(frame->payload);
+    } else if (!StreamCrc(payload_at, length, &crc)) {
+      return false;
+    }
+    frame->crc_ok = crc == expected_crc;
+  }
+  pos_ = frame->end;
+  return true;
+}
+
 SegmentStore::SegmentStore(Env* env, std::string dir, Options options)
     : env_(env), dir_(std::move(dir)), options_(options) {}
 
@@ -80,17 +162,18 @@ Status SegmentStore::Open() {
   // cannot be torn.
   if (max_id > 0) {
     const std::string name = SegmentFileName(max_id);
-    std::string contents;
-    MEDVAULT_RETURN_IF_ERROR(ReadFileToString(env_, name, &contents));
-    uint64_t offset = 0;
-    while (offset + kFrameHeaderSize <= contents.size()) {
-      uint32_t length = DecodeFixed32(contents.data() + offset + 4);
-      if (offset + kFrameHeaderSize + length > contents.size()) break;
-      offset += kFrameHeaderSize + length;
+    std::unique_ptr<RandomAccessFile> file;
+    MEDVAULT_RETURN_IF_ERROR(env_->NewRandomAccessFile(name, &file));
+    std::string window;
+    SegmentFrameWalker walker(file.get(), segments_[max_id].bytes,
+                              /*check_crc=*/false, &window);
+    SegmentFrameWalker::Frame frame;
+    while (walker.Next(&frame)) {
     }
-    if (offset < contents.size()) {
-      MEDVAULT_RETURN_IF_ERROR(env_->Truncate(name, offset));
-      segments_[max_id].bytes = offset;
+    MEDVAULT_RETURN_IF_ERROR(walker.status());
+    if (walker.end() < segments_[max_id].bytes) {
+      MEDVAULT_RETURN_IF_ERROR(env_->Truncate(name, walker.end()));
+      segments_[max_id].bytes = walker.end();
     }
   }
 
@@ -210,28 +293,34 @@ Result<std::string> SegmentStore::Read(const EntryHandle& handle) const {
 
 Status SegmentStore::ForEachEntry(
     const std::function<bool(const EntryHandle&, const Slice&)>& fn) const {
+  std::string window;
   for (const auto& [id, info] : segments_) {
     if (info.bytes == 0 && !env_->FileExists(SegmentFileName(id))) continue;
-    std::string contents;
+    uint64_t size = 0;
+    MEDVAULT_RETURN_IF_ERROR(env_->GetFileSize(SegmentFileName(id), &size));
+    std::unique_ptr<RandomAccessFile> file;
     MEDVAULT_RETURN_IF_ERROR(
-        ReadFileToString(env_, SegmentFileName(id), &contents));
-    uint64_t offset = 0;
-    while (offset + kFrameHeaderSize <= contents.size()) {
-      uint32_t expected_crc =
-          crc32c::Unmask(DecodeFixed32(contents.data() + offset));
-      uint32_t length = DecodeFixed32(contents.data() + offset + 4);
-      if (offset + kFrameHeaderSize + length > contents.size()) {
-        return Status::Corruption("segment ends mid-entry");
-      }
-      Slice payload(contents.data() + offset + kFrameHeaderSize, length);
-      if (crc32c::Value(payload) != expected_crc) {
+        env_->NewRandomAccessFile(SegmentFileName(id), &file));
+    SegmentFrameWalker walker(file.get(), size, /*check_crc=*/true, &window);
+    SegmentFrameWalker::Frame frame;
+    while (walker.Next(&frame)) {
+      if (!frame.crc_ok) {
         return Status::Corruption("segment entry checksum mismatch");
       }
-      EntryHandle handle{id, offset, length};
-      if (!fn(handle, payload)) return Status::OK();
-      offset += kFrameHeaderSize + length;
+      const EntryHandle handle{id, frame.offset, frame.length};
+      if (frame.payload.size() == frame.length) {
+        if (!fn(handle, frame.payload)) return Status::OK();
+        continue;
+      }
+      // Longer than the window: the caller wants it whole.
+      MEDVAULT_ASSIGN_OR_RETURN(std::string payload, Read(handle));
+      if (!fn(handle, Slice(payload))) return Status::OK();
     }
-    if (offset != contents.size()) {
+    MEDVAULT_RETURN_IF_ERROR(walker.status());
+    if (walker.tail() == SegmentFrameWalker::Tail::kTornFrame) {
+      return Status::Corruption("segment ends mid-entry");
+    }
+    if (walker.tail() == SegmentFrameWalker::Tail::kPartialHeader) {
       return Status::Corruption("trailing garbage in segment");
     }
   }

@@ -11,6 +11,7 @@
 #include "common/result.h"
 #include "common/slice.h"
 #include "storage/env.h"
+#include "storage/log_format.h"
 #include "storage/log_writer.h"
 
 namespace medvault::storage {
@@ -35,6 +36,73 @@ std::string SegmentBaseName(uint64_t segment_id);
 /// `name` is exactly SegmentBaseName(*id). Anything else in a segment
 /// directory (temp files, `seg-junk`) is not a segment.
 bool ParseSegmentBaseName(const std::string& name, uint64_t* id);
+
+/// The one read window of the open-time file scans (segment frame walks,
+/// the scrub's record-log scans): no scan holds more of a file at once.
+/// A whole number of log blocks, so a log scan never splits a block.
+inline constexpr size_t kScanWindowBytes = 256 * 1024;
+static_assert(kScanWindowBytes % log::kBlockSize == 0);
+
+/// Walks the  crc32c(4) | length(4) | payload  frames of one segment,
+/// oldest first — the one parser of that framing outside Append/Read.
+/// A file is read through a caller-owned window of at most
+/// kScanWindowBytes; a frame longer than the window is checked across
+/// reads with crc32c::Extend, so the window never grows.
+class SegmentFrameWalker {
+ public:
+  struct Frame {
+    uint64_t offset = 0;  ///< of the frame header
+    uint64_t end = 0;     ///< just past the payload
+    uint32_t length = 0;  ///< payload length
+    bool crc_ok = true;   ///< the payload matches the header's CRC
+    /// The payload while it sits in the window (until the next Next()),
+    /// else empty. Always set for a whole-image walk; never for a frame
+    /// longer than the window or a walk that skips checksums.
+    Slice payload;
+  };
+
+  /// What follows the last whole frame.
+  enum class Tail {
+    kNone,           ///< nothing: the file ends on a frame boundary
+    kPartialHeader,  ///< fewer bytes than a frame header
+    kTornFrame,      ///< a header whose frame runs past the end
+  };
+
+  /// Walks the in-memory segment image `data` as one window.
+  SegmentFrameWalker(const Slice& data, bool check_crc);
+
+  /// Walks the first `size` bytes of `file` through `*window`. Without
+  /// `check_crc` only headers are read: frames come back unverified.
+  SegmentFrameWalker(const RandomAccessFile* file, uint64_t size,
+                     bool check_crc, std::string* window);
+
+  /// Steps to the next whole frame. False past the last one, or on a
+  /// read error (see status()).
+  bool Next(Frame* frame);
+
+  /// Offset just past the last whole frame returned.
+  uint64_t end() const { return pos_; }
+  /// Valid once Next() has returned false with an OK status().
+  Tail tail() const { return tail_; }
+  const Status& status() const { return status_; }
+
+ private:
+  /// Makes [offset, offset + n) readable in the window; n must fit it.
+  bool Load(uint64_t offset, uint64_t n);
+  /// CRC of the `n` bytes at `offset`, read a window at a time.
+  bool StreamCrc(uint64_t offset, uint64_t n, uint32_t* crc);
+
+  const RandomAccessFile* file_ = nullptr;  ///< null for a whole image
+  std::string* window_ = nullptr;
+  uint64_t size_ = 0;
+  uint64_t capacity_ = 0;  ///< bytes the window can hold
+  bool check_crc_ = true;
+  Slice buf_;              ///< window contents: bytes from buf_start_
+  uint64_t buf_start_ = 0;
+  uint64_t pos_ = 0;
+  Tail tail_ = Tail::kNone;
+  Status status_;
+};
 
 /// Append-only segment store: MedVault's software WORM media.
 ///

@@ -1,0 +1,234 @@
+// Bounded-memory scans: the structural scrub of a vault directory and a
+// segment store's open read their files through one window of
+// storage::kScanWindowBytes, however large the files are. A test-local
+// Env records the largest single read, and this binary counts its own
+// heap, so a scan that buffers a whole file fails here even when it
+// reads that file in small chunks.
+
+#include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <functional>
+#include <memory>
+#include <new>
+#include <string>
+
+#include "core/audit.h"
+#include "core/scrub.h"
+#include "core/vault.h"
+#include "storage/mem_env.h"
+#include "storage/segment.h"
+
+namespace {
+
+std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_bytes{0};
+
+void CountAlloc(void* p) {
+  const int64_t live =
+      g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p))) +
+      static_cast<int64_t>(malloc_usable_size(p));
+  int64_t peak = g_peak_bytes.load();
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(peak, live)) {
+  }
+}
+
+}  // namespace
+
+void* operator new(size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  CountAlloc(p);
+  return p;
+}
+
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)));
+  std::free(p);
+}
+
+void operator delete(void* p, size_t) noexcept { operator delete(p); }
+
+namespace medvault {
+namespace {
+
+// Growth of the heap's high-water mark over `fn`.
+int64_t PeakHeapGrowth(const std::function<void()>& fn) {
+  const int64_t base = g_live_bytes.load();
+  g_peak_bytes.store(base);
+  fn();
+  return g_peak_bytes.load() - base;
+}
+
+// MemEnv whose read handles record the largest single read asked of
+// them.
+class LargestReadEnv : public storage::MemEnv {
+ public:
+  Status NewSequentialFile(
+      const std::string& fname,
+      std::unique_ptr<storage::SequentialFile>* file) override {
+    MEDVAULT_RETURN_IF_ERROR(MemEnv::NewSequentialFile(fname, file));
+    *file = std::make_unique<Sequential>(std::move(*file), &largest_);
+    return Status::OK();
+  }
+
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<storage::RandomAccessFile>* file) override {
+    MEDVAULT_RETURN_IF_ERROR(MemEnv::NewRandomAccessFile(fname, file));
+    *file = std::make_unique<Positional>(std::move(*file), &largest_);
+    return Status::OK();
+  }
+
+  size_t largest() const { return largest_.load(); }
+  void ResetLargest() { largest_.store(0); }
+
+ private:
+  static void Record(std::atomic<size_t>* largest, size_t n) {
+    size_t seen = largest->load();
+    while (n > seen && !largest->compare_exchange_weak(seen, n)) {
+    }
+  }
+
+  class Sequential : public storage::SequentialFile {
+   public:
+    Sequential(std::unique_ptr<storage::SequentialFile> base,
+               std::atomic<size_t>* largest)
+        : base_(std::move(base)), largest_(largest) {}
+    Status Read(size_t n, std::string* result) override {
+      Record(largest_, n);
+      return base_->Read(n, result);
+    }
+    Status Skip(uint64_t n) override { return base_->Skip(n); }
+
+   private:
+    std::unique_ptr<storage::SequentialFile> base_;
+    std::atomic<size_t>* largest_;
+  };
+
+  class Positional : public storage::RandomAccessFile {
+   public:
+    Positional(std::unique_ptr<storage::RandomAccessFile> base,
+               std::atomic<size_t>* largest)
+        : base_(std::move(base)), largest_(largest) {}
+    Status Read(uint64_t offset, size_t n,
+                std::string* result) const override {
+      Record(largest_, n);
+      return base_->Read(offset, n, result);
+    }
+
+   private:
+    std::unique_ptr<storage::RandomAccessFile> base_;
+    std::atomic<size_t>* largest_;
+  };
+
+  std::atomic<size_t> largest_{0};
+};
+
+// A scan may hold its window plus bookkeeping, never a whole file.
+constexpr int64_t kHeapBudget = 2 * storage::kScanWindowBytes;
+constexpr uint64_t kSegmentBytes = 4 * 1024 * 1024;
+
+// Payloads alternate around the window size, so frames both fit in a
+// window and overflow it.
+std::string NoteText(int i) {
+  const size_t n = i % 2 == 0 ? 300 * 1024 : 100 * 1024;
+  return std::string(n, static_cast<char>('a' + i % 26));
+}
+
+TEST(BoundedScanTest, ScrubReadsThroughOneWindow) {
+  LargestReadEnv env;
+  ManualClock clock(1000000);
+  {
+    core::VaultOptions options;
+    options.env = &env;
+    options.dir = "vault";
+    options.clock = &clock;
+    options.master_key = std::string(32, 'M');
+    options.entropy = "bounded-scan-test-entropy";
+    options.signer_height = 4;
+    auto vault = core::Vault::Open(options);
+    ASSERT_TRUE(vault.ok()) << vault.status().ToString();
+    auto& v = *vault;
+    ASSERT_TRUE(v->RegisterPrincipal("boot", {"admin", core::Role::kAdmin,
+                                               "A"})
+                    .ok());
+    ASSERT_TRUE(v->RegisterPrincipal("admin", {"dr", core::Role::kPhysician,
+                                               "D"})
+                    .ok());
+    ASSERT_TRUE(
+        v->RegisterPrincipal("admin", {"pat", core::Role::kPatient, "P"})
+            .ok());
+    ASSERT_TRUE(v->AssignCare("admin", "dr", "pat").ok());
+    // Past 4 MiB of notes, so the first segment is sealed full.
+    for (int i = 0; i < 24; ++i) {
+      ASSERT_TRUE(v->CreateRecord("dr", "pat", "text/plain", NoteText(i), {"k"},
+                                  "hipaa-6y")
+                      .ok());
+    }
+    ASSERT_TRUE(v->SyncAll().ok());
+  }
+  {
+    // Grow audit.log past 1 MiB.
+    core::AuditLog audit(&env, "vault/audit.log");
+    ASSERT_TRUE(audit.Open().ok());
+    for (int i = 0; i < 1100; ++i) {
+      ASSERT_TRUE(audit
+                      .Append("dr", core::AuditAction::kRead, "r-1",
+                              std::string(1000, 'd'), 5000 + i)
+                      .ok());
+    }
+    ASSERT_TRUE(audit.Sync().ok());
+  }
+  uint64_t audit_bytes = 0;
+  ASSERT_TRUE(env.GetFileSize("vault/audit.log", &audit_bytes).ok());
+  ASSERT_GE(audit_bytes, 1024u * 1024);
+  uint64_t seg_bytes = 0;
+  ASSERT_TRUE(
+      env.GetFileSize("vault/segments/seg-00000001", &seg_bytes).ok());
+  ASSERT_GE(seg_bytes, kSegmentBytes - 300 * 1024);
+
+  env.ResetLargest();
+  Result<core::ScrubReport> report = Status::Corruption("not run");
+  const int64_t growth = PeakHeapGrowth(
+      [&] { report = core::Scrubber::ScrubVaultDir(&env, "vault", 1); });
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->structurally_clean()) << report->Summary();
+  EXPECT_GT(report->bytes_scanned, seg_bytes + audit_bytes);
+  EXPECT_LE(env.largest(), storage::kScanWindowBytes);
+  EXPECT_LT(growth, kHeapBudget) << growth;
+}
+
+TEST(BoundedScanTest, SegmentOpenReadsThroughOneWindow) {
+  LargestReadEnv env;
+  uint64_t written = 0;
+  {
+    storage::SegmentStore store(&env, "store", {});
+    ASSERT_TRUE(store.Open().ok());
+    // Fill the active segment to just under the size that seals it.
+    for (int i = 0;; ++i) {
+      const std::string note = NoteText(i);
+      if (store.TotalBytes() + 8 + note.size() > kSegmentBytes) break;
+      ASSERT_TRUE(store.Append(note).ok());
+    }
+    written = store.TotalBytes();
+    ASSERT_EQ(store.SegmentIds().size(), 1u);
+  }
+  ASSERT_GE(written, kSegmentBytes - 300 * 1024);
+
+  storage::SegmentStore reopened(&env, "store", {});
+  env.ResetLargest();
+  Status opened = Status::Corruption("not run");
+  const int64_t growth = PeakHeapGrowth([&] { opened = reopened.Open(); });
+  ASSERT_TRUE(opened.ok()) << opened.ToString();
+  EXPECT_EQ(reopened.TotalBytes(), written);
+  EXPECT_LE(env.largest(), storage::kScanWindowBytes);
+  EXPECT_LT(growth, kHeapBudget) << growth;
+}
+
+}  // namespace
+}  // namespace medvault

@@ -948,6 +948,36 @@ TEST_F(ServerTest, LogoutLeavesNoDistinguishableTrace) {
   EXPECT_EQ(relogout->body, forged->body);
 }
 
+// Logins look principals up while an admin registers new ones: the
+// lookup must take the shard's lock, or the principal table is read
+// while it is rebalanced (a data race ThreadSanitizer reports).
+TEST_F(ServerTest, LoginsRaceRegistrations) {
+  Bootstrap();
+  StartServer();
+  constexpr int kRegistrations = 150;
+  std::thread admin([&] {
+    for (int i = 0; i < kRegistrations; ++i) {
+      const std::string id = "new-" + std::to_string(i);
+      Status s = vault_->RegisterPrincipal("admin",
+                                           {id, Role::kPatient, "N"});
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+  });
+  HttpClient client = MakeClient();
+  for (int i = 0; i < kRegistrations; ++i) {
+    // A settled principal always logs in; a new one once registered.
+    EXPECT_FALSE(Login(&client, "dr").empty());
+    auto r = client.Do("POST", "/v1/login",
+                       Obj({{"principal", Value("new-" + std::to_string(i))},
+                            {"secret", Value(kSecret)}}));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->status == 200 || r->status == 403) << r->body;
+  }
+  admin.join();
+  EXPECT_FALSE(Login(&client, "new-" + std::to_string(kRegistrations - 1))
+                   .empty());
+}
+
 TEST_F(ServerTest, KeepAliveServesPipelinedSequentialRequests) {
   Bootstrap();
   StartServer();

@@ -3,7 +3,8 @@
 # then the crash/fault matrix, the cross-shard stress battery, the
 # shard-dispatch battery (routing, shard ids and secrets, manifest,
 # fan-outs), the observability battery, the media-fault scrub/repair
-# battery, the env/group-commit batteries, the HTTP server battery, the
+# battery (with the bounded-window scans and the segment store), the
+# env/group-commit batteries, the HTTP server battery, the
 # verified-replication battery, the audit-transparency battery, the
 # patient-driven-sharing consent battery, the crypto battery
 # (SHA-256, AES and CRC-32C hardware kernels and the 16-lane AVX-512
@@ -11,7 +12,8 @@
 # Merkle, and the signature and audit pins re-run with
 # MEDVAULT_FORCE_SCALAR=1, which also pins the lanes kernel to a loop
 # of scalar calls) and the audit-history
-# battery (pinned roots and proofs, read-back from audit.log) and the
+# battery (pinned roots and proofs, read-back from audit.log, custody
+# chains read back from provenance.log, migration handover) and the
 # signer.tree battery (signer_tree_test, labels crash and crypto:
 # tampered, foreign, wrong-height and torn files, a power cut at every
 # boundary of a first open, the upgrade of a layout without the file;
