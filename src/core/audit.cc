@@ -311,7 +311,9 @@ Status AuditLog::VerifyAll(const Slice& signer_public_key,
   MEDVAULT_RETURN_IF_ERROR(env_->NewSequentialFile(path_, &src));
   storage::log::Reader reader(std::move(src));
 
-  crypto::MerkleTree tree;
+  // RFC 6962/9162 compact range over the events read so far: one
+  // subtree root per 1 bit of the count, largest first (at most 64).
+  std::vector<std::string> range;
   std::string last_hash;
   uint64_t expected_seq = 0;
   std::string record;
@@ -328,7 +330,13 @@ Status AuditLog::VerifyAll(const Slice& signer_public_key,
         return Status::TamperDetected("audit hash chain broken");
       }
       last_hash = crypto::Sha256Digest(payload);
-      tree.Append(payload);
+      std::string h = crypto::MerkleTree::HashLeaf(payload);
+      // Each trailing 1 bit of the count is a same-sized subtree.
+      for (uint64_t n = expected_seq; (n & 1) != 0; n >>= 1) {
+        h = crypto::MerkleTree::HashNode(range.back(), h);
+        range.pop_back();
+      }
+      range.push_back(std::move(h));
       expected_seq++;
     } else if (kind == kRecordCheckpoint) {
       MEDVAULT_ASSIGN_OR_RETURN(SignedCheckpoint c,
@@ -338,13 +346,22 @@ Status AuditLog::VerifyAll(const Slice& signer_public_key,
       MEDVAULT_RETURN_IF_ERROR(crypto::XmssSigner::Verify(
           c.SignedPayload(), sig, signer_public_key, signer_public_seed,
           signer_height));
-      if (c.tree_size > tree.size()) {
+      // Checkpoint() reads the size and appends under one lock hold:
+      // a checkpoint covers exactly the events before it.
+      if (c.tree_size > expected_seq) {
         return Status::TamperDetected(
             "checkpoint covers more events than present (truncation)");
       }
-      MEDVAULT_ASSIGN_OR_RETURN(std::string root_then,
-                                tree.RootAt(c.tree_size));
-      if (!crypto::ConstantTimeEqual(root_then, c.root)) {
+      if (c.tree_size < expected_seq) {
+        return Status::TamperDetected(
+            "checkpoint covers fewer events than precede it");
+      }
+      std::string root =
+          range.empty() ? crypto::MerkleTree::EmptyRoot() : range.back();
+      for (size_t i = range.size(); i-- > 1;) {
+        root = crypto::MerkleTree::HashNode(range[i - 1], root);
+      }
+      if (!crypto::ConstantTimeEqual(root, c.root)) {
         return Status::TamperDetected("checkpoint root mismatch");
       }
     } else {

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "common/coding.h"
-#include "common/hex.h"
 #include "core/scrub.h"
-#include "crypto/sha256.h"
 
 namespace medvault::core {
 
@@ -78,132 +75,20 @@ Result<BackupManifest> BackupManifest::Decode(const Slice& data) {
   return m;
 }
 
-Result<std::vector<std::string>> BackupManager::VaultFiles(
-    storage::Env* env, const std::string& dir) {
-  std::vector<std::string> files;
-  std::vector<std::string> top;
-  MEDVAULT_RETURN_IF_ERROR(env->GetChildren(dir, &top));
-  for (const std::string& name : top) {
-    // Probe whether the child is a file; directories fail GetFileSize on
-    // MemEnv (no entry) and succeed on POSIX — so also try listing it.
-    std::vector<std::string> sub;
-    if (env->GetChildren(dir + "/" + name, &sub).ok() && !sub.empty()) {
-      for (const std::string& inner : sub) {
-        files.push_back(name + "/" + inner);
-      }
-      continue;
-    }
-    uint64_t size = 0;
-    if (env->GetFileSize(dir + "/" + name, &size).ok()) {
-      files.push_back(name);
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
-Result<BackupManifest> BackupManager::Backup(Vault* vault,
-                                             const PrincipalId& actor,
-                                             storage::Env* offsite_env,
-                                             const std::string& offsite_dir) {
-  MEDVAULT_RETURN_IF_ERROR(vault->CheckAccess(actor, Operation::kBackup));
-
-  storage::Env* src_env = vault->options().env;
-  const std::string& src_dir = vault->options().dir;
-
-  MEDVAULT_RETURN_IF_ERROR(offsite_env->CreateDirIfMissing(offsite_dir));
-
-  BackupManifest manifest;
-  manifest.backup_id =
-      "bk-" + std::to_string(static_cast<uint64_t>(vault->Now()));
-  manifest.system_id = vault->options().system_id;
-  manifest.created_at = vault->Now();
-
-  MEDVAULT_ASSIGN_OR_RETURN(std::vector<std::string> files,
-                            VaultFiles(src_env, src_dir));
-  for (const std::string& rel : files) {
-    std::string contents;
-    MEDVAULT_RETURN_IF_ERROR(
-        storage::ReadFileToString(src_env, src_dir + "/" + rel, &contents));
-    // Create intermediate directory for nested paths.
-    auto slash = rel.find('/');
-    if (slash != std::string::npos) {
-      MEDVAULT_RETURN_IF_ERROR(offsite_env->CreateDirIfMissing(
-          offsite_dir + "/" + rel.substr(0, slash)));
-    }
-    MEDVAULT_RETURN_IF_ERROR(storage::WriteStringToFile(
-        offsite_env, contents, offsite_dir + "/" + rel, true));
-    manifest.files.emplace_back(rel, crypto::Sha256Digest(contents));
-  }
-
-  MEDVAULT_ASSIGN_OR_RETURN(
-      manifest.signature, vault->SignStatement(manifest.SignedPayload()));
-  MEDVAULT_RETURN_IF_ERROR(storage::WriteStringToFile(
-      offsite_env, manifest.Encode(), offsite_dir + "/MANIFEST", true));
-
-  MEDVAULT_RETURN_IF_ERROR(
-      vault->Audit(actor, AuditAction::kBackup, "",
-                   manifest.backup_id + " files=" +
-                       std::to_string(manifest.files.size())));
-  return manifest;
-}
-
-Result<BackupManifest> BackupManager::BackupIncremental(
-    Vault* vault, const PrincipalId& actor, storage::Env* offsite_env,
-    const std::string& offsite_dir, const BackupManifest& base) {
-  MEDVAULT_RETURN_IF_ERROR(vault->CheckAccess(actor, Operation::kBackup));
-
-  storage::Env* src_env = vault->options().env;
-  const std::string& src_dir = vault->options().dir;
-  MEDVAULT_RETURN_IF_ERROR(offsite_env->CreateDirIfMissing(offsite_dir));
-
-  // Effective state of the base chain: path -> hash.
-  std::map<std::string, std::string> base_state(base.files.begin(),
-                                                base.files.end());
-
-  BackupManifest manifest;
-  manifest.backup_id =
-      "bk-" + std::to_string(static_cast<uint64_t>(vault->Now()));
-  manifest.system_id = vault->options().system_id;
-  manifest.created_at = vault->Now();
-  manifest.base_backup_id = base.backup_id;
-
-  MEDVAULT_ASSIGN_OR_RETURN(std::vector<std::string> files,
-                            VaultFiles(src_env, src_dir));
-  std::set<std::string> current(files.begin(), files.end());
-  for (const std::string& rel : files) {
-    std::string contents;
-    MEDVAULT_RETURN_IF_ERROR(
-        storage::ReadFileToString(src_env, src_dir + "/" + rel, &contents));
-    std::string hash = crypto::Sha256Digest(contents);
-    auto it = base_state.find(rel);
-    if (it != base_state.end() && it->second == hash) continue;  // unchanged
-    auto slash = rel.find('/');
-    if (slash != std::string::npos) {
-      MEDVAULT_RETURN_IF_ERROR(offsite_env->CreateDirIfMissing(
-          offsite_dir + "/" + rel.substr(0, slash)));
-    }
-    MEDVAULT_RETURN_IF_ERROR(storage::WriteStringToFile(
-        offsite_env, contents, offsite_dir + "/" + rel, true));
-    manifest.files.emplace_back(rel, std::move(hash));
-  }
-  for (const auto& [rel, hash] : base_state) {
-    if (current.count(rel) == 0) manifest.deleted.push_back(rel);
-  }
-
-  MEDVAULT_ASSIGN_OR_RETURN(
-      manifest.signature, vault->SignStatement(manifest.SignedPayload()));
-  MEDVAULT_RETURN_IF_ERROR(storage::WriteStringToFile(
-      offsite_env, manifest.Encode(), offsite_dir + "/MANIFEST", true));
-  MEDVAULT_RETURN_IF_ERROR(vault->Audit(
-      actor, AuditAction::kBackup, "",
-      manifest.backup_id + " incremental-of=" + base.backup_id +
-          " changed=" + std::to_string(manifest.files.size()) +
-          " deleted=" + std::to_string(manifest.deleted.size())));
-  return manifest;
-}
-
 namespace {
+
+// The files a chain restores: the newest mention of each path wins,
+// and a later `deleted` entry erases earlier mentions. rel -> (offsite
+// dir holding it, SHA-256).
+std::map<std::string, std::pair<std::string, std::string>> EffectiveState(
+    const BackupChain& chain) {
+  std::map<std::string, std::pair<std::string, std::string>> effective;
+  for (const auto& [dir, manifest] : chain) {
+    for (const auto& [rel, hash] : manifest.files) effective[rel] = {dir, hash};
+    for (const std::string& rel : manifest.deleted) effective.erase(rel);
+  }
+  return effective;
+}
 
 // Chain-structure validation shared by RestoreChain/VerifyChain/Repair:
 // the first link must be a full backup and every later link must build
@@ -211,8 +96,7 @@ namespace {
 // per-file TamperDetected so callers can tell "your chain is unusable
 // (e.g. a mid-chain incremental was deleted)" from "a backup file was
 // modified".
-Status ValidateChainLinkage(
-    const std::vector<std::pair<std::string, BackupManifest>>& chain) {
+Status ValidateChainLinkage(const BackupChain& chain) {
   if (chain.empty()) {
     return Status::InvalidArgument("restore chain is empty");
   }
@@ -236,10 +120,80 @@ Status ValidateChainLinkage(
 
 }  // namespace
 
-Result<std::vector<std::pair<std::string, BackupManifest>>>
-BackupManager::LoadChain(storage::Env* offsite_env,
-                         const std::vector<std::string>& dirs) {
-  std::vector<std::pair<std::string, BackupManifest>> chain;
+Result<BackupManifest> BackupManager::Backup(Vault* vault,
+                                             const PrincipalId& actor,
+                                             storage::Env* offsite_env,
+                                             const std::string& offsite_dir) {
+  return BackupIncremental(vault, actor, offsite_env, offsite_dir,
+                           BackupManifest());
+}
+
+Result<BackupManifest> BackupManager::BackupIncremental(
+    Vault* vault, const PrincipalId& actor, storage::Env* offsite_env,
+    const std::string& offsite_dir, const BackupManifest& base) {
+  MEDVAULT_RETURN_IF_ERROR(vault->CheckAccess(actor, Operation::kBackup));
+
+  storage::Env* src_env = vault->options().env;
+  const std::string& src_dir = vault->options().dir;
+  MEDVAULT_RETURN_IF_ERROR(offsite_env->CreateDirIfMissing(offsite_dir));
+
+  // The base's files: path -> hash (none for a full backup).
+  std::map<std::string, std::string> base_state(base.files.begin(),
+                                                base.files.end());
+
+  BackupManifest manifest;
+  manifest.backup_id =
+      "bk-" + std::to_string(static_cast<uint64_t>(vault->Now()));
+  manifest.system_id = vault->options().system_id;
+  manifest.created_at = vault->Now();
+  manifest.base_backup_id = base.backup_id;
+
+  // The vault's artifacts, plus its signer.tree so a restored vault
+  // opens without key generation. Sorted.
+  MEDVAULT_ASSIGN_OR_RETURN(std::vector<std::string> files,
+                            Scrubber::ArtifactFiles(src_env, src_dir));
+  if (src_env->FileExists(src_dir + "/" + kSignerTreeFile)) {
+    files.insert(std::upper_bound(files.begin(), files.end(), kSignerTreeFile),
+                 kSignerTreeFile);
+  }
+  for (const std::string& rel : files) {
+    auto it = base_state.find(rel);
+    if (it != base_state.end()) {
+      crypto::Sha256 sha;
+      MEDVAULT_RETURN_IF_ERROR(
+          storage::HashFile(src_env, src_dir + "/" + rel, &sha).status());
+      if (sha.Finish() == it->second) continue;  // unchanged
+    }
+    MEDVAULT_ASSIGN_OR_RETURN(
+        std::string hash,
+        storage::CopyFile(src_env, src_dir + "/" + rel, offsite_env,
+                          offsite_dir + "/" + rel, /*sync=*/true));
+    manifest.files.emplace_back(rel, std::move(hash));
+  }
+  for (const auto& [rel, hash] : base_state) {
+    if (!std::binary_search(files.begin(), files.end(), rel)) {
+      manifest.deleted.push_back(rel);
+    }
+  }
+
+  MEDVAULT_ASSIGN_OR_RETURN(
+      manifest.signature, vault->SignStatement(manifest.SignedPayload()));
+  MEDVAULT_RETURN_IF_ERROR(storage::WriteStringToFile(
+      offsite_env, manifest.Encode(), offsite_dir + "/MANIFEST", true));
+  const std::string details =
+      base.backup_id.empty()
+          ? " files=" + std::to_string(manifest.files.size())
+          : " incremental-of=" + base.backup_id +
+                " changed=" + std::to_string(manifest.files.size()) +
+                " deleted=" + std::to_string(manifest.deleted.size());
+  MEDVAULT_RETURN_IF_ERROR(vault->Audit(actor, AuditAction::kBackup, "",
+                                        manifest.backup_id + details));
+  return manifest;
+}
+
+Result<BackupChain> BackupManager::LoadChain(
+    storage::Env* offsite_env, const std::vector<std::string>& dirs) {
+  BackupChain chain;
   chain.reserve(dirs.size());
   for (const std::string& dir : dirs) {
     Result<BackupManifest> m = LoadManifest(offsite_env, dir);
@@ -264,9 +218,8 @@ BackupManager::LoadChain(storage::Env* offsite_env,
   return chain;
 }
 
-Status BackupManager::VerifyChain(
-    storage::Env* offsite_env,
-    const std::vector<std::pair<std::string, BackupManifest>>& chain) {
+Status BackupManager::VerifyChain(storage::Env* offsite_env,
+                                  const BackupChain& chain) {
   MEDVAULT_RETURN_IF_ERROR(ValidateChainLinkage(chain));
   for (const auto& [dir, manifest] : chain) {
     MEDVAULT_RETURN_IF_ERROR(Verify(offsite_env, dir, manifest));
@@ -274,27 +227,24 @@ Status BackupManager::VerifyChain(
   return Status::OK();
 }
 
-Status BackupManager::RestoreChain(
-    storage::Env* offsite_env,
-    const std::vector<std::pair<std::string, BackupManifest>>& chain,
-    storage::Env* dest_env, const std::string& dest_dir) {
-  // Validate linkage and verify every link before touching the dest.
+Status BackupManager::RestoreChain(storage::Env* offsite_env,
+                                   const BackupChain& chain,
+                                   storage::Env* dest_env,
+                                   const std::string& dest_dir) {
+  // Validate linkage and verify every link before touching the dest;
+  // each copy is checked again as it is made.
   MEDVAULT_RETURN_IF_ERROR(VerifyChain(offsite_env, chain));
   MEDVAULT_RETURN_IF_ERROR(dest_env->CreateDirIfMissing(dest_dir));
+  const auto effective = EffectiveState(chain);
+  for (const auto& [rel, from] : effective) {
+    MEDVAULT_RETURN_IF_ERROR(
+        storage::CopyFile(offsite_env, from.first + "/" + rel, dest_env,
+                          dest_dir + "/" + rel, /*sync=*/true, from.second)
+            .status());
+  }
   for (const auto& [dir, manifest] : chain) {
-    for (const auto& [rel, hash] : manifest.files) {
-      std::string contents;
-      MEDVAULT_RETURN_IF_ERROR(storage::ReadFileToString(
-          offsite_env, dir + "/" + rel, &contents));
-      auto slash = rel.find('/');
-      if (slash != std::string::npos) {
-        MEDVAULT_RETURN_IF_ERROR(dest_env->CreateDirIfMissing(
-            dest_dir + "/" + rel.substr(0, slash)));
-      }
-      MEDVAULT_RETURN_IF_ERROR(storage::WriteStringToFile(
-          dest_env, contents, dest_dir + "/" + rel, true));
-    }
     for (const std::string& rel : manifest.deleted) {
+      if (effective.count(rel) != 0) continue;  // brought back later
       Status s = dest_env->RemoveFile(dest_dir + "/" + rel);
       if (!s.ok() && !s.IsNotFound()) return s;
     }
@@ -306,13 +256,11 @@ Status BackupManager::Verify(storage::Env* offsite_env,
                              const std::string& offsite_dir,
                              const BackupManifest& manifest) {
   for (const auto& [rel, expected_hash] : manifest.files) {
-    std::string contents;
-    Status s = storage::ReadFileToString(offsite_env,
-                                         offsite_dir + "/" + rel, &contents);
-    if (!s.ok()) {
+    crypto::Sha256 sha;
+    if (!storage::HashFile(offsite_env, offsite_dir + "/" + rel, &sha).ok()) {
       return Status::TamperDetected("backup file missing: " + rel);
     }
-    if (crypto::Sha256Digest(contents) != expected_hash) {
+    if (sha.Finish() != expected_hash) {
       return Status::TamperDetected("backup file hash mismatch: " + rel);
     }
   }
@@ -324,42 +272,16 @@ Status BackupManager::Restore(storage::Env* offsite_env,
                               const BackupManifest& manifest,
                               storage::Env* dest_env,
                               const std::string& dest_dir) {
-  MEDVAULT_RETURN_IF_ERROR(Verify(offsite_env, offsite_dir, manifest));
-  MEDVAULT_RETURN_IF_ERROR(dest_env->CreateDirIfMissing(dest_dir));
-  for (const auto& [rel, hash] : manifest.files) {
-    std::string contents;
-    MEDVAULT_RETURN_IF_ERROR(storage::ReadFileToString(
-        offsite_env, offsite_dir + "/" + rel, &contents));
-    auto slash = rel.find('/');
-    if (slash != std::string::npos) {
-      MEDVAULT_RETURN_IF_ERROR(dest_env->CreateDirIfMissing(
-          dest_dir + "/" + rel.substr(0, slash)));
-    }
-    MEDVAULT_RETURN_IF_ERROR(storage::WriteStringToFile(
-        dest_env, contents, dest_dir + "/" + rel, true));
-  }
-  return Status::OK();
+  return RestoreChain(offsite_env, {{offsite_dir, manifest}}, dest_env,
+                      dest_dir);
 }
 
 Result<BackupManager::RepairSummary> BackupManager::Repair(
-    storage::Env* offsite_env,
-    const std::vector<std::pair<std::string, BackupManifest>>& chain,
+    storage::Env* offsite_env, const BackupChain& chain,
     storage::Env* dest_env, const std::string& dest_dir,
     const ScrubReport& report) {
   MEDVAULT_RETURN_IF_ERROR(ValidateChainLinkage(chain));
-
-  // Effective state of the chain: newest mention of each path wins,
-  // and a later `deleted` entry erases earlier mentions.
-  std::map<std::string, std::pair<std::string, std::string>>
-      effective;  // rel -> (offsite dir holding it, sha256)
-  for (const auto& [dir, manifest] : chain) {
-    for (const auto& [rel, hash] : manifest.files) {
-      effective[rel] = {dir, hash};
-    }
-    for (const std::string& rel : manifest.deleted) {
-      effective.erase(rel);
-    }
-  }
+  const auto effective = EffectiveState(chain);
 
   RepairSummary summary;
   for (const std::string& rel : report.DamagedFiles()) {
@@ -369,24 +291,14 @@ Result<BackupManager::RepairSummary> BackupManager::Repair(
       continue;
     }
     const auto& [src_dir, expected_hash] = it->second;
-    std::string contents;
-    Status s = storage::ReadFileToString(offsite_env, src_dir + "/" + rel,
-                                         &contents);
-    if (!s.ok()) {
+    Result<std::string> copied =
+        storage::CopyFile(offsite_env, src_dir + "/" + rel, dest_env,
+                          dest_dir + "/" + rel, /*sync=*/true, expected_hash);
+    if (copied.status().IsNotFound()) {
       return Status::TamperDetected("backup file missing during repair: " +
                                     rel);
     }
-    if (crypto::Sha256Digest(contents) != expected_hash) {
-      return Status::TamperDetected("backup file hash mismatch during repair: " +
-                                    rel);
-    }
-    auto slash = rel.find('/');
-    if (slash != std::string::npos) {
-      MEDVAULT_RETURN_IF_ERROR(dest_env->CreateDirIfMissing(
-          dest_dir + "/" + rel.substr(0, slash)));
-    }
-    MEDVAULT_RETURN_IF_ERROR(storage::WriteStringToFile(
-        dest_env, contents, dest_dir + "/" + rel, true));
+    MEDVAULT_RETURN_IF_ERROR(copied.status());
     summary.restored.push_back(rel);
   }
 
@@ -422,9 +334,13 @@ Status BackupManager::AuditRepair(Vault* vault, const PrincipalId& actor,
 
 Result<BackupManifest> BackupManager::LoadManifest(
     storage::Env* offsite_env, const std::string& offsite_dir) {
+  // The manifest is the one file decoded whole.
   std::string contents;
-  MEDVAULT_RETURN_IF_ERROR(storage::ReadFileToString(
-      offsite_env, offsite_dir + "/MANIFEST", &contents));
+  MEDVAULT_RETURN_IF_ERROR(storage::StreamFile(
+      offsite_env, offsite_dir + "/MANIFEST", [&](const Slice& piece) {
+        contents.append(piece.data(), piece.size());
+        return Status::OK();
+      }));
   return BackupManifest::Decode(contents);
 }
 

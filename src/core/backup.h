@@ -31,13 +31,18 @@ struct BackupManifest {
   static Result<BackupManifest> Decode(const Slice& data);
 };
 
+/// A backup chain, oldest first: (offsite_dir, manifest) per link.
+using BackupChain = std::vector<std::pair<std::string, BackupManifest>>;
+
 /// Copies a vault to an off-site Env (a second MemEnv in tests, a
 /// different mount in production) and verifies/restores it.
 class BackupManager {
  public:
-  /// Full backup of `vault` into `offsite_env:offsite_dir`. Writes the
-  /// manifest alongside the data as "<offsite_dir>/MANIFEST" and audits
-  /// the operation. `actor` needs kBackup.
+  /// Full backup of `vault` into `offsite_env:offsite_dir`: an
+  /// incremental backup over an empty base. Copies the vault's artifacts
+  /// (Scrubber::ArtifactFiles) and signer.tree with storage::CopyFile,
+  /// never crash leftovers; writes the manifest alongside as
+  /// "<offsite_dir>/MANIFEST" and audits it. `actor` needs kBackup.
   static Result<BackupManifest> Backup(Vault* vault,
                                        const PrincipalId& actor,
                                        storage::Env* offsite_env,
@@ -61,25 +66,26 @@ class BackupManager {
   /// or mismatched base yields kBackupChainBroken — the distinct signal
   /// that the *chain* (not the data) is unusable, e.g. because a
   /// mid-chain incremental was lost.
-  static Result<std::vector<std::pair<std::string, BackupManifest>>> LoadChain(
-      storage::Env* offsite_env, const std::vector<std::string>& dirs);
+  static Result<BackupChain> LoadChain(storage::Env* offsite_env,
+                                       const std::vector<std::string>& dirs);
 
   /// Verify() on every link of an already-loaded chain, after
   /// re-validating its linkage.
-  static Status VerifyChain(
-      storage::Env* offsite_env,
-      const std::vector<std::pair<std::string, BackupManifest>>& chain);
+  static Status VerifyChain(storage::Env* offsite_env,
+                            const BackupChain& chain);
 
-  /// Restores a full-then-incrementals chain, oldest first. Each element
-  /// is (offsite_dir, manifest); every step is verified, later files
-  /// overwrite earlier ones, and `deleted` lists are honored.
-  static Status RestoreChain(
-      storage::Env* offsite_env,
-      const std::vector<std::pair<std::string, BackupManifest>>& chain,
-      storage::Env* dest_env, const std::string& dest_dir);
+  /// Restores a full-then-incrementals chain, oldest first. Every link
+  /// is verified first; then the chain's effective state is copied (the
+  /// newest copy of each file, `deleted` lists honored), each copy
+  /// hashed against its manifest as it is made. A copy whose bytes
+  /// differ is kTamperDetected and leaves its destination file absent.
+  static Status RestoreChain(storage::Env* offsite_env,
+                             const BackupChain& chain, storage::Env* dest_env,
+                             const std::string& dest_dir);
 
-  /// Copies the backup into `dest_env:dest_dir` after verifying it.
-  /// The restored directory can then be opened as a Vault.
+  /// RestoreChain of the one-link chain {offsite_dir, manifest}: an
+  /// incremental manifest alone is kBackupChainBroken. The restored
+  /// directory can then be opened as a Vault.
   static Status Restore(storage::Env* offsite_env,
                         const std::string& offsite_dir,
                         const BackupManifest& manifest,
@@ -105,11 +111,11 @@ class BackupManager {
   /// stale artifact next to newer peers is exactly what the post-repair
   /// deep verification exists to catch. The vault at `dest_dir` must be
   /// closed. Record the repair with AuditRepair once the vault reopens.
-  static Result<RepairSummary> Repair(
-      storage::Env* offsite_env,
-      const std::vector<std::pair<std::string, BackupManifest>>& chain,
-      storage::Env* dest_env, const std::string& dest_dir,
-      const ScrubReport& report);
+  static Result<RepairSummary> Repair(storage::Env* offsite_env,
+                                      const BackupChain& chain,
+                                      storage::Env* dest_env,
+                                      const std::string& dest_dir,
+                                      const ScrubReport& report);
 
   /// Appends the single kRestore audit event for a completed Repair —
   /// called on the reopened vault, since the vault was necessarily
@@ -126,11 +132,6 @@ class BackupManager {
   static Status VerifyManifestSignature(const BackupManifest& manifest,
                                         const Slice& public_key,
                                         const Slice& public_seed, int height);
-
- private:
-  /// Relative paths of all files that constitute a vault.
-  static Result<std::vector<std::string>> VaultFiles(storage::Env* env,
-                                                     const std::string& dir);
 };
 
 }  // namespace medvault::core

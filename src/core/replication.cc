@@ -22,41 +22,6 @@ constexpr size_t kHashSize = 32;
 /// falls back to verified full-file replacement.
 constexpr size_t kMaxBoundaries = 64;
 
-/// The relative paths replication ships: the fixed logs plus every
-/// segment. Orphans (temp files, sidecars) never ship — a replica holds
-/// artifacts only. Sorted; absent directories yield an empty list.
-Result<std::vector<std::string>> ListTrackedFiles(storage::Env* env,
-                                                  const std::string& dir) {
-  std::vector<std::string> out;
-  std::vector<std::string> children;
-  Status s = env->GetChildren(dir, &children);
-  if (s.IsNotFound()) return out;
-  MEDVAULT_RETURN_IF_ERROR(s);
-  const std::vector<std::string>& artifacts = Scrubber::ExpectedArtifacts();
-  for (const std::string& name : children) {
-    if (std::find(artifacts.begin(), artifacts.end(), name) !=
-        artifacts.end()) {
-      out.push_back(name);
-    }
-  }
-  std::vector<std::string> segs;
-  s = env->GetChildren(dir + "/segments", &segs);
-  if (s.ok()) {
-    for (const std::string& name : segs) {
-      uint64_t id = 0;
-      if (storage::ParseSegmentBaseName(name, &id)) {
-        out.push_back("segments/" + name);
-      }
-    }
-  } else if (!s.IsNotFound()) {
-    return s;
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::string EmptyPrefixHash() { return crypto::Sha256Digest(Slice()); }
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -224,14 +189,13 @@ Result<ReplicationCursor> CursorForVaultDir(storage::Env* env,
                                             const Slice& auth_key) {
   ReplicationCursor cur;
   MEDVAULT_ASSIGN_OR_RETURN(std::vector<std::string> files,
-                            ListTrackedFiles(env, dir));
+                            Scrubber::ArtifactFiles(env, dir));
   for (const std::string& rel : files) {
-    std::string data;
-    MEDVAULT_RETURN_IF_ERROR(ReadFileToString(env, dir + "/" + rel, &data));
-    ReplicationCursor::FileState state;
-    state.size = data.size();
-    state.prefix_hash = crypto::Sha256Digest(data);
-    cur.files[rel] = std::move(state);
+    ReplicationCursor::FileState& state = cur.files[rel];
+    crypto::Sha256 sha;
+    MEDVAULT_ASSIGN_OR_RETURN(state.size,
+                              storage::HashFile(env, dir + "/" + rel, &sha));
+    state.prefix_hash = sha.Finish();
   }
   cur.auth = crypto::HmacSha256(auth_key, cur.SignedPayload());
   return cur;
@@ -283,11 +247,13 @@ Result<std::string> ReplicationSource::HandleCutRequest(
 Status ReplicationSource::ExtendTracked(const std::string& rel,
                                         uint64_t target_size,
                                         TrackedFile* t) {
-  if (t->boundaries.empty()) t->boundaries[0] = EmptyPrefixHash();
+  if (t->boundaries.empty()) t->boundaries[0] = crypto::Sha256Digest(Slice());
   if (t->hashed == target_size) return Status::OK();
-  MEDVAULT_ASSIGN_OR_RETURN(
-      std::string delta, ReadRange(rel, t->hashed, target_size - t->hashed));
-  t->ctx.Update(delta);
+  MEDVAULT_RETURN_IF_ERROR(
+      storage::HashFile(vault_->options().env,
+                        vault_->options().dir + "/" + rel, &t->ctx, t->hashed,
+                        target_size - t->hashed)
+          .status());
   t->hashed = target_size;
   return Status::OK();
 }
@@ -295,18 +261,15 @@ Status ReplicationSource::ExtendTracked(const std::string& rel,
 Result<std::string> ReplicationSource::ReadRange(const std::string& rel,
                                                  uint64_t offset,
                                                  uint64_t length) const {
-  if (length == 0) return std::string();
-  const std::string path = vault_->options().dir + "/" + rel;
-  std::unique_ptr<storage::RandomAccessFile> file;
-  MEDVAULT_RETURN_IF_ERROR(
-      vault_->options().env->NewRandomAccessFile(path, &file));
   std::string data;
-  MEDVAULT_RETURN_IF_ERROR(
-      file->Read(offset, static_cast<size_t>(length), &data));
-  if (data.size() != length) {
-    return Status::Corruption("short read cutting replication batch from " +
-                              rel);
-  }
+  data.reserve(length);
+  MEDVAULT_RETURN_IF_ERROR(storage::StreamFile(
+      vault_->options().env, vault_->options().dir + "/" + rel,
+      [&](const Slice& piece) {
+        data.append(piece.data(), piece.size());
+        return Status::OK();
+      },
+      offset, length));
   return data;
 }
 
@@ -329,7 +292,7 @@ Status ReplicationSource::CutLocked(const ReplicationCursor& cursor,
   }
 
   MEDVAULT_ASSIGN_OR_RETURN(std::vector<std::string> files,
-                            ListTrackedFiles(env, dir));
+                            Scrubber::ArtifactFiles(env, dir));
   uint64_t total = 0;
   for (const std::string& rel : files) {
     uint64_t size = 0;
@@ -478,8 +441,9 @@ Status ReplicaApplier::Init() {
 Status ReplicaApplier::ScanExisting() {
   // The directory is the cursor: whatever a previous process (or a
   // crash) left behind is re-hashed, and the source ships from there.
-  MEDVAULT_ASSIGN_OR_RETURN(std::vector<std::string> existing,
-                            ListTrackedFiles(options_.env, options_.dir));
+  MEDVAULT_ASSIGN_OR_RETURN(
+      std::vector<std::string> existing,
+      Scrubber::ArtifactFiles(options_.env, options_.dir));
   for (const std::string& rel : existing) {
     MEDVAULT_RETURN_IF_ERROR(ReprobeFile(rel));
   }
@@ -493,12 +457,11 @@ std::string ReplicaApplier::AbsPath(const std::string& rel) const {
 Status ReplicaApplier::ReprobeFile(const std::string& rel) {
   files_.erase(rel);
   if (!options_.env->FileExists(AbsPath(rel))) return Status::OK();
-  std::string data;
-  MEDVAULT_RETURN_IF_ERROR(
-      ReadFileToString(options_.env, AbsPath(rel), &data));
-  AppliedFile& af = files_[rel];
-  af.size = data.size();
-  af.ctx.Update(data);
+  AppliedFile af;
+  MEDVAULT_ASSIGN_OR_RETURN(af.size,
+                            storage::HashFile(options_.env, AbsPath(rel),
+                                              &af.ctx));
+  files_[rel] = std::move(af);
   return Status::OK();
 }
 
@@ -678,11 +641,8 @@ Status ReplicaApplier::ApplyChunk(const FileChunk& chunk,
     case FileChunk::kReplace: {
       files_.erase(chunk.path);  // closes any cached writer
       const std::string tmp = AbsPath(chunk.path) + ".repltmp";
-      std::unique_ptr<storage::WritableFile> out;
-      MEDVAULT_RETURN_IF_ERROR(env->NewWritableFile(tmp, &out));
-      MEDVAULT_RETURN_IF_ERROR(out->Append(chunk.data));
-      MEDVAULT_RETURN_IF_ERROR(out->Sync());
-      MEDVAULT_RETURN_IF_ERROR(out->Close());
+      MEDVAULT_RETURN_IF_ERROR(
+          storage::WriteStringToFile(env, chunk.data, tmp, /*sync=*/true));
       MEDVAULT_RETURN_IF_ERROR(env->RenameFile(tmp, AbsPath(chunk.path)));
       AppliedFile& af = files_[chunk.path];
       af.size = chunk.data.size();
@@ -770,14 +730,12 @@ Result<std::unique_ptr<Vault>> ReplicaApplier::OpenReadView(
           quarantine_reason_);
     }
     MEDVAULT_RETURN_IF_ERROR(options_.env->CreateDirIfMissing(view_dir));
-    MEDVAULT_RETURN_IF_ERROR(
-        options_.env->CreateDirIfMissing(view_dir + "/segments"));
     for (const auto& [rel, af] : files_) {
-      std::string data;
-      MEDVAULT_RETURN_IF_ERROR(
-          ReadFileToString(options_.env, AbsPath(rel), &data));
-      MEDVAULT_RETURN_IF_ERROR(WriteStringToFile(
-          options_.env, data, view_dir + "/" + rel, /*sync=*/false));
+      MEDVAULT_RETURN_IF_ERROR(storage::CopyFile(options_.env, AbsPath(rel),
+                                                 options_.env,
+                                                 view_dir + "/" + rel,
+                                                 /*sync=*/false)
+                                   .status());
     }
     view_count_++;
   }

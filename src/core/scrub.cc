@@ -221,6 +221,9 @@ void ScanLogBlocks(const char* data, uint64_t at, uint64_t n, uint64_t size,
   }
 }
 
+static_assert(storage::kScanWindowBytes % storage::log::kBlockSize == 0,
+              "a log scan window must hold whole blocks");
+
 // Scrubs the file at `path` through `*window` into `out` (verdict,
 // ranges, detail, bytes). A non-OK status means it could not be read.
 Status ScanFile(storage::Env* env, const std::string& path, bool is_segment,
@@ -267,6 +270,36 @@ const std::vector<std::string>& Scrubber::ExpectedArtifacts() {
   return kExpected;
 }
 
+Result<std::vector<std::string>> Scrubber::ArtifactFiles(
+    storage::Env* env, const std::string& dir) {
+  std::vector<std::string> out;
+  std::vector<std::string> children;
+  Status s = env->GetChildren(dir, &children);
+  if (s.IsNotFound()) return out;
+  MEDVAULT_RETURN_IF_ERROR(s);
+  const std::vector<std::string>& artifacts = ExpectedArtifacts();
+  for (const std::string& name : children) {
+    if (std::find(artifacts.begin(), artifacts.end(), name) !=
+        artifacts.end()) {
+      out.push_back(name);
+    }
+  }
+  std::vector<std::string> segs;
+  s = env->GetChildren(dir + "/segments", &segs);
+  if (s.ok()) {
+    for (const std::string& name : segs) {
+      uint64_t id = 0;
+      if (storage::ParseSegmentBaseName(name, &id)) {
+        out.push_back("segments/" + name);
+      }
+    }
+  } else if (!s.IsNotFound()) {
+    return s;
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 Result<ScrubReport> Scrubber::ScrubVaultDir(storage::Env* env,
                                             const std::string& dir,
                                             Timestamp now) {
@@ -299,73 +332,69 @@ Result<ScrubReport> Scrubber::ScrubVaultDir(storage::Env* env,
     report.files.push_back(std::move(r));
   };
 
-  const std::vector<std::string>& expected = ExpectedArtifacts();
-  bool initialized = false;
+  // The artifacts are scanned; anything else but the derived
+  // signer.tree is an orphan.
+  MEDVAULT_ASSIGN_OR_RETURN(std::vector<std::string> artifacts,
+                            ArtifactFiles(env, dir));
+  auto is_artifact = [&](const std::string& rel) {
+    return std::binary_search(artifacts.begin(), artifacts.end(), rel);
+  };
+  auto segment_id = [](const std::string& rel, uint64_t* id) {
+    return rel.compare(0, 9, "segments/") == 0 &&
+           storage::ParseSegmentBaseName(rel.substr(9), id);
+  };
+  uint64_t active_id = 0;  // the highest-numbered segment
+  for (const std::string& rel : artifacts) {
+    uint64_t id = 0;
+    if (segment_id(rel, &id)) active_id = std::max(active_id, id);
+  }
+  for (const std::string& rel : artifacts) {
+    uint64_t id = 0;
+    const bool is_segment = segment_id(rel, &id);
+    scan_file(rel, is_segment, is_segment && id == active_id);
+  }
+  auto add = [&](const std::string& rel, ScrubVerdict verdict,
+                 const char* detail) {
+    FileScrubResult r;
+    r.path = rel;
+    r.verdict = verdict;
+    r.detail = detail;
+    report.files.push_back(std::move(r));
+  };
   bool has_segments_dir = false;
   for (const std::string& name : children) {
-    if (name == "." || name == "..") continue;
-    if (name == "segments") {
-      has_segments_dir = true;
-      initialized = true;
+    has_segments_dir = has_segments_dir || name == "segments";
+    if (name == "." || name == ".." || name == "segments" ||
+        name == kSignerTreeFile || is_artifact(name)) {
       continue;
     }
-    if (name == kSignerTreeFile) continue;  // derived; checked on open
-    if (std::find(expected.begin(), expected.end(), name) != expected.end()) {
-      initialized = true;
-      scan_file(name, /*is_segment=*/false, /*is_active=*/false);
-      continue;
-    }
-    FileScrubResult r;
-    r.path = name;
-    r.verdict = ScrubVerdict::kOrphan;
+    add(name, ScrubVerdict::kOrphan,
+        name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0
+            ? "temporary file (crash leftover)"
+            : "unrecognized file");
     uint64_t size = 0;
-    if (env->GetFileSize(dir + "/" + name, &size).ok()) r.bytes = size;
-    r.detail = name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0
-                   ? "temporary file (crash leftover)"
-                   : "unrecognized file";
-    report.files.push_back(std::move(r));
+    if (env->GetFileSize(dir + "/" + name, &size).ok()) {
+      report.files.back().bytes = size;
+    }
   }
-
   if (has_segments_dir) {
     std::vector<std::string> segs;
     MEDVAULT_RETURN_IF_ERROR(env->GetChildren(dir + "/segments", &segs));
-    uint64_t max_id = 0;
     for (const std::string& name : segs) {
-      uint64_t id = 0;
-      if (storage::ParseSegmentBaseName(name, &id) && id > max_id) max_id = id;
-    }
-    for (const std::string& name : segs) {
-      if (name == "." || name == "..") continue;
-      uint64_t id = 0;
-      if (storage::ParseSegmentBaseName(name, &id)) {
-        scan_file("segments/" + name, /*is_segment=*/true,
-                  /*is_active=*/id == max_id);
-      } else {
-        FileScrubResult r;
-        r.path = "segments/" + name;
-        r.verdict = ScrubVerdict::kOrphan;
-        r.detail = "unrecognized file in segments/";
-        report.files.push_back(std::move(r));
+      if (name == "." || name == ".." || is_artifact("segments/" + name)) {
+        continue;
       }
+      add("segments/" + name, ScrubVerdict::kOrphan,
+          "unrecognized file in segments/");
     }
   }
 
-  if (initialized) {
-    for (const std::string& want : expected) {
-      bool found = false;
-      for (const FileScrubResult& f : report.files) {
-        if (f.path == want) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        FileScrubResult r;
-        r.path = want;
-        r.verdict = ScrubVerdict::kMissing;
-        r.detail = "expected vault artifact is absent";
-        report.files.push_back(std::move(r));
-      }
+  // An initialized vault (one holding segments/ or any artifact) must
+  // hold every expected artifact.
+  const bool initialized = has_segments_dir || !artifacts.empty();
+  for (const std::string& want : ExpectedArtifacts()) {
+    if (initialized && !is_artifact(want)) {
+      add(want, ScrubVerdict::kMissing, "expected vault artifact is absent");
     }
   }
 

@@ -107,6 +107,12 @@ class Scrubber {
 
   /// The relative paths every initialized vault must have.
   static const std::vector<std::string>& ExpectedArtifacts();
+
+  /// The artifacts `dir` holds, sorted: the expected ones present plus
+  /// every segment (none if `dir` is absent); never orphans or the
+  /// derived signer.tree. Replication ships them; backup copies them.
+  static Result<std::vector<std::string>> ArtifactFiles(
+      storage::Env* env, const std::string& dir);
 };
 
 }  // namespace medvault::core

@@ -2,6 +2,7 @@
 #define MEDVAULT_STORAGE_ENV_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "common/result.h"
 #include "common/slice.h"
 #include "common/status.h"
+#include "crypto/sha256.h"
 
 namespace medvault::storage {
 
@@ -117,6 +119,38 @@ class Env {
     return Status::NotSupported("UnsafeTruncate not supported by this Env");
   }
 };
+
+/// The one read window of streamed file reads (segment frame walks,
+/// the scrub's record-log scans, file copies and hashes): no reader
+/// holds more of a file at once. A whole number of log blocks, so a log
+/// scan never splits a block.
+inline constexpr size_t kScanWindowBytes = 256 * 1024;
+
+/// `length` of a StreamFile range that runs to the end of the file.
+inline constexpr uint64_t kToEndOfFile = ~uint64_t{0};
+
+/// Reads `length` bytes of `fname` from `offset` through one window of
+/// kScanWindowBytes, handing each piece to `fn` in file order. A file
+/// that ends inside a bounded range is kCorruption; an error from `fn`
+/// stops the read and is returned.
+Status StreamFile(Env* env, const std::string& fname,
+                  const std::function<Status(const Slice&)>& fn,
+                  uint64_t offset = 0, uint64_t length = kToEndOfFile);
+
+/// Feeds a StreamFile range of `fname` into `*sha`; returns the number
+/// of bytes hashed.
+Result<uint64_t> HashFile(Env* env, const std::string& fname,
+                          crypto::Sha256* sha, uint64_t offset = 0,
+                          uint64_t length = kToEndOfFile);
+
+/// Copies `src` to `dst` through StreamFile: creates the parent of
+/// `dst`, writes `<dst>.tmp`, syncs it when `sync`, and renames it over
+/// `dst`. Returns the SHA-256 of the bytes copied. If `expected_sha256`
+/// is set and differs, returns kTamperDetected and leaves `dst`
+/// untouched.
+Result<std::string> CopyFile(Env* src_env, const std::string& src,
+                             Env* dst_env, const std::string& dst, bool sync,
+                             const Slice& expected_sha256 = Slice());
 
 /// Convenience: reads a whole file into `*data`.
 Status ReadFileToString(Env* env, const std::string& fname,

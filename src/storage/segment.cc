@@ -8,7 +8,6 @@
 
 #include "common/coding.h"
 #include "common/crc32c.h"
-#include "crypto/sha256.h"
 
 namespace medvault::storage {
 
@@ -325,13 +324,6 @@ Status SegmentStore::ForEachEntry(
     }
   }
   return Status::OK();
-}
-
-Result<std::string> SegmentStore::SegmentHash(uint64_t segment_id) const {
-  std::string contents;
-  MEDVAULT_RETURN_IF_ERROR(
-      ReadFileToString(env_, SegmentFileName(segment_id), &contents));
-  return crypto::Sha256Digest(contents);
 }
 
 std::vector<uint64_t> SegmentStore::SegmentIds() const {

@@ -11,8 +11,6 @@
 #include "common/result.h"
 #include "common/slice.h"
 #include "storage/env.h"
-#include "storage/log_format.h"
-#include "storage/log_writer.h"
 
 namespace medvault::storage {
 
@@ -36,12 +34,6 @@ std::string SegmentBaseName(uint64_t segment_id);
 /// `name` is exactly SegmentBaseName(*id). Anything else in a segment
 /// directory (temp files, `seg-junk`) is not a segment.
 bool ParseSegmentBaseName(const std::string& name, uint64_t* id);
-
-/// The one read window of the open-time file scans (segment frame walks,
-/// the scrub's record-log scans): no scan holds more of a file at once.
-/// A whole number of log blocks, so a log scan never splits a block.
-inline constexpr size_t kScanWindowBytes = 256 * 1024;
-static_assert(kScanWindowBytes % log::kBlockSize == 0);
 
 /// Walks the  crc32c(4) | length(4) | payload  frames of one segment,
 /// oldest first — the one parser of that framing outside Append/Read.
@@ -155,9 +147,6 @@ class SegmentStore {
   /// Corrupt frames surface as kCorruption.
   Status ForEachEntry(
       const std::function<bool(const EntryHandle&, const Slice&)>& fn) const;
-
-  /// SHA-256 over a sealed segment's bytes (for migration verification).
-  Result<std::string> SegmentHash(uint64_t segment_id) const;
 
   /// Ids of all segments, ascending; the last may be active (unsealed).
   std::vector<uint64_t> SegmentIds() const;

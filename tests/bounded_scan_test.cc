@@ -1,9 +1,10 @@
-// Bounded-memory scans: the structural scrub of a vault directory and a
-// segment store's open read their files through one window of
-// storage::kScanWindowBytes, however large the files are. A test-local
-// Env records the largest single read, and this binary counts its own
-// heap, so a scan that buffers a whole file fails here even when it
-// reads that file in small chunks.
+// Bounded-memory scans: the structural scrub of a vault directory, a
+// segment store's open, backup, restore and repair copies, replication's
+// prefix hashes and the audit log's full verification read their files
+// through one window of storage::kScanWindowBytes, however large the
+// files are. A test-local Env records the largest single read and
+// write, and this binary counts its own heap, so a scan that buffers a
+// whole file fails here even when it reads that file in small chunks.
 
 #include <gtest/gtest.h>
 #include <malloc.h>
@@ -15,10 +16,16 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/audit.h"
+#include "core/backup.h"
+#include "core/replication.h"
 #include "core/scrub.h"
 #include "core/vault.h"
+#include "crypto/xmss.h"
+#include "obs/metrics.h"
 #include "storage/mem_env.h"
 #include "storage/segment.h"
 
@@ -64,9 +71,9 @@ int64_t PeakHeapGrowth(const std::function<void()>& fn) {
   return g_peak_bytes.load() - base;
 }
 
-// MemEnv whose read handles record the largest single read asked of
-// them.
-class LargestReadEnv : public storage::MemEnv {
+// MemEnv whose handles record the largest single read asked of them
+// and the largest single append made through them.
+class LargestIoEnv : public storage::MemEnv {
  public:
   Status NewSequentialFile(
       const std::string& fname,
@@ -84,8 +91,28 @@ class LargestReadEnv : public storage::MemEnv {
     return Status::OK();
   }
 
+  Status NewWritableFile(
+      const std::string& fname,
+      std::unique_ptr<storage::WritableFile>* file) override {
+    MEDVAULT_RETURN_IF_ERROR(MemEnv::NewWritableFile(fname, file));
+    *file = std::make_unique<Writable>(std::move(*file), &largest_write_);
+    return Status::OK();
+  }
+
+  Status NewAppendableFile(
+      const std::string& fname,
+      std::unique_ptr<storage::WritableFile>* file) override {
+    MEDVAULT_RETURN_IF_ERROR(MemEnv::NewAppendableFile(fname, file));
+    *file = std::make_unique<Writable>(std::move(*file), &largest_write_);
+    return Status::OK();
+  }
+
   size_t largest() const { return largest_.load(); }
-  void ResetLargest() { largest_.store(0); }
+  size_t largest_write() const { return largest_write_.load(); }
+  void ResetLargest() {
+    largest_.store(0);
+    largest_write_.store(0);
+  }
 
  private:
   static void Record(std::atomic<size_t>* largest, size_t n) {
@@ -126,7 +153,26 @@ class LargestReadEnv : public storage::MemEnv {
     std::atomic<size_t>* largest_;
   };
 
+  class Writable : public storage::WritableFile {
+   public:
+    Writable(std::unique_ptr<storage::WritableFile> base,
+             std::atomic<size_t>* largest)
+        : base_(std::move(base)), largest_(largest) {}
+    Status Append(const Slice& data) override {
+      Record(largest_, data.size());
+      return base_->Append(data);
+    }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override { return base_->Sync(); }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<storage::WritableFile> base_;
+    std::atomic<size_t>* largest_;
+  };
+
   std::atomic<size_t> largest_{0};
+  std::atomic<size_t> largest_write_{0};
 };
 
 // A scan may hold its window plus bookkeeping, never a whole file.
@@ -140,38 +186,44 @@ std::string NoteText(int i) {
   return std::string(n, static_cast<char>('a' + i % 26));
 }
 
-TEST(BoundedScanTest, ScrubReadsThroughOneWindow) {
-  LargestReadEnv env;
-  ManualClock clock(1000000);
-  {
-    core::VaultOptions options;
-    options.env = &env;
-    options.dir = "vault";
-    options.clock = &clock;
-    options.master_key = std::string(32, 'M');
-    options.entropy = "bounded-scan-test-entropy";
-    options.signer_height = 4;
-    auto vault = core::Vault::Open(options);
-    ASSERT_TRUE(vault.ok()) << vault.status().ToString();
-    auto& v = *vault;
-    ASSERT_TRUE(v->RegisterPrincipal("boot", {"admin", core::Role::kAdmin,
-                                               "A"})
+constexpr char kEntropy[] = "bounded-scan-test-entropy";
+
+core::VaultOptions Options(storage::Env* env, ManualClock* clock) {
+  core::VaultOptions options;
+  options.env = env;
+  options.dir = "vault";
+  options.clock = clock;
+  options.master_key = std::string(32, 'M');
+  options.entropy = kEntropy;
+  options.signer_height = 4;
+  return options;
+}
+
+// A closed vault at "vault" whose first segment is sealed full.
+void FillVault(storage::Env* env, ManualClock* clock) {
+  auto vault = core::Vault::Open(Options(env, clock));
+  ASSERT_TRUE(vault.ok()) << vault.status().ToString();
+  auto& v = *vault;
+  ASSERT_TRUE(
+      v->RegisterPrincipal("boot", {"admin", core::Role::kAdmin, "A"}).ok());
+  ASSERT_TRUE(
+      v->RegisterPrincipal("admin", {"dr", core::Role::kPhysician, "D"}).ok());
+  ASSERT_TRUE(
+      v->RegisterPrincipal("admin", {"pat", core::Role::kPatient, "P"}).ok());
+  ASSERT_TRUE(v->AssignCare("admin", "dr", "pat").ok());
+  // Past 4 MiB of notes, so the first segment is sealed full.
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_TRUE(v->CreateRecord("dr", "pat", "text/plain", NoteText(i), {"k"},
+                                "hipaa-6y")
                     .ok());
-    ASSERT_TRUE(v->RegisterPrincipal("admin", {"dr", core::Role::kPhysician,
-                                               "D"})
-                    .ok());
-    ASSERT_TRUE(
-        v->RegisterPrincipal("admin", {"pat", core::Role::kPatient, "P"})
-            .ok());
-    ASSERT_TRUE(v->AssignCare("admin", "dr", "pat").ok());
-    // Past 4 MiB of notes, so the first segment is sealed full.
-    for (int i = 0; i < 24; ++i) {
-      ASSERT_TRUE(v->CreateRecord("dr", "pat", "text/plain", NoteText(i), {"k"},
-                                  "hipaa-6y")
-                      .ok());
-    }
-    ASSERT_TRUE(v->SyncAll().ok());
   }
+  ASSERT_TRUE(v->SyncAll().ok());
+}
+
+TEST(BoundedScanTest, ScrubReadsThroughOneWindow) {
+  LargestIoEnv env;
+  ManualClock clock(1000000);
+  ASSERT_NO_FATAL_FAILURE(FillVault(&env, &clock));
   {
     // Grow audit.log past 1 MiB.
     core::AuditLog audit(&env, "vault/audit.log");
@@ -204,7 +256,7 @@ TEST(BoundedScanTest, ScrubReadsThroughOneWindow) {
 }
 
 TEST(BoundedScanTest, SegmentOpenReadsThroughOneWindow) {
-  LargestReadEnv env;
+  LargestIoEnv env;
   uint64_t written = 0;
   {
     storage::SegmentStore store(&env, "store", {});
@@ -227,6 +279,134 @@ TEST(BoundedScanTest, SegmentOpenReadsThroughOneWindow) {
   ASSERT_TRUE(opened.ok()) << opened.ToString();
   EXPECT_EQ(reopened.TotalBytes(), written);
   EXPECT_LE(env.largest(), storage::kScanWindowBytes);
+  EXPECT_LT(growth, kHeapBudget) << growth;
+}
+
+TEST(BoundedScanTest, BackupRestoreAndRepairCopyThroughOneWindow) {
+  // The heap is not bounded here: the MemEnv destinations hold the
+  // copies. Every single read and write is.
+  LargestIoEnv env;
+  LargestIoEnv offsite;
+  LargestIoEnv site;
+  ManualClock clock(1000000);
+  ASSERT_NO_FATAL_FAILURE(FillVault(&env, &clock));
+  const std::string seg = "segments/seg-00000001";
+  uint64_t seg_bytes = 0;
+  ASSERT_TRUE(env.GetFileSize("vault/" + seg, &seg_bytes).ok());
+  ASSERT_GE(seg_bytes, kSegmentBytes - 300 * 1024);
+
+  std::vector<std::pair<std::string, core::BackupManifest>> chain;
+  {
+    auto vault = core::Vault::Open(Options(&env, &clock));
+    ASSERT_TRUE(vault.ok()) << vault.status().ToString();
+    env.ResetLargest();
+    auto manifest =
+        core::BackupManager::Backup(vault->get(), "admin", &offsite, "bk");
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    EXPECT_LE(env.largest(), storage::kScanWindowBytes);
+    EXPECT_LE(offsite.largest_write(), storage::kScanWindowBytes);
+    chain.emplace_back("bk", *manifest);
+  }
+
+  offsite.ResetLargest();
+  ASSERT_TRUE(
+      core::BackupManager::RestoreChain(&offsite, chain, &site, "vault").ok());
+  EXPECT_LE(offsite.largest(), storage::kScanWindowBytes);
+  EXPECT_LE(site.largest_write(), storage::kScanWindowBytes);
+  uint64_t restored_bytes = 0;
+  ASSERT_TRUE(site.GetFileSize("vault/" + seg, &restored_bytes).ok());
+  EXPECT_EQ(restored_bytes, seg_bytes);
+
+  // Rot one frame of the sealed segment, then repair it from the chain.
+  ASSERT_TRUE(env.UnsafeOverwrite("vault/" + seg, 12, "X").ok());
+  auto report = core::Scrubber::ScrubVaultDir(&env, "vault", 1);
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->DamagedFiles(), std::vector<std::string>{seg});
+  offsite.ResetLargest();
+  env.ResetLargest();
+  auto summary =
+      core::BackupManager::Repair(&offsite, chain, &env, "vault", *report);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary->restored, std::vector<std::string>{seg});
+  EXPECT_TRUE(summary->verified_clean);
+  EXPECT_LE(offsite.largest(), storage::kScanWindowBytes);
+  EXPECT_LE(env.largest_write(), storage::kScanWindowBytes);
+}
+
+TEST(BoundedScanTest, VerifyAndPrefixHashesStreamThroughOneWindow) {
+  LargestIoEnv env;
+  storage::MemEnv offsite;
+  ManualClock clock(1000000);
+  ASSERT_NO_FATAL_FAILURE(FillVault(&env, &clock));
+  core::BackupManifest manifest;
+  {
+    auto vault = core::Vault::Open(Options(&env, &clock));
+    ASSERT_TRUE(vault.ok()) << vault.status().ToString();
+    auto backup =
+        core::BackupManager::Backup(vault->get(), "admin", &offsite, "bk");
+    ASSERT_TRUE(backup.ok()) << backup.status().ToString();
+    manifest = *backup;
+  }
+
+  Status verified = Status::Corruption("not run");
+  int64_t growth = PeakHeapGrowth([&] {
+    verified = core::BackupManager::Verify(&offsite, "bk", manifest);
+  });
+  ASSERT_TRUE(verified.ok()) << verified.ToString();
+  EXPECT_LT(growth, kHeapBudget) << "backup verify: " << growth;
+
+  // The vault directory doubles as an existing replica directory.
+  const std::string auth_key = core::DeriveReplicationAuthKey(kEntropy);
+  Result<core::ReplicationCursor> cursor = Status::Corruption("not run");
+  growth = PeakHeapGrowth(
+      [&] { cursor = core::CursorForVaultDir(&env, "vault", auth_key); });
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  EXPECT_GT(cursor->TotalBytes(), kSegmentBytes - 300 * 1024);
+  EXPECT_LT(growth, kHeapBudget) << "cursor for vault dir: " << growth;
+
+  obs::MetricsRegistry metrics;
+  core::ReplicaApplier::Options options;
+  options.env = &env;
+  options.dir = "vault";
+  options.entropy = kEntropy;
+  options.metrics = &metrics;
+  Result<std::unique_ptr<core::ReplicaApplier>> applier =
+      Status::Corruption("not run");
+  growth =
+      PeakHeapGrowth([&] { applier = core::ReplicaApplier::Open(options); });
+  ASSERT_TRUE(applier.ok()) << applier.status().ToString();
+  auto replica_cursor = (*applier)->Cursor();
+  ASSERT_TRUE(replica_cursor.ok());
+  ASSERT_EQ(replica_cursor->files.size(), cursor->files.size());
+  for (const auto& [rel, state] : cursor->files) {
+    EXPECT_EQ(replica_cursor->files[rel].size, state.size) << rel;
+    EXPECT_EQ(replica_cursor->files[rel].prefix_hash, state.prefix_hash)
+        << rel;
+  }
+  EXPECT_LT(growth, kHeapBudget) << "replica applier open: " << growth;
+}
+
+TEST(BoundedScanTest, AuditVerifyAllHoldsACompactRange) {
+  // 10^5 events: a verification that rebuilds the Merkle tree holds
+  // 32 bytes per event; a compact range holds at most 64 hashes.
+  storage::MemEnv env;
+  crypto::XmssSigner signer("bounded-secret", "bounded-public", 3);
+  core::AuditLog audit(&env, "audit.log");
+  ASSERT_TRUE(audit.Open().ok());
+  constexpr int kEvents = 100000;
+  for (int i = 0; i < kEvents; ++i) {
+    ASSERT_TRUE(
+        audit.Append("dr", core::AuditAction::kRead, "r-1", "", 5000 + i)
+            .ok());
+    if (i == 12344 || i == 65535 || i == kEvents - 1) {
+      ASSERT_TRUE(audit.Checkpoint(&signer, 5000 + i).ok());
+    }
+  }
+  Status verified = Status::Corruption("not run");
+  const int64_t growth = PeakHeapGrowth([&] {
+    verified = audit.VerifyAll(signer.public_key(), "bounded-public", 3);
+  });
+  ASSERT_TRUE(verified.ok()) << verified.ToString();
   EXPECT_LT(growth, kHeapBudget) << growth;
 }
 

@@ -212,21 +212,6 @@ TEST_F(SegmentTest, DropSegmentOnlyWhenSealed) {
   EXPECT_TRUE(store.DropSegment(ids.front()).IsNotFound());
 }
 
-TEST_F(SegmentTest, SegmentHashChangesOnTamper) {
-  SegmentStore store(&env_, "seg", {});
-  ASSERT_TRUE(store.Open().ok());
-  auto h = store.Append("hash me");
-  ASSERT_TRUE(h.ok());
-  auto before = store.SegmentHash(h->segment_id);
-  ASSERT_TRUE(before.ok());
-  ASSERT_TRUE(
-      env_.UnsafeOverwrite(store.SegmentFileName(h->segment_id), 9, "Z")
-          .ok());
-  auto after = store.SegmentHash(h->segment_id);
-  ASSERT_TRUE(after.ok());
-  EXPECT_NE(*before, *after);
-}
-
 TEST_F(SegmentTest, TotalBytesGrows) {
   SegmentStore store(&env_, "seg", {});
   ASSERT_TRUE(store.Open().ok());

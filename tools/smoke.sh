@@ -3,7 +3,8 @@
 # then the crash/fault matrix, the cross-shard stress battery, the
 # shard-dispatch battery (routing, shard ids and secrets, manifest,
 # fan-outs), the observability battery, the media-fault scrub/repair
-# battery (with the bounded-window scans and the segment store), the
+# battery (with the bounded-window scans, the segment store and the
+# backup suite), the
 # env/group-commit batteries, the HTTP server battery, the
 # verified-replication battery, the audit-transparency battery, the
 # patient-driven-sharing consent battery, the crypto battery
