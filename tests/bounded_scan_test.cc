@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 #include <malloc.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -27,14 +28,19 @@
 #include "crypto/xmss.h"
 #include "obs/metrics.h"
 #include "storage/mem_env.h"
+#include "storage/posix_env.h"
 #include "storage/segment.h"
 
 namespace {
 
 std::atomic<int64_t> g_live_bytes{0};
 std::atomic<int64_t> g_peak_bytes{0};
+std::atomic<size_t> g_largest_alloc{0};
 
-void CountAlloc(void* p) {
+void CountAlloc(void* p, size_t n) {
+  size_t largest = g_largest_alloc.load();
+  while (n > largest && !g_largest_alloc.compare_exchange_weak(largest, n)) {
+  }
   const int64_t live =
       g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p))) +
       static_cast<int64_t>(malloc_usable_size(p));
@@ -48,7 +54,7 @@ void CountAlloc(void* p) {
 void* operator new(size_t n) {
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
-  CountAlloc(p);
+  CountAlloc(p, n);
   return p;
 }
 
@@ -69,6 +75,13 @@ int64_t PeakHeapGrowth(const std::function<void()>& fn) {
   g_peak_bytes.store(base);
   fn();
   return g_peak_bytes.load() - base;
+}
+
+// The largest single allocation made during `fn`.
+size_t LargestAllocation(const std::function<void()>& fn) {
+  g_largest_alloc.store(0);
+  fn();
+  return g_largest_alloc.load();
 }
 
 // MemEnv whose handles record the largest single read asked of them
@@ -408,6 +421,27 @@ TEST(BoundedScanTest, AuditVerifyAllHoldsACompactRange) {
   });
   ASSERT_TRUE(verified.ok()) << verified.ToString();
   EXPECT_LT(growth, kHeapBudget) << growth;
+}
+
+TEST(BoundedScanTest, SmallFileReadSizesItsWindowByTheFile) {
+  // signer.tree and the shard manifest are read whole on every open.
+  // Reading an 8 KiB file must not allocate a whole scan window.
+  char dir_template[] = "/tmp/medvault-bounded-scan-XXXXXX";
+  const char* dir = mkdtemp(dir_template);
+  ASSERT_NE(dir, nullptr);
+  storage::Env* env = storage::PosixEnv::Default();
+  const std::string path = std::string(dir) + "/small";
+  const std::string bytes(8 * 1024, 's');
+  ASSERT_TRUE(storage::WriteStringToFile(env, bytes, path, false).ok());
+  std::string read;
+  Status s;
+  const size_t largest = LargestAllocation(
+      [&] { s = storage::ReadFileToString(env, path, &read); });
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(read, bytes);
+  EXPECT_LT(largest, 16u * 1024) << largest;
+  ASSERT_TRUE(env->RemoveFile(path).ok());
+  EXPECT_EQ(rmdir(dir), 0);
 }
 
 }  // namespace
