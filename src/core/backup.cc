@@ -124,29 +124,32 @@ Result<BackupManifest> BackupManager::Backup(Vault* vault,
                                              const PrincipalId& actor,
                                              storage::Env* offsite_env,
                                              const std::string& offsite_dir) {
-  return BackupIncremental(vault, actor, offsite_env, offsite_dir,
-                           BackupManifest());
+  return BackupIncremental(vault, actor, offsite_env, offsite_dir, {});
 }
 
 Result<BackupManifest> BackupManager::BackupIncremental(
     Vault* vault, const PrincipalId& actor, storage::Env* offsite_env,
-    const std::string& offsite_dir, const BackupManifest& base) {
+    const std::string& offsite_dir, const BackupChain& base) {
   MEDVAULT_RETURN_IF_ERROR(vault->CheckAccess(actor, Operation::kBackup));
+  if (!base.empty()) MEDVAULT_RETURN_IF_ERROR(ValidateChainLinkage(base));
 
   storage::Env* src_env = vault->options().env;
   const std::string& src_dir = vault->options().dir;
   MEDVAULT_RETURN_IF_ERROR(offsite_env->CreateDirIfMissing(offsite_dir));
 
-  // The base's files: path -> hash (none for a full backup).
-  std::map<std::string, std::string> base_state(base.files.begin(),
-                                                base.files.end());
+  // What restoring the base chain yields: path -> (dir, hash). Diffing
+  // against the newest link alone would miss a file that an earlier
+  // link holds and the vault has since deleted.
+  const auto base_state = EffectiveState(base);
+  const std::string base_id =
+      base.empty() ? std::string() : base.back().second.backup_id;
 
   BackupManifest manifest;
   manifest.backup_id =
       "bk-" + std::to_string(static_cast<uint64_t>(vault->Now()));
   manifest.system_id = vault->options().system_id;
   manifest.created_at = vault->Now();
-  manifest.base_backup_id = base.backup_id;
+  manifest.base_backup_id = base_id;
 
   // The vault's artifacts, plus its signer.tree so a restored vault
   // opens without key generation. Sorted.
@@ -162,7 +165,7 @@ Result<BackupManifest> BackupManager::BackupIncremental(
       crypto::Sha256 sha;
       MEDVAULT_RETURN_IF_ERROR(
           storage::HashFile(src_env, src_dir + "/" + rel, &sha).status());
-      if (sha.Finish() == it->second) continue;  // unchanged
+      if (sha.Finish() == it->second.second) continue;  // unchanged
     }
     MEDVAULT_ASSIGN_OR_RETURN(
         std::string hash,
@@ -170,7 +173,7 @@ Result<BackupManifest> BackupManager::BackupIncremental(
                           offsite_dir + "/" + rel, /*sync=*/true));
     manifest.files.emplace_back(rel, std::move(hash));
   }
-  for (const auto& [rel, hash] : base_state) {
+  for (const auto& [rel, from] : base_state) {
     if (!std::binary_search(files.begin(), files.end(), rel)) {
       manifest.deleted.push_back(rel);
     }
@@ -181,9 +184,9 @@ Result<BackupManifest> BackupManager::BackupIncremental(
   MEDVAULT_RETURN_IF_ERROR(storage::WriteStringToFile(
       offsite_env, manifest.Encode(), offsite_dir + "/MANIFEST", true));
   const std::string details =
-      base.backup_id.empty()
+      base_id.empty()
           ? " files=" + std::to_string(manifest.files.size())
-          : " incremental-of=" + base.backup_id +
+          : " incremental-of=" + base_id +
                 " changed=" + std::to_string(manifest.files.size()) +
                 " deleted=" + std::to_string(manifest.deleted.size());
   MEDVAULT_RETURN_IF_ERROR(vault->Audit(actor, AuditAction::kBackup, "",

@@ -48,12 +48,14 @@ class BackupManager {
                                        storage::Env* offsite_env,
                                        const std::string& offsite_dir);
 
-  /// Incremental backup: copies only files that are new or changed
-  /// relative to `base` (which may itself be incremental) and records
-  /// files deleted since. Restore needs the full chain.
+  /// Incremental backup over `base`, the chain so far (oldest first;
+  /// empty for a full backup): copies only files that are new or
+  /// changed relative to the chain's effective state, and records as
+  /// deleted every file that state holds and the vault no longer does.
+  /// Restore needs `base` plus the new link.
   static Result<BackupManifest> BackupIncremental(
       Vault* vault, const PrincipalId& actor, storage::Env* offsite_env,
-      const std::string& offsite_dir, const BackupManifest& base);
+      const std::string& offsite_dir, const BackupChain& base);
 
   /// Re-hashes every off-site file against the manifest.
   static Status Verify(storage::Env* offsite_env,

@@ -270,7 +270,8 @@ TEST_F(BackupTest, IncrementalBackupCopiesOnlyChanges) {
   ASSERT_TRUE(
       vault_->CorrectRecord("dr-a", r1, "changed content", "fix", {}).ok());
   auto incr = BackupManager::BackupIncremental(vault_.get(), "admin-r",
-                                               &offsite_, "incr", *full);
+                                               &offsite_, "incr",
+                                               {{"full", *full}});
   ASSERT_TRUE(incr.ok()) << incr.status().ToString();
   EXPECT_EQ(incr->base_backup_id, full->backup_id);
   // Strictly fewer files than the full backup (unchanged ones skipped).
@@ -331,7 +332,8 @@ TEST_F(BackupTest, TruncatedFinalManifestBreaksTheChain) {
   ASSERT_TRUE(
       vault_->CorrectRecord("dr-a", r1, "changed content", "fix", {}).ok());
   auto incr = BackupManager::BackupIncremental(vault_.get(), "admin-r",
-                                               &offsite_, "incr", *full);
+                                               &offsite_, "incr",
+                                               {{"full", *full}});
   ASSERT_TRUE(incr.ok());
 
   // Truncate the FINAL link's manifest mid-file: the newest state is
@@ -377,7 +379,8 @@ TEST_F(BackupTest, IncrementalChainHonorsDeletedFiles) {
   ASSERT_GT(*vault_->ReclaimDisposedMedia("admin-r"), 0);
 
   auto incr = BackupManager::BackupIncremental(vault_.get(), "admin-r",
-                                               &offsite_, "incr", *full);
+                                               &offsite_, "incr",
+                                               {{"full", *full}});
   ASSERT_TRUE(incr.ok());
   EXPECT_FALSE(incr->deleted.empty());
 
@@ -389,6 +392,50 @@ TEST_F(BackupTest, IncrementalChainHonorsDeletedFiles) {
   for (const std::string& rel : incr->deleted) {
     EXPECT_FALSE(new_site.FileExists("vault/" + rel)) << rel;
   }
+  auto restored = OpenVault(&new_site, "vault");
+  EXPECT_TRUE(
+      restored->ReadRecord("dr-a", doomed).status().IsKeyDestroyed());
+  EXPECT_TRUE(restored->VerifyEverything().ok());
+}
+
+TEST_F(BackupTest, SecondIncrementalRecordsDeletionsSinceTheFullBackup) {
+  // full -> incr1 -> reclaim a segment -> incr2. The reclaimed segment
+  // is listed only by the full backup, so incr2 must diff against the
+  // chain's effective state to record it as deleted; otherwise the
+  // restore brings it back from the full backup.
+  RecordId doomed = CreateSample(std::string(256, 'd'));
+  RecordId also_doomed = CreateSample(std::string(256, 'k'));
+  ASSERT_TRUE(vault_->versions()->segments()->SealActive().ok());
+  auto full =
+      BackupManager::Backup(vault_.get(), "admin-r", &offsite_, "full");
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  clock_.Advance(kMicrosPerDay);
+  CreateSample("before the reclaim");
+  auto incr1 = BackupManager::BackupIncremental(
+      vault_.get(), "admin-r", &offsite_, "incr1", {{"full", *full}});
+  ASSERT_TRUE(incr1.ok()) << incr1.status().ToString();
+  EXPECT_TRUE(incr1->deleted.empty());
+
+  clock_.AdvanceYears(31);
+  ASSERT_TRUE(vault_->DisposeRecord("admin-r", doomed).ok());
+  ASSERT_TRUE(vault_->DisposeRecord("admin-r", also_doomed).ok());
+  ASSERT_GT(*vault_->ReclaimDisposedMedia("admin-r"), 0);
+  ASSERT_FALSE(env_.FileExists("vault/segments/seg-00000001"));
+  const BackupChain chain = {{"full", *full}, {"incr1", *incr1}};
+  auto incr2 = BackupManager::BackupIncremental(vault_.get(), "admin-r",
+                                                &offsite_, "incr2", chain);
+  ASSERT_TRUE(incr2.ok()) << incr2.status().ToString();
+  EXPECT_EQ(incr2->base_backup_id, incr1->backup_id);
+  EXPECT_EQ(incr2->deleted,
+            (std::vector<std::string>{"segments/seg-00000001"}));
+
+  storage::MemEnv new_site;
+  ASSERT_TRUE(BackupManager::RestoreChain(
+                  &offsite_,
+                  {{"full", *full}, {"incr1", *incr1}, {"incr2", *incr2}},
+                  &new_site, "vault")
+                  .ok());
+  EXPECT_FALSE(new_site.FileExists("vault/segments/seg-00000001"));
   auto restored = OpenVault(&new_site, "vault");
   EXPECT_TRUE(
       restored->ReadRecord("dr-a", doomed).status().IsKeyDestroyed());
@@ -415,7 +462,8 @@ TEST_F(BackupTest, BackupChainBytesArePinned) {
   ASSERT_GT(*vault_->ReclaimDisposedMedia("admin-r"), 0);
   CreateSample("after the reclaim");
   auto incr = BackupManager::BackupIncremental(vault_.get(), "admin-r",
-                                               &offsite_, "incr", *full);
+                                               &offsite_, "incr",
+                                               {{"full", *full}});
   ASSERT_TRUE(incr.ok()) << incr.status().ToString();
   ASSERT_FALSE(incr->deleted.empty());
 
@@ -545,7 +593,8 @@ TEST_F(BackupTest, RestoreOfALoneIncrementalIsAChainBreak) {
   clock_.Advance(kMicrosPerDay);
   ASSERT_TRUE(vault_->CorrectRecord("dr-a", r1, "changed", "fix", {}).ok());
   auto incr = BackupManager::BackupIncremental(vault_.get(), "admin-r",
-                                               &offsite_, "incr", *full);
+                                               &offsite_, "incr",
+                                               {{"full", *full}});
   ASSERT_TRUE(incr.ok());
 
   // The incremental alone is a partial vault: refused, not restored.

@@ -495,7 +495,7 @@ TEST_F(ScrubTest, RepairRestoresOnlyDamagedFilesByteIdentical) {
       vault_->CorrectRecord("dr-a", r1, "amended content", "fix", {}).ok());
   ASSERT_TRUE(vault_->SyncAll().ok());
   auto incr = BackupManager::BackupIncremental(vault_.get(), "admin-r", &env_,
-                                               "bk-incr", *full);
+                                               "bk-incr", {{"bk-full", *full}});
   ASSERT_TRUE(incr.ok()) << incr.status().ToString();
   vault_.reset();
 
@@ -597,12 +597,12 @@ TEST_F(ScrubTest, LoadChainDetectsDeletedMiddleIncremental) {
   clock_.Advance(kMicrosPerDay);
   ASSERT_TRUE(vault_->CorrectRecord("dr-a", r1, "v2", "fix", {}).ok());
   auto i1 = BackupManager::BackupIncremental(vault_.get(), "admin-r", &env_,
-                                             "c1", *full);
+                                             "c1", {{"c0", *full}});
   ASSERT_TRUE(i1.ok());
   clock_.Advance(kMicrosPerDay);
   ASSERT_TRUE(vault_->CorrectRecord("dr-a", r1, "v3", "fix", {}).ok());
-  auto i2 = BackupManager::BackupIncremental(vault_.get(), "admin-r", &env_,
-                                             "c2", *i1);
+  auto i2 = BackupManager::BackupIncremental(
+      vault_.get(), "admin-r", &env_, "c2", {{"c0", *full}, {"c1", *i1}});
   ASSERT_TRUE(i2.ok());
 
   // Intact chain loads and verifies.
