@@ -15,6 +15,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -348,9 +349,14 @@ TEST(GroupCommitVaultTest, WindowedIngestCoalescesSyncWaves) {
       metrics.GetCounter("commit.window.syncs")->Value();
 
   constexpr int kWriters = 6;
+  // Released together: threads started one by one can reach the
+  // committer more than a window apart (seen under TSan), and then each
+  // pays its own wave.
+  std::latch start(kWriters);
   std::vector<std::thread> writers;
   for (int t = 0; t < kWriters; t++) {
     writers.emplace_back([&, t] {
+      start.arrive_and_wait();
       auto ids = vault->CreateRecordsBatchDurable(
           "dr", {{"p", "text/plain", "coalesce " + std::to_string(t), {"c"},
                   "hipaa-6y"}});
