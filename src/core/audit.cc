@@ -15,6 +15,15 @@ namespace {
 constexpr uint8_t kRecordEvent = 1;
 constexpr uint8_t kRecordCheckpoint = 2;
 
+/// The hash chain's link: SHA-256 of an event's encoding, the next
+/// event's prev_hash.
+void ChainDigest(const Slice& payload,
+                 std::array<char, crypto::kDigestSize>* out) {
+  crypto::Sha256 sha;
+  sha.Update(payload);
+  sha.Finish(reinterpret_cast<uint8_t*>(out->data()));
+}
+
 }  // namespace
 
 const char* AuditActionName(AuditAction action) {
@@ -52,22 +61,35 @@ std::string AuditEvent::Encode() const {
   return out;
 }
 
-Result<AuditEvent> AuditEvent::Decode(const Slice& data) {
+Result<AuditEventView> AuditEventView::Parse(const Slice& data) {
   Slice in = data;
-  AuditEvent e;
+  AuditEventView e;
   uint64_t ts = 0;
   if (!GetVarint64(&in, &e.seq) || !GetFixed64(&in, &ts) ||
-      !GetLengthPrefixedString(&in, &e.actor) || in.empty()) {
+      !GetLengthPrefixed(&in, &e.actor) || in.empty()) {
     return Status::Corruption("malformed audit event");
   }
   e.timestamp = static_cast<Timestamp>(ts);
   e.action = static_cast<AuditAction>(in[0]);
   in.RemovePrefix(1);
-  if (!GetLengthPrefixedString(&in, &e.record_id) ||
-      !GetLengthPrefixedString(&in, &e.details) ||
-      !GetLengthPrefixedString(&in, &e.prev_hash) || !in.empty()) {
+  if (!GetLengthPrefixed(&in, &e.record_id) ||
+      !GetLengthPrefixed(&in, &e.details) ||
+      !GetLengthPrefixed(&in, &e.prev_hash) || !in.empty()) {
     return Status::Corruption("malformed audit event");
   }
+  return e;
+}
+
+Result<AuditEvent> AuditEvent::Decode(const Slice& data) {
+  MEDVAULT_ASSIGN_OR_RETURN(AuditEventView v, AuditEventView::Parse(data));
+  AuditEvent e;
+  e.seq = v.seq;
+  e.timestamp = v.timestamp;
+  e.actor = v.actor.ToString();
+  e.action = v.action;
+  e.record_id = v.record_id.ToString();
+  e.details = v.details.ToString();
+  e.prev_hash = v.prev_hash.ToString();
   return e;
 }
 
@@ -113,15 +135,15 @@ Status AuditLog::Open() {
         uint8_t kind = static_cast<uint8_t>(rec[0]);
         Slice payload(rec.data() + 1, rec.size() - 1);
         if (kind == kRecordEvent) {
-          MEDVAULT_ASSIGN_OR_RETURN(AuditEvent e,
-                                    AuditEvent::Decode(payload));
+          MEDVAULT_ASSIGN_OR_RETURN(AuditEventView e,
+                                    AuditEventView::Parse(payload));
           if (e.seq != offsets_.size()) {
             return Status::TamperDetected("audit sequence discontinuity");
           }
-          if (e.prev_hash != last_hash_) {
+          if (e.prev_hash != LastHashLocked()) {
             return Status::TamperDetected("audit hash chain broken");
           }
-          last_hash_ = crypto::Sha256Digest(payload);
+          ChainDigest(payload, &last_hash_);
           AddEventLocked(e, payload, offset);
         } else if (kind == kRecordCheckpoint) {
           MEDVAULT_ASSIGN_OR_RETURN(SignedCheckpoint c,
@@ -156,23 +178,37 @@ namespace {
 /// Extracts "<id>" from details formatted "patient=<id> ...". The
 /// trailing space is required — matching the report's matcher exactly,
 /// so the indexed report can never differ from a full scan.
-bool ParsePatientToken(const std::string& details, std::string* patient) {
-  constexpr char kPrefix[] = "patient=";
-  constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
-  if (details.rfind(kPrefix, 0) != 0) return false;
-  size_t space = details.find(' ', kPrefixLen);
-  if (space == std::string::npos) return false;
-  *patient = details.substr(kPrefixLen, space - kPrefixLen);
+bool ParsePatientToken(const Slice& details, std::string* patient) {
+  constexpr std::string_view kPrefix = "patient=";
+  const std::string_view text = details.ToStringView();
+  if (text.substr(0, kPrefix.size()) != kPrefix) return false;
+  size_t space = text.find(' ', kPrefix.size());
+  if (space == std::string_view::npos) return false;
+  *patient = text.substr(kPrefix.size(), space - kPrefix.size());
   return true;
+}
+
+/// The fields of an event about to be appended, as the view replay
+/// hands to AddEventLocked.
+AuditEventView ViewOf(const AuditEvent& e) {
+  AuditEventView v;
+  v.seq = e.seq;
+  v.timestamp = e.timestamp;
+  v.actor = e.actor;
+  v.action = e.action;
+  v.record_id = e.record_id;
+  v.details = e.details;
+  v.prev_hash = e.prev_hash;
+  return v;
 }
 
 }  // namespace
 
-void AuditLog::IndexEventLocked(const AuditEvent& event) {
+void AuditLog::IndexEventLocked(const AuditEventView& event) {
   uint64_t prev = kNoSeq;
   if (!event.record_id.empty()) {
-    auto [it, inserted] =
-        last_seq_by_record_.try_emplace(event.record_id, event.seq);
+    auto [it, inserted] = last_seq_by_record_.try_emplace(
+        event.record_id.ToString(), event.seq);
     if (!inserted) prev = std::exchange(it->second, event.seq);
   }
   prev_seq_in_record_.push_back(prev);
@@ -193,8 +229,8 @@ void AuditLog::IndexEventLocked(const AuditEvent& event) {
   }
 }
 
-void AuditLog::AddEventLocked(const AuditEvent& event, const Slice& payload,
-                              uint64_t offset) {
+void AuditLog::AddEventLocked(const AuditEventView& event,
+                              const Slice& payload, uint64_t offset) {
   tree_.Append(payload);
   IndexEventLocked(event);
   offsets_.push_back(offset);
@@ -202,14 +238,14 @@ void AuditLog::AddEventLocked(const AuditEvent& event, const Slice& payload,
 
 Result<uint64_t> AuditLog::AppendEventLocked(AuditEvent event) {
   event.seq = offsets_.size();
-  event.prev_hash = last_hash_;
+  event.prev_hash = LastHashLocked().ToString();
   std::string record(1, static_cast<char>(kRecordEvent));
   record.append(event.Encode());
   uint64_t offset = 0;
   MEDVAULT_RETURN_IF_ERROR(writer_->AddRecord(record, &offset));
   const Slice payload(record.data() + 1, record.size() - 1);
-  last_hash_ = crypto::Sha256Digest(payload);
-  AddEventLocked(event, payload, offset);
+  ChainDigest(payload, &last_hash_);
+  AddEventLocked(ViewOf(event), payload, offset);
   return event.seq;
 }
 
@@ -241,7 +277,7 @@ Result<uint64_t> AuditLog::AppendBatch(
   events.reserve(batch.size());
   records.reserve(batch.size());
   const uint64_t first_seq = offsets_.size();
-  std::string chain = last_hash_;
+  std::string chain = LastHashLocked().ToString();
   for (size_t i = 0; i < batch.size(); ++i) {
     AuditEvent e;
     e.seq = first_seq + i;
@@ -274,11 +310,11 @@ Result<uint64_t> AuditLog::AppendBatch(
   }
 
   for (size_t i = 0; i < batch.size(); ++i) {
-    AddEventLocked(events[i],
+    AddEventLocked(ViewOf(events[i]),
                    Slice(records[i].data() + 1, records[i].size() - 1),
                    offsets[i]);
   }
-  last_hash_ = chain;
+  std::copy(chain.begin(), chain.end(), last_hash_.begin());
   return first_seq;
 }
 
@@ -322,11 +358,12 @@ Status AuditLog::VerifyAll(const Slice& signer_public_key,
     uint8_t kind = static_cast<uint8_t>(record[0]);
     Slice payload(record.data() + 1, record.size() - 1);
     if (kind == kRecordEvent) {
-      MEDVAULT_ASSIGN_OR_RETURN(AuditEvent e, AuditEvent::Decode(payload));
+      MEDVAULT_ASSIGN_OR_RETURN(AuditEventView e,
+                                AuditEventView::Parse(payload));
       if (e.seq != expected_seq) {
         return Status::TamperDetected("audit sequence discontinuity");
       }
-      if (e.prev_hash != last_hash) {
+      if (e.prev_hash != Slice(last_hash)) {
         return Status::TamperDetected("audit hash chain broken");
       }
       last_hash = crypto::Sha256Digest(payload);

@@ -1,6 +1,7 @@
 #ifndef MEDVAULT_CORE_AUDIT_H_
 #define MEDVAULT_CORE_AUDIT_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -15,6 +16,7 @@
 #include "common/slice.h"
 #include "core/record.h"
 #include "crypto/merkle.h"
+#include "crypto/sha256.h"
 #include "crypto/xmss.h"
 #include "storage/env.h"
 #include "storage/log_writer.h"
@@ -60,6 +62,21 @@ struct AuditEvent {
 
   std::string Encode() const;
   static Result<AuditEvent> Decode(const Slice& data);
+};
+
+/// An encoded AuditEvent's fields as slices of the encoding. Parse is
+/// the one decoder: AuditEvent::Decode copies its fields out, and log
+/// replay checks and indexes events without copying them.
+struct AuditEventView {
+  uint64_t seq = 0;
+  Timestamp timestamp = 0;
+  Slice actor;
+  AuditAction action = AuditAction::kRead;
+  Slice record_id;
+  Slice details;
+  Slice prev_hash;
+
+  static Result<AuditEventView> Parse(const Slice& data);
 };
 
 /// A signed statement "the first `tree_size` audit entries have Merkle
@@ -278,7 +295,7 @@ class AuditLog {
 
   /// Commits an event written at `offset` to the tree and indexes (the
   /// caller advances last_hash_). Requires mu_ held.
-  void AddEventLocked(const AuditEvent& event, const Slice& payload,
+  void AddEventLocked(const AuditEventView& event, const Slice& payload,
                       uint64_t offset);
 
   /// Requires mu_ held.
@@ -286,7 +303,14 @@ class AuditLog {
 
   /// Adds `event` to the per-record and per-patient indexes. Requires
   /// mu_ held (or exclusive access during Open replay).
-  void IndexEventLocked(const AuditEvent& event);
+  void IndexEventLocked(const AuditEventView& event);
+
+  /// SHA-256 of the newest event's encoding, the next event's prev_hash:
+  /// empty before the first event. Requires mu_ held.
+  Slice LastHashLocked() const {
+    return offsets_.empty() ? Slice()
+                            : Slice(last_hash_.data(), last_hash_.size());
+  }
 
   static constexpr uint64_t kNoSeq = ~uint64_t{0};
 
@@ -312,7 +336,7 @@ class AuditLog {
       breakglass_seqs_by_patient_;
   std::unordered_map<PrincipalId, std::vector<uint64_t>>
       consent_seqs_by_patient_;
-  std::string last_hash_;
+  std::array<char, crypto::kDigestSize> last_hash_{};
   bool open_ = false;
 };
 

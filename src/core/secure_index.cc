@@ -39,14 +39,19 @@ Status SecureIndex::Open() {
       env_, path_,
       [this](const Slice& record, uint64_t) -> Status {
         Slice in = record;
-        std::string blind, key_ref, sealed;
-        if (!GetLengthPrefixedString(&in, &blind) ||
-            !GetLengthPrefixedString(&in, &key_ref) ||
-            !GetLengthPrefixedString(&in, &sealed) || !in.empty()) {
+        Slice blind, key_ref, sealed;
+        if (!GetLengthPrefixed(&in, &blind) ||
+            !GetLengthPrefixed(&in, &key_ref) ||
+            !GetLengthPrefixed(&in, &sealed) || !in.empty()) {
           return Status::Corruption("malformed index posting");
         }
-        postings_[blind].push_back(Posting{std::move(key_ref),
-                                           std::move(sealed)});
+        // A term's postings arrive many times over: look the blind up
+        // in place, and copy it only for a term seen the first time.
+        auto it = postings_.find(blind.ToStringView());
+        if (it == postings_.end()) {
+          it = postings_.try_emplace(blind.ToString()).first;
+        }
+        it->second.push_back(Posting{key_ref.ToString(), sealed.ToString()});
         return Status::OK();
       },
       &res));

@@ -105,7 +105,8 @@ class SecureIndex {
   std::string master_key_;
   KeyStore* keystore_;
   std::unique_ptr<storage::log::Writer> writer_;
-  std::map<std::string, std::vector<Posting>> postings_;  // blind -> postings
+  /// blind -> postings; transparent, so replay looks a blind up in place.
+  std::map<std::string, std::vector<Posting>, std::less<>> postings_;
   bool open_ = false;
 };
 

@@ -58,15 +58,24 @@ class VersionStore {
   storage::WritableFile* SegmentSyncTarget();
   Status SyncCatalog();
 
-  /// Crash-recovery reconciliation. `committed_latest` maps record id →
-  /// latest version the commit point (state log) vouches for. Drops
-  /// catalog references that (a) belong to no committed record,
-  /// (b) exceed the committed latest version, or (c) point at segment
-  /// frames lost with the crash — then durably rewrites the catalog if
-  /// anything was dropped. The orphaned segment frames themselves stay
-  /// behind (WORM media) until segment reclamation collects them.
-  /// Returns the number of dropped references in `*dropped_refs`.
-  Status ReconcileCatalog(const std::map<RecordId, uint32_t>& committed_latest,
+  /// One record the commit point (state log) vouches for, as crash
+  /// recovery hands it to ReconcileCatalog.
+  struct CommittedRecord {
+    const RecordId* id = nullptr;
+    uint32_t latest = 0;  ///< latest version the state log vouches for
+    bool shredded = false;  ///< key destroyed: media may be reclaimed
+    uint32_t kept = 0;      ///< out: versions the catalog still holds
+  };
+
+  /// Crash-recovery reconciliation: one merge of the catalog with
+  /// `committed`, which is sorted by id. Drops catalog references that
+  /// (a) belong to no committed record, (b) exceed the committed latest
+  /// version, or (c) point at segment frames lost with the crash — then
+  /// durably rewrites the catalog if anything was dropped. The orphaned
+  /// segment frames themselves stay behind (WORM media) until segment
+  /// reclamation collects them. Sets each record's `kept` and returns
+  /// the number of dropped references in `*dropped_refs`.
+  Status ReconcileCatalog(std::vector<CommittedRecord>* committed,
                           uint64_t* dropped_refs);
 
   /// Appends a new version of `record_id` (version 1 creates the chain).

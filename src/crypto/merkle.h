@@ -95,7 +95,10 @@ class MerkleTree {
   /// One hash in a flat 32-byte slot: no per-hash heap allocation.
   using Hash = std::array<char, 32>;
 
+  static Hash HashLeafFlat(const Slice& data);
   static Hash HashNodeFlat(const Hash& left, const Hash& right);
+  /// Appends `leaf` and closes every memo block it completes.
+  uint64_t AppendHash(const Hash& leaf);
   static std::string ToString(const Hash& h) {
     return std::string(h.data(), h.size());
   }
