@@ -360,41 +360,29 @@ Status KeyStore::RotateMasterKey(const Slice& new_master_key) {
 
 Status KeyStore::Persist() {
   if (!open_) return Status::FailedPrecondition("keystore not open");
-  // Write-new-then-rename so a crash never leaves a half-written log,
-  // then re-point the writer at the new file.
-  writer_.reset();
-  std::string tmp = path_ + ".tmp";
-  std::unique_ptr<storage::WritableFile> dest;
-  MEDVAULT_RETURN_IF_ERROR(env_->NewWritableFile(tmp, &dest));
-  storage::log::Writer tmp_writer(std::move(dest));
-  MEDVAULT_RETURN_IF_ERROR(tmp_writer.AddRecord(kKeyLogMagicV2));
-  for (const auto& [record_id, state] : keys_) {
-    std::string entry;
-    if (state.destroyed) {
-      entry.push_back(static_cast<char>(kEntryDestroyed));
-      PutLengthPrefixed(&entry, record_id);
-    } else {
-      entry.push_back(static_cast<char>(kEntryLive));
-      PutLengthPrefixed(&entry, record_id);
-      MEDVAULT_ASSIGN_OR_RETURN(
-          std::string blob,
-          master_aead_.Seal(WrapNonce(record_id), state.data_key,
-                            record_id));
-      PutLengthPrefixed(&entry, blob);
-    }
-    MEDVAULT_RETURN_IF_ERROR(tmp_writer.AddRecord(entry));
-  }
-  MEDVAULT_RETURN_IF_ERROR(tmp_writer.Sync());
-  MEDVAULT_RETURN_IF_ERROR(tmp_writer.Close());
-  MEDVAULT_RETURN_IF_ERROR(env_->RenameFile(tmp, path_));
-
-  uint64_t size = 0;
-  MEDVAULT_RETURN_IF_ERROR(env_->GetFileSize(path_, &size));
-  std::unique_ptr<storage::WritableFile> app;
-  MEDVAULT_RETURN_IF_ERROR(env_->NewAppendableFile(path_, &app));
-  writer_ = std::make_unique<storage::log::Writer>(std::move(app), size);
-  rewrite_generation_++;
-  return Status::OK();
+  return storage::log::RewriteLog(
+      env_, path_,
+      [this](storage::log::Writer* tmp) -> Status {
+        MEDVAULT_RETURN_IF_ERROR(tmp->AddRecord(kKeyLogMagicV2));
+        for (const auto& [record_id, state] : keys_) {
+          std::string entry;
+          if (state.destroyed) {
+            entry.push_back(static_cast<char>(kEntryDestroyed));
+            PutLengthPrefixed(&entry, record_id);
+          } else {
+            entry.push_back(static_cast<char>(kEntryLive));
+            PutLengthPrefixed(&entry, record_id);
+            MEDVAULT_ASSIGN_OR_RETURN(
+                std::string blob,
+                master_aead_.Seal(WrapNonce(record_id), state.data_key,
+                                  record_id));
+            PutLengthPrefixed(&entry, blob);
+          }
+          MEDVAULT_RETURN_IF_ERROR(tmp->AddRecord(entry));
+        }
+        return Status::OK();
+      },
+      &writer_, &rewrite_generation_);
 }
 
 }  // namespace medvault::core

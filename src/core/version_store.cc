@@ -103,31 +103,18 @@ Status VersionStore::SyncCatalog() {
 }
 
 Status VersionStore::RewriteCatalog() {
-  const std::string catalog_path = dir_ + "/catalog.log";
-  const std::string tmp_path = catalog_path + ".tmp";
-  catalog_writer_.reset();
-  {
-    std::unique_ptr<storage::WritableFile> tmp_file;
-    MEDVAULT_RETURN_IF_ERROR(env_->NewWritableFile(tmp_path, &tmp_file));
-    storage::log::Writer tmp_writer(std::move(tmp_file));
-    for (const auto& [record_id, refs] : catalog_) {
-      for (uint32_t v = 1; v <= refs.size(); v++) {
-        MEDVAULT_RETURN_IF_ERROR(tmp_writer.AddRecord(EncodeCatalogEntry(
-            record_id, v, refs[v - 1].handle, refs[v - 1].entry_hash)));
-      }
-    }
-    MEDVAULT_RETURN_IF_ERROR(tmp_writer.Sync());
-    MEDVAULT_RETURN_IF_ERROR(tmp_writer.Close());
-  }
-  MEDVAULT_RETURN_IF_ERROR(env_->RenameFile(tmp_path, catalog_path));
-  uint64_t size = 0;
-  MEDVAULT_RETURN_IF_ERROR(env_->GetFileSize(catalog_path, &size));
-  std::unique_ptr<storage::WritableFile> dest;
-  MEDVAULT_RETURN_IF_ERROR(env_->NewAppendableFile(catalog_path, &dest));
-  catalog_writer_ = std::make_unique<storage::log::Writer>(std::move(dest),
-                                                           size);
-  catalog_rewrite_generation_++;
-  return Status::OK();
+  return storage::log::RewriteLog(
+      env_, dir_ + "/catalog.log",
+      [this](storage::log::Writer* tmp) -> Status {
+        for (const auto& [record_id, refs] : catalog_) {
+          for (uint32_t v = 1; v <= refs.size(); v++) {
+            MEDVAULT_RETURN_IF_ERROR(tmp->AddRecord(EncodeCatalogEntry(
+                record_id, v, refs[v - 1].handle, refs[v - 1].entry_hash)));
+          }
+        }
+        return Status::OK();
+      },
+      &catalog_writer_, &catalog_rewrite_generation_);
 }
 
 Status VersionStore::ReconcileCatalog(

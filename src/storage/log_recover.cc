@@ -43,4 +43,26 @@ Status OpenLogForAppend(Env* env, const std::string& path,
   return Status::OK();
 }
 
+Status RewriteLog(Env* env, const std::string& path,
+                  const std::function<Status(Writer* tmp)>& write,
+                  std::unique_ptr<Writer>* writer, uint64_t* generation) {
+  writer->reset();
+  const std::string tmp_path = path + ".tmp";
+  std::unique_ptr<WritableFile> tmp_file;
+  MEDVAULT_RETURN_IF_ERROR(env->NewWritableFile(tmp_path, &tmp_file));
+  Writer tmp(std::move(tmp_file));
+  MEDVAULT_RETURN_IF_ERROR(write(&tmp));
+  MEDVAULT_RETURN_IF_ERROR(tmp.Sync());
+  MEDVAULT_RETURN_IF_ERROR(tmp.Close());
+  MEDVAULT_RETURN_IF_ERROR(env->RenameFile(tmp_path, path));
+
+  uint64_t size = 0;
+  MEDVAULT_RETURN_IF_ERROR(env->GetFileSize(path, &size));
+  std::unique_ptr<WritableFile> dest;
+  MEDVAULT_RETURN_IF_ERROR(env->NewAppendableFile(path, &dest));
+  *writer = std::make_unique<Writer>(std::move(dest), size);
+  ++*generation;
+  return Status::OK();
+}
+
 }  // namespace medvault::storage::log

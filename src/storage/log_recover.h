@@ -1,6 +1,7 @@
 #ifndef MEDVAULT_STORAGE_LOG_RECOVER_H_
 #define MEDVAULT_STORAGE_LOG_RECOVER_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -38,6 +39,15 @@ Status OpenLogForAppend(Env* env, const std::string& path,
                         const std::function<Status(const Slice& record,
                                                    uint64_t offset)>& replay,
                         LogOpenResult* result);
+
+/// Replaces the log at `path` with the records `write` adds: they go to
+/// `<path>.tmp`, which is synced, closed and renamed over `path`, so a
+/// crash leaves the old log or the new one, never a mix. `*writer` is
+/// dropped first and, on success, reopened to append at the new log's
+/// end, and `*generation` is bumped.
+Status RewriteLog(Env* env, const std::string& path,
+                  const std::function<Status(Writer* tmp)>& write,
+                  std::unique_ptr<Writer>* writer, uint64_t* generation);
 
 }  // namespace medvault::storage::log
 
