@@ -180,22 +180,23 @@ BENCHMARK(BM_Ingest_ShardedBatch)
 /// coalescing to be visible in wall-clock.
 constexpr uint64_t kSimSyncMicros = 100;
 
-/// MemEnv → InstrumentedEnv + an open vault, for the durable-ingest
-/// variants.
+/// MemEnv → InstrumentedEnv + an open 1-shard ShardedVault (the stack
+/// that owns group commit), for the durable-ingest variants.
 class DurableVault {
  public:
   explicit DurableVault(uint64_t commit_window_micros)
       : ienv_(&env_, obs::ProcessIoStats()), clock_(1000000) {
     env_.SetSyncDelayMicros(kSimSyncMicros);
-    core::VaultOptions options;
+    core::ShardedVaultOptions options;
     options.env = &ienv_;
     options.dir = "durable";
     options.clock = &clock_;
     options.master_key = std::string(32, 'M');
     options.entropy = "bench-durable-entropy";
+    options.num_shards = 1;
     options.signer_height = 8;
     options.commit_window_micros = commit_window_micros;
-    auto opened = core::Vault::Open(options);
+    auto opened = core::ShardedVault::Open(options);
     if (!opened.ok()) {
       fprintf(stderr, "durable vault open failed: %s\n",
               opened.status().ToString().c_str());
@@ -212,13 +213,13 @@ class DurableVault {
     (void)vault_->SyncAll();
   }
 
-  core::Vault* vault() { return vault_.get(); }
+  core::ShardedVault* vault() { return vault_.get(); }
 
  private:
   storage::MemEnv env_;
   storage::InstrumentedEnv ienv_;
   ManualClock clock_;
-  std::unique_ptr<core::Vault> vault_;
+  std::unique_ptr<core::ShardedVault> vault_;
 };
 
 core::Vault::NewRecord MakeDurableRecord(sim::EhrGenerator* gen) {

@@ -17,10 +17,9 @@ GroupCommitter::GroupCommitter(std::function<Status()> sync_fn,
   obs::MetricsRegistry* metrics = options.metrics != nullptr
                                       ? options.metrics
                                       : obs::MetricsRegistry::Default();
-  ops_counter_ = metrics->GetCounter(options.metric_prefix + ".ops");
-  syncs_counter_ = metrics->GetCounter(options.metric_prefix + ".syncs");
-  coalesced_counter_ =
-      metrics->GetCounter(options.metric_prefix + ".coalesced");
+  ops_counter_ = metrics->GetCounter("commit.window.sharded.ops");
+  syncs_counter_ = metrics->GetCounter("commit.window.sharded.syncs");
+  coalesced_counter_ = metrics->GetCounter("commit.window.sharded.coalesced");
 }
 
 Status GroupCommitter::Commit() {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <string>
 
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -27,11 +26,13 @@ namespace medvault::core {
 /// wave may acknowledge an earlier ticket — sync is a barrier over
 /// everything outstanding, so a newer wave covers older writes too.
 ///
-/// Metrics (prefix configurable so the per-vault and cross-shard
-/// committers stay separable):
-///   <prefix>.ops        Commit() calls
-///   <prefix>.syncs      sync waves actually run
-///   <prefix>.coalesced  commits acknowledged by someone else's wave
+/// ShardedVault owns the one committer; its wave syncs every shard.
+///
+/// Metrics:
+///   commit.window.sharded.ops        Commit() calls
+///   commit.window.sharded.syncs      sync waves actually run
+///   commit.window.sharded.coalesced  commits acknowledged by someone
+///                                    else's wave
 class GroupCommitter {
  public:
   struct Options {
@@ -41,7 +42,6 @@ class GroupCommitter {
     uint64_t window_micros = 0;
     /// Null uses the process-wide registry.
     obs::MetricsRegistry* metrics = nullptr;
-    std::string metric_prefix = "commit.window";
     /// Injectable window wait (tests pass a recorder). Null sleeps.
     std::function<void(uint64_t micros)> sleeper;
   };

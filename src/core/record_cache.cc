@@ -17,7 +17,9 @@ void WipeString(std::string* s) {
 RecordCache::RecordCache(size_t capacity_bytes)
     : capacity_bytes_(capacity_bytes) {}
 
-RecordCache::~RecordCache() { Clear(); }
+RecordCache::~RecordCache() {
+  for (Entry& e : lru_) WipeString(&e.value.plaintext);
+}
 
 std::string RecordCache::Key(const RecordId& record_id, uint32_t version) {
   return record_id + "@" + std::to_string(version);
@@ -81,14 +83,6 @@ void RecordCache::PurgeRecord(const RecordId& record_id) {
       stats_.purges++;
       RemoveLocked(it->second);
     }
-  }
-}
-
-void RecordCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (!lru_.empty()) {
-    stats_.purges++;
-    RemoveLocked(std::prev(lru_.end()));
   }
 }
 

@@ -49,7 +49,7 @@ class RecordCache {
     uint64_t bypasses = 0;
     uint64_t evictions = 0;   ///< capacity evictions
     uint64_t rejections = 0;  ///< hash-mismatch entries dropped
-    uint64_t purges = 0;      ///< entries removed by PurgeRecord/Clear
+    uint64_t purges = 0;      ///< entries removed by PurgeRecord
   };
 
   /// `capacity_bytes` bounds the summed plaintext size of live entries.
@@ -78,9 +78,6 @@ class RecordCache {
   /// record. Disposal / correction / key-shred paths call this BEFORE
   /// acknowledging, so read-after-secure-delete can never hit.
   void PurgeRecord(const RecordId& record_id);
-
-  /// Zeroizes and drops everything.
-  void Clear();
 
   Stats stats() const;
   size_t entry_count() const;

@@ -118,7 +118,6 @@ Status ShardedVault::Init() {
   GroupCommitter::Options commit_options;
   commit_options.window_micros = options_.commit_window_micros;
   commit_options.metrics = metrics_;
-  commit_options.metric_prefix = "commit.window.sharded";
   committer_ = std::make_unique<GroupCommitter>(
       [this] { return SyncShardsWave(); }, std::move(commit_options));
   return Status::OK();

@@ -66,11 +66,11 @@ struct ShardedVaultOptions {
   /// histograms) and every shard ("vault.*"). Not owned; null uses the
   /// process-wide obs::MetricsRegistry::Default().
   obs::MetricsRegistry* metrics = nullptr;
-  /// Cross-shard group-commit window (see GroupCommitter): how long a
-  /// SyncAll leader lingers to gather concurrent committers before one
-  /// sync wave fans out over all shards. Shard vaults keep window 0 —
-  /// the cross-shard committer is the coalescing point. 0 adds no
-  /// latency; coalescing is then opportunistic only.
+  /// Group-commit window (see GroupCommitter): how long a SyncAll
+  /// leader lingers to gather concurrent committers before one sync
+  /// wave fans out over all shards. This committer is the only one: a
+  /// shard's own SyncAll syncs directly. 0 adds no latency; coalescing
+  /// is then opportunistic only.
   uint64_t commit_window_micros = 0;
   /// Media-fault posture of Open — see OpenMode.
   OpenMode open_mode = OpenMode::kStrict;
@@ -360,8 +360,8 @@ class ShardedVault {
   /// Per-shard quarantine reason; "" means healthy. Parallel to shards_.
   std::vector<std::string> quarantine_reasons_;
   std::unique_ptr<WorkerPool> pool_;
-  /// Cross-shard group commit ("commit.window.sharded.*" metrics); its
-  /// wave fans shard SyncAlls out over pool_.
+  /// The group committer ("commit.window.sharded.*" metrics); its wave
+  /// fans shard SyncAlls out over pool_.
   std::unique_ptr<GroupCommitter> committer_;
 };
 

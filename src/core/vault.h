@@ -15,7 +15,6 @@
 #include "core/access.h"
 #include "core/audit.h"
 #include "core/consent.h"
-#include "core/group_commit.h"
 #include "core/keystore.h"
 #include "core/provenance.h"
 #include "core/record.h"
@@ -67,11 +66,6 @@ struct VaultOptions {
   /// pass per-tenant registries to keep telemetry apart. Metrics are
   /// operator telemetry only — nothing here feeds the audit log.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Group-commit window: how long a SyncAll leader lingers to gather
-  /// concurrent committers before running one sync wave for all of
-  /// them (see GroupCommitter). 0 (default) adds no latency — commits
-  /// still coalesce opportunistically behind an in-flight wave.
-  uint64_t commit_window_micros = 0;
 };
 
 /// MedVault: trustworthy regulatory-compliant health-record storage —
@@ -197,14 +191,6 @@ class Vault {
   Result<std::vector<RecordId>> CreateRecordsBatch(
       const PrincipalId& actor, const std::vector<NewRecord>& batch);
 
-  /// CreateRecordsBatch plus a group-committed durability barrier: the
-  /// ids are returned only once the sync window covering the batch has
-  /// completed, so every acknowledged record survives a power cut.
-  /// Concurrent durable batches share one window — one sync wave, not
-  /// one per batch.
-  Result<std::vector<RecordId>> CreateRecordsBatchDurable(
-      const PrincipalId& actor, const std::vector<NewRecord>& batch);
-
   /// Reads the latest version (or a specific one).
   Result<RecordVersion> ReadRecord(const PrincipalId& actor,
                                    const RecordId& record_id) {
@@ -282,6 +268,8 @@ class Vault {
   /// record's bytes already are, and a crash can never leave a durable
   /// meta pointing at lost data. Callers that need an ingest to survive
   /// power failure call this after CreateRecord/CreateRecordsBatch.
+  /// Every call runs its own sync; concurrent writers coalesce one level
+  /// up, in ShardedVault's group committer.
   Status SyncAll();
 
   // ---- Audit & custody -----------------------------------------------
@@ -460,6 +448,11 @@ class Vault {
   /// prepended) as one buffered log write. Requires exclusive mu_.
   Status AppendStateEntriesLocked(const std::vector<std::string>& records);
   Status SyncAllLocked();
+  /// The deep checks behind VerifyEverything and Scrub: Merkle/hash
+  /// bindings from the catalog down to segment bytes, the audit hash
+  /// chain and XMSS checkpoints, the index, then the custody chains.
+  /// Requires exclusive mu_ (the audit check re-reads the log file).
+  Status VerifyDeepLocked() const;
   /// The one create path, behind CreateRecord (a batch of one) and
   /// CreateRecordsBatch. Requires exclusive mu_.
   Result<std::vector<RecordId>> CreateRecordsLocked(
@@ -535,11 +528,6 @@ class Vault {
   std::unique_ptr<ProvenanceTracker> provenance_;
   std::unique_ptr<crypto::XmssSigner> signer_;
   std::unique_ptr<storage::log::Writer> state_writer_;
-  /// Coalesces concurrent SyncAll/durable-batch callers into one sync
-  /// wave per commit window (metrics under "commit.window.*"). Its
-  /// sync function takes mu_ exclusively, so Commit() must never be
-  /// called with the vault lock held.
-  std::unique_ptr<GroupCommitter> committer_;
 
   struct DisposalRequest {
     RecordId record_id;

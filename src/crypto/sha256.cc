@@ -204,11 +204,4 @@ std::string Sha256Digest(const Slice& data) {
   return h.Finish();
 }
 
-std::string Sha256Concat(const Slice& a, const Slice& b) {
-  Sha256 h;
-  h.Update(a);
-  h.Update(b);
-  return h.Finish();
-}
-
 }  // namespace medvault::crypto

@@ -84,9 +84,6 @@ class Sha256 {
 /// One-shot convenience: SHA-256(data).
 std::string Sha256Digest(const Slice& data);
 
-/// SHA-256(a || b) — common in Merkle/hash-chain code.
-std::string Sha256Concat(const Slice& a, const Slice& b);
-
 }  // namespace medvault::crypto
 
 #endif  // MEDVAULT_CRYPTO_SHA256_H_

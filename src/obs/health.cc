@@ -107,8 +107,6 @@ void FillConsent(HealthReport* report, uint64_t active) {
 
 uint64_t HealthReport::CommitOps() const {
   auto it = metrics.counters.find("commit.window.sharded.ops");
-  if (it != metrics.counters.end() && it->second > 0) return it->second;
-  it = metrics.counters.find("commit.window.ops");
   return it != metrics.counters.end() ? it->second : 0;
 }
 

@@ -109,10 +109,8 @@ struct HealthReport {
   json::Value ToJson() const;
   std::string Dump() const { return ToJson().Dump(); }
 
-  /// Group-commit Commit() calls in the metrics snapshot — the
-  /// denominator of env_io.fsyncs_per_op_milli. Prefers the cross-shard
-  /// committer's count when it has run: its waves drive the per-shard
-  /// committers, so taking the shard count too would double-count.
+  /// Group-commit Commit() calls in the metrics snapshot (ShardedVault's
+  /// committer) — the denominator of env_io.fsyncs_per_op_milli.
   uint64_t CommitOps() const;
 };
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Smoke suite: the tier-1 test battery in the default configuration,
-# then the crash/fault matrix, the cross-shard stress battery, the
+# then the crash/fault matrix (with the key store and version store
+# suites, whose log rewrites are crash paths), the cross-shard stress
+# battery, the
 # shard-dispatch battery (routing, shard ids and secrets, manifest,
 # fan-outs), the observability battery, the media-fault scrub/repair
 # battery (with the bounded-window scans, the segment store and the
