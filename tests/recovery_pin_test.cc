@@ -4,18 +4,21 @@
 // One crash image reaches every branch of the recovery pass at once:
 //   - r-1's key was destroyed but its meta never flipped
 //     (disposal-completed);
-//   - r-2's live key never reached keys.db (key-lost);
+//   - r-2's live key never reached keys.db (key-lost, and its one
+//     catalog entry is dropped in the same pass);
 //   - every catalog entry of r-3 is gone (versions-lost);
 //   - r-4's second version is gone from the catalog (latest-lowered-to-1);
 //   - r-99 has a key and a catalog entry but no committed meta
-//     (catalog-refs-dropped=1, orphan-keys-removed=1);
+//     (orphan-keys-removed=1; with r-2's, catalog-refs-dropped=2);
 //   - record-scoped consent grants name r-1, r-2 and r-3
 //     (consent-revoked).
 // The test pins the kRecovery details string (so the order of the
 // actions too), the bytes of the files recovery rewrites or appends to,
 // the content root, and after a second open the audit root, each
-// record's trail and the patient's disclosure report. A change to how
-// the open path replays or reconciles must leave all of them unchanged.
+// record's trail and the patient's disclosure report. Recovery converges
+// in one pass: the second and third opens log no kRecovery event. A
+// change to how the open path replays or reconciles must leave all of
+// them unchanged.
 
 #include <gtest/gtest.h>
 
@@ -202,7 +205,7 @@ TEST(RecoveryPinTest, EveryRecoveryBranchInOneCrashImage) {
   vault = OpenOrDie(options);
   ASSERT_NE(vault, nullptr);
   const std::string kFirstRecovery =
-      "crash-recovery: catalog-refs-dropped=1 r-1:disposal-completed"
+      "crash-recovery: catalog-refs-dropped=2 r-1:disposal-completed"
       " r-2:key-lost r-3:versions-lost r-4:latest-lowered-to-1"
       " orphan-keys-removed=1 cg-1:consent-revoked cg-2:consent-revoked"
       " cg-3:consent-revoked";
@@ -213,23 +216,21 @@ TEST(RecoveryPinTest, EveryRecoveryBranchInOneCrashImage) {
   EXPECT_EQ(FileSha(&env, "vault/keys.db"),
             "d1e58cba95866d789c99767ebfaba8b0793a84c83bb058148b44cad92180be2a");
   EXPECT_EQ(FileSha(&env, "vault/catalog.log"),
-            "cf983f936f5375b6337149bbd034957f4d6190d850e998c3ff6f6316c73618ef");
+            "648eceb172976f531b58de61fa24121ca701d576a3a55704612bb94379e1b0f7");
   EXPECT_EQ(HexEncode(vault->ContentRoot()),
-            "b037c4db0df790dc425683f3e626d0dfc3b6f4ed9b862ed1614da0abf603d395");
+            "162654299ae895ff030a61e88794b42a39a9c153ff0a66c8610fa367f73d7140");
   ASSERT_TRUE(vault->SyncAll().ok());
   vault.reset();
 
-  // The second open replays the repaired files. It still finds r-2's
-  // one catalog entry: the first pass reconciled the catalog before it
-  // tombstoned r-2 (key-lost), so the entry is dropped one open late.
+  // The second open replays the repaired files and finds nothing to
+  // repair: the first pass already dropped key-lost r-2's catalog entry.
   clock.Advance(1500);
   vault = OpenOrDie(options);
   ASSERT_NE(vault, nullptr);
   EXPECT_EQ(RecoveryDetails(vault.get()),
-            (std::vector<std::string>{kFirstRecovery,
-                                      "crash-recovery: catalog-refs-dropped=1"}));
+            (std::vector<std::string>{kFirstRecovery}));
   EXPECT_EQ(HexEncode(vault->audit()->Root()),
-            "edf8a3b95e979b61f8cf2027fc8c4d26f8bba7dac92b963b3fcb226c40085ac5");
+            "a7f10895f4e8774a9fddbda83a72e87bd3fb98f26655fe5840e7291e13cd6cf1");
   std::string seqs;
   for (const char* record : {"r-1", "r-2", "r-3", "r-4", "r-5", "r-6",
                              "r-99"}) {
@@ -267,10 +268,10 @@ TEST(RecoveryPinTest, EveryRecoveryBranchInOneCrashImage) {
   ASSERT_TRUE(vault->SyncAll().ok());
   vault.reset();
 
-  // The third open finds nothing left to repair.
+  // Nor does the third.
   vault = OpenOrDie(options);
   ASSERT_NE(vault, nullptr);
-  EXPECT_EQ(RecoveryDetails(vault.get()).size(), 2u);
+  EXPECT_EQ(RecoveryDetails(vault.get()).size(), 1u);
 }
 
 }  // namespace
