@@ -1073,5 +1073,73 @@ TEST(ReplicationServerTest, ReplicaPullsOverHttpAndHealthReportsPosture) {
   (*server)->Stop();
 }
 
+// A cut response carries a whole batch, so the client's response reader
+// must not share the server's 1 MiB request-body cap: a first cut of
+// over 1 MiB, pulled through HttpClient, applies to byte equality.
+TEST(ReplicationServerTest, FirstCutOverOneMebibytePullsOverHttp) {
+  storage::MemEnv env;
+  ManualClock clock(1000000);
+  auto opened = ShardedVault::Open(ShardedPrimaryOptions(&env, &clock));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ShardedVault* primary = opened->get();
+  const std::string patient = PatientsPerShard()[0];
+  ASSERT_TRUE(
+      primary->RegisterPrincipal("boot", {"admin", Role::kAdmin, "A"}).ok());
+  ASSERT_TRUE(
+      primary->RegisterPrincipal("admin", {"dr", Role::kPhysician, "D"})
+          .ok());
+  ASSERT_TRUE(
+      primary->RegisterPrincipal("admin", {patient, Role::kPatient, patient})
+          .ok());
+  ASSERT_TRUE(primary->AssignCare("admin", "dr", patient).ok());
+  for (int i = 0; i < 12; i++) {
+    const std::string note =
+        std::to_string(i) + std::string(128 * 1024, 'n');
+    ASSERT_TRUE(primary
+                    ->CreateRecord("dr", patient, "text/plain", note,
+                                   {"bulk"}, "hipaa-6y")
+                    .ok());
+  }
+  ASSERT_TRUE(primary->SyncAll().ok());
+
+  ShardedReplicationSource source(primary);
+  server::ServerOptions server_options;
+  server_options.port = 0;
+  server_options.worker_threads = 1;
+  server_options.session_entropy = "repl-server-session";
+  server_options.clock = &clock;
+  server_options.repl_source = &source;
+  auto server = server::MedVaultServer::Start(primary, server_options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  ShardedReplicaApplier::Options applier_options;
+  applier_options.env = &env;
+  applier_options.dir = "sharded-replica";
+  applier_options.entropy = kEntropy;
+  applier_options.num_shards = 2;
+  applier_options.apply_threads = 1;
+  auto applier = ShardedReplicaApplier::Open(applier_options);
+  ASSERT_TRUE(applier.ok());
+
+  server::HttpClient client;
+  ASSERT_TRUE(client.Connect((*server)->port()).ok());
+  auto cursor = (*applier)->shard(0)->Cursor();
+  ASSERT_TRUE(cursor.ok());
+  auto resp = client.Do("POST", "/v1/replication/cut/0", cursor->Encode());
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(resp->status, 200) << resp->body;
+  EXPECT_GT(resp->body.size(), size_t{1} << 20);
+  ASSERT_TRUE((*applier)->shard(0)->ApplyEncoded(Slice(resp->body)).ok());
+  ExpectDirsEqual(&env, "sharded-primary/shard-0", &env,
+                  "sharded-replica/shard-0");
+
+  // The keep-alive connection still frames the next response.
+  auto status_resp = client.Do("GET", "/v1/replication");
+  ASSERT_TRUE(status_resp.ok()) << status_resp.status().ToString();
+  EXPECT_EQ(status_resp->status, 200);
+
+  (*server)->Stop();
+}
+
 }  // namespace
 }  // namespace medvault
