@@ -19,12 +19,10 @@ Status Aead::Init(const Slice& key) {
 
 std::string Aead::ComputeTag(const Slice& nonce, const Slice& ciphertext,
                              const Slice& aad) const {
-  std::string mac_input;
-  PutFixed64(&mac_input, aad.size());
-  mac_input.append(aad.data(), aad.size());
-  mac_input.append(nonce.data(), nonce.size());
-  mac_input.append(ciphertext.data(), ciphertext.size());
-  return mac_->Mac(mac_input);
+  char aad_length[8];
+  EncodeFixed64(aad_length, aad.size());
+  return mac_->Mac(
+      {Slice(aad_length, sizeof(aad_length)), aad, nonce, ciphertext});
 }
 
 Result<std::string> Aead::Seal(const Slice& nonce, const Slice& plaintext,

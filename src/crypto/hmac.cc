@@ -29,8 +29,12 @@ HmacSha256Key::HmacSha256Key(const Slice& key) {
 }
 
 std::string HmacSha256Key::Mac(const Slice& message) const {
+  return Mac({message});
+}
+
+std::string HmacSha256Key::Mac(std::initializer_list<Slice> pieces) const {
   Sha256 inner(inner_, 64);
-  inner.Update(message);
+  for (const Slice& piece : pieces) inner.Update(piece);
   Sha256 outer(outer_, 64);
   outer.Update(inner.Finish());
   return outer.Finish();

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
 #include "common/slice.h"
@@ -21,6 +22,9 @@ class HmacSha256Key {
 
   /// Returns the 32-byte tag of `message`.
   std::string Mac(const Slice& message) const;
+  /// Returns the tag of the concatenation of `pieces`, fed to the inner
+  /// hash one by one rather than copied together first.
+  std::string Mac(std::initializer_list<Slice> pieces) const;
 
   /// Tags of internal::kSha256Lanes short messages in two calls of the
   /// dispatched lanes kernel: lane i MACs the `len` bytes at

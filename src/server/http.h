@@ -63,16 +63,29 @@ enum class ReadOutcome {
   kError,         ///< socket error
 };
 
-/// Reads and parses one request from blocking socket `fd`. `leftover`
-/// is the connection's carry-over buffer: bytes of the *next* pipelined
-/// request that arrived with this one are left there, so pass the same
-/// string for every request on a connection (start empty).
+/// Reads one HTTP/1.1 message off blocking socket `fd`: the frame reader
+/// behind ReadHttpRequest and HttpClient. It reads until the head's
+/// CRLFCRLF (kHeadersTooLarge once that cannot end within the cap),
+/// parses the head once, refuses a body over the cap before reading any
+/// of it, then reads the rest of the frame. `buffer` is the connection's
+/// carry-over: pass the same string for every message on a connection
+/// (start empty). On kOk the frame is consumed from it and bytes of the
+/// next pipelined message stay there.
+ReadOutcome ReadHttpFrame(int fd, const HttpLimits& limits,
+                          std::string* buffer, std::string* start_line,
+                          std::map<std::string, std::string>* headers,
+                          std::string* body);
+
+/// Reads and parses one request from blocking socket `fd`: ReadHttpFrame
+/// plus the request line.
 ReadOutcome ReadHttpRequest(int fd, const HttpLimits& limits,
                             std::string* leftover, HttpRequest* out);
 
-/// Parses a complete request already in memory (tests, and the reader
-/// above once it has the full frame). Returns kOk/kMalformed/
-/// kBodyTooLarge and consumes the parsed bytes from `buffer`.
+/// Parses a request already in memory, whose head ends at `header_end`
+/// (the position of its CRLFCRLF), with the same head parser as the
+/// reader above. Returns kOk, kMalformed (also when `buffer` is short of
+/// the frame), kHeadersTooLarge or kBodyTooLarge; kOk consumes the frame
+/// from `buffer`.
 ReadOutcome ParseHttpRequest(std::string* buffer, size_t header_end,
                              const HttpLimits& limits, HttpRequest* out);
 

@@ -4,32 +4,16 @@
 #include <errno.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <strings.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <charconv>
 #include <cstring>
+#include <limits>
 
 namespace medvault::server {
-
-namespace {
-
-std::string Trim(const std::string& s) {
-  size_t b = s.find_first_not_of(" \t");
-  if (b == std::string::npos) return "";
-  size_t e = s.find_last_not_of(" \t");
-  return s.substr(b, e - b + 1);
-}
-
-std::string ToLower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
-}
-
-}  // namespace
 
 HttpClient::~HttpClient() { Close(); }
 
@@ -76,74 +60,31 @@ Status HttpClient::SendRaw(const std::string& data) {
 
 Result<ClientResponse> HttpClient::ReadResponse() {
   if (fd_ < 0) return Status::FailedPrecondition("not connected");
-  char chunk[4096];
-
-  size_t header_end;
-  while (true) {
-    size_t found = leftover_.find("\r\n\r\n");
-    if (found != std::string::npos) {
-      header_end = found;
-      break;
-    }
-    ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) return Status::IoError("connection closed mid-response");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError("recv: " + std::string(strerror(errno)));
-    }
-    leftover_.append(chunk, static_cast<size_t>(n));
-  }
-
+  // A replication cut response carries a whole batch: no body cap.
+  constexpr HttpLimits kResponseLimits{HttpLimits{}.max_header_bytes,
+                                       std::numeric_limits<size_t>::max()};
   ClientResponse out;
-  const std::string head = leftover_.substr(0, header_end);
-  size_t line_end = head.find("\r\n");
-  const std::string status_line =
-      line_end == std::string::npos ? head : head.substr(0, line_end);
-  {
-    size_t sp1 = status_line.find(' ');
-    if (sp1 == std::string::npos) {
-      return Status::Corruption("malformed status line");
-    }
-    const char* first = status_line.data() + sp1 + 1;
-    const char* last = status_line.data() + status_line.size();
-    auto [ptr, ec] = std::from_chars(first, last, out.status, 10);
-    if (ec != std::errc()) return Status::Corruption("malformed status code");
+  std::string status_line;
+  const ReadOutcome rc = ReadHttpFrame(fd_, kResponseLimits, &leftover_,
+                                       &status_line, &out.headers, &out.body);
+  if (rc == ReadOutcome::kEof || rc == ReadOutcome::kTimeout ||
+      rc == ReadOutcome::kError) {
+    return Status::IoError("no response: connection closed or recv failed");
   }
-  size_t pos = line_end == std::string::npos ? head.size() : line_end + 2;
-  while (pos < head.size()) {
-    size_t eol = head.find("\r\n", pos);
-    if (eol == std::string::npos) eol = head.size();
-    const std::string line = head.substr(pos, eol - pos);
-    pos = eol + 2;
-    size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    out.headers[ToLower(Trim(line.substr(0, colon)))] =
-        Trim(line.substr(colon + 1));
-  }
+  if (rc != ReadOutcome::kOk) return Status::Corruption("malformed response");
 
-  size_t content_length = 0;
-  auto cl = out.headers.find("content-length");
-  if (cl != out.headers.end()) {
-    const std::string& v = cl->second;
-    auto [ptr, ec] =
-        std::from_chars(v.data(), v.data() + v.size(), content_length, 10);
-    if (ec != std::errc()) return Status::Corruption("bad content-length");
+  const size_t sp = status_line.find(' ');
+  if (sp == std::string::npos) {
+    return Status::Corruption("malformed status line");
   }
-  const size_t frame = header_end + 4 + content_length;
-  while (leftover_.size() < frame) {
-    ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) return Status::IoError("connection closed mid-body");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError("recv: " + std::string(strerror(errno)));
-    }
-    leftover_.append(chunk, static_cast<size_t>(n));
-  }
-  out.body = leftover_.substr(header_end + 4, content_length);
-  leftover_.erase(0, frame);
+  auto [ptr, ec] = std::from_chars(status_line.data() + sp + 1,
+                                   status_line.data() + status_line.size(),
+                                   out.status, 10);
+  if (ec != std::errc()) return Status::Corruption("malformed status code");
 
   auto conn = out.headers.find("connection");
-  if (conn != out.headers.end() && ToLower(conn->second) == "close") {
+  if (conn != out.headers.end() &&
+      ::strcasecmp(conn->second.c_str(), "close") == 0) {
     Close();
   }
   return out;

@@ -20,8 +20,9 @@ struct ClientResponse {
 
 /// Minimal blocking HTTP/1.1 client over a single keep-alive
 /// connection — just enough for server_test and bench_serve to drive
-/// the front door without external tooling. Not thread-safe; one
-/// client per thread.
+/// the front door without external tooling. Responses are framed by the
+/// server's own reader (ReadHttpFrame), with no body cap. Not
+/// thread-safe; one client per thread.
 class HttpClient {
  public:
   HttpClient() = default;

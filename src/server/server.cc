@@ -34,6 +34,19 @@ constexpr unsigned kRetryAfterSeconds = 1;
 /// Header and body caps of every request the server reads.
 constexpr HttpLimits kHttpLimits;
 
+/// The answer to each request the framer refuses; the connection is
+/// then closed. kEof, kTimeout and kError close it without an answer.
+struct FramingRefusal {
+  ReadOutcome outcome;
+  int status;
+  const char* message;
+};
+constexpr FramingRefusal kFramingRefusals[] = {
+    {ReadOutcome::kMalformed, 400, "malformed HTTP request"},
+    {ReadOutcome::kHeadersTooLarge, 431, "request headers too large"},
+    {ReadOutcome::kBodyTooLarge, 413, "request body too large"},
+};
+
 HttpResponse JsonResponse(int status, const Value& v) {
   HttpResponse r;
   r.status = status;
@@ -507,20 +520,12 @@ void MedVaultServer::ServeConnection(
         if (response.close) break;
         continue;
       }
-      if (rc == ReadOutcome::kMalformed) {
-        HttpResponse r = ErrorResponse(400, "malformed HTTP request");
-        r.close = true;
-        WriteAll(fd, SerializeHttpResponse(r));
-      } else if (rc == ReadOutcome::kHeadersTooLarge) {
-        HttpResponse r = ErrorResponse(431, "request headers too large");
-        r.close = true;
-        WriteAll(fd, SerializeHttpResponse(r));
-      } else if (rc == ReadOutcome::kBodyTooLarge) {
-        HttpResponse r = ErrorResponse(413, "request body too large");
+      for (const FramingRefusal& refusal : kFramingRefusals) {
+        if (refusal.outcome != rc) continue;
+        HttpResponse r = ErrorResponse(refusal.status, refusal.message);
         r.close = true;
         WriteAll(fd, SerializeHttpResponse(r));
       }
-      // kEof / kTimeout / kError: nothing useful to say; just close.
       break;
     }
   }

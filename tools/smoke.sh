@@ -19,9 +19,10 @@
 # chains read back from provenance.log, migration handover) and the
 # signer.tree battery (signer_tree_test, labels crash and crypto:
 # tampered, foreign, wrong-height and torn files, a power cut at every
-# boundary of a first open, the upgrade of a layout without the file;
-# `ctest -L
-# "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit"`)
+# boundary of a first open, the upgrade of a layout without the file)
+# and the fuzz battery (random and mutated bytes through every on-disk
+# decoder and the HTTP request parser; `ctest -L
+# "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit|fuzz"`)
 # rebuilt under AddressSanitizer and UndefinedBehaviorSanitizer, then the
 # stress + shard + obs + scrub + commit + serve + repl + transparency +
 # consent + audit batteries under
@@ -61,8 +62,8 @@ run_config() {
 }
 
 run_config "$prefix" "" ""
-run_config "${prefix}-asan" address "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit"
-run_config "${prefix}-ubsan" undefined "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit"
+run_config "${prefix}-asan" address "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit|fuzz"
+run_config "${prefix}-ubsan" undefined "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit|fuzz"
 run_config "${prefix}-tsan" thread "stress|shard|obs|scrub|commit|serve|repl|transparency|consent|audit"
 
 echo "smoke suite passed"
