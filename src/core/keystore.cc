@@ -54,15 +54,31 @@ std::string WrapNonce(const std::string& record_id) {
   return digest.substr(0, crypto::kCtrNonceSize);
 }
 
-void WipeString(std::string* s) {
+void Wipe(std::array<char, 32>* key) {
   // Best-effort in-memory shredding; volatile prevents dead-store
   // elimination of the overwrite.
-  volatile char* p = s->data();
-  for (size_t i = 0; i < s->size(); i++) p[i] = 0;
-  s->clear();
+  volatile char* p = key->data();
+  for (size_t i = 0; i < key->size(); i++) p[i] = 0;
+}
+
+Slice AsSlice(const std::array<char, 32>& key) {
+  return Slice(key.data(), key.size());
 }
 
 }  // namespace
+
+KeyStore::Key32 KeyStore::KeyRefOf(const Key32& data_key) {
+  const std::string tag = crypto::HmacSha256(AsSlice(data_key),
+                                             "medvault-key-ref");
+  Key32 ref{};
+  std::memcpy(ref.data(), tag.data(), ref.size());
+  return ref;
+}
+
+void KeyStore::ForgetKey(KeyState* state) {
+  key_refs_.erase(KeyRefOf(state->data_key));
+  Wipe(&state->data_key);
+}
 
 KeyStore::KeyStore(storage::Env* env, std::string path,
                    const Slice& master_key, const Slice& drbg_seed)
@@ -84,19 +100,18 @@ Status KeyStore::ApplyParsedEntry(uint8_t kind, const Slice& record_id,
   std::string key;
   if (kind == kEntryLive) {
     MEDVAULT_ASSIGN_OR_RETURN(key, master_aead_.Open(blob, record_id));
+    if (key.size() != sizeof(Key32)) {
+      return Status::Corruption("wrapped data key is not 32 bytes");
+    }
   }
   // Later entries win: a replayed live key gives way to its tombstone.
   auto [it, inserted] = keys_.try_emplace(record_id.ToString());
   KeyState& state = it->second;
-  if (!inserted && !state.destroyed) {
-    key_refs_.erase(crypto::HmacSha256(state.data_key, "medvault-key-ref"));
-    WipeString(&state.data_key);
-  }
+  if (!inserted && !state.destroyed) ForgetKey(&state);
   state.destroyed = kind == kEntryDestroyed;
   if (!state.destroyed) {
-    state.data_key = std::move(key);
-    key_refs_.insert_or_assign(
-        crypto::HmacSha256(state.data_key, "medvault-key-ref"), it->first);
+    std::memcpy(state.data_key.data(), key.data(), state.data_key.size());
+    key_refs_.insert_or_assign(KeyRefOf(state.data_key), it->first);
   }
   return Status::OK();
 }
@@ -196,14 +211,14 @@ Status KeyStore::Open() {
 }
 
 Status KeyStore::AppendLiveEntry(const RecordId& record_id,
-                                 const std::string& data_key) {
+                                 const Key32& data_key) {
   if (!writer_) return Status::IoError("key log writer unavailable");
   std::string entry;
   entry.push_back(static_cast<char>(kEntryLive));
   PutLengthPrefixed(&entry, record_id);
   MEDVAULT_ASSIGN_OR_RETURN(
       std::string blob,
-      master_aead_.Seal(WrapNonce(record_id), data_key, record_id));
+      master_aead_.Seal(WrapNonce(record_id), AsSlice(data_key), record_id));
   PutLengthPrefixed(&entry, blob);
   // No eager sync: live-key appends ride the vault's group-committed
   // sync wave (the key log is synced before the catalog/state commit
@@ -221,9 +236,9 @@ Status KeyStore::CreateKey(const RecordId& record_id) {
   KeyState state;
   // Mixing the record id in keeps keys unique even if the DRBG stream
   // repeats across reopens (the seed is deterministic by design).
-  state.data_key = crypto::HmacSha256(
+  const std::string key = crypto::HmacSha256(
       drbg_->Generate(crypto::kAes256KeySize), "medvault-key:" + record_id);
-  std::string ref = crypto::HmacSha256(state.data_key, "medvault-key-ref");
+  std::memcpy(state.data_key.data(), key.data(), state.data_key.size());
   Status append_status = AppendLiveEntry(record_id, state.data_key);
   if (!append_status.ok()) {
     // The entry (or part of it) may still have reached the file even
@@ -233,11 +248,12 @@ Status KeyStore::CreateKey(const RecordId& record_id) {
     // AlreadyExists. Best effort; if the rewrite also fails (e.g. the
     // whole device is gone), vault crash recovery removes the orphan.
     (void)Persist();
-    WipeString(&state.data_key);
+    Wipe(&state.data_key);
     return append_status;
   }
-  key_refs_[ref] = record_id;
-  keys_[record_id] = std::move(state);
+  key_refs_[KeyRefOf(state.data_key)] = record_id;
+  keys_[record_id] = state;
+  Wipe(&state.data_key);
   return Status::OK();
 }
 
@@ -264,16 +280,17 @@ Status KeyStore::ImportKey(const RecordId& record_id, const Slice& key,
     if (key.size() != crypto::kAes256KeySize) {
       return Status::InvalidArgument("imported key must be 32 bytes");
     }
-    state.data_key = key.ToString();
+    std::memcpy(state.data_key.data(), key.data(), state.data_key.size());
     Status s = AppendLiveEntry(record_id, state.data_key);
     if (!s.ok()) {
       (void)Persist();
+      Wipe(&state.data_key);
       return s;
     }
-    std::string ref = crypto::HmacSha256(state.data_key, "medvault-key-ref");
-    key_refs_[ref] = record_id;
+    key_refs_[KeyRefOf(state.data_key)] = record_id;
   }
-  keys_[record_id] = std::move(state);
+  keys_[record_id] = state;
+  Wipe(&state.data_key);
   return Status::OK();
 }
 
@@ -283,7 +300,7 @@ Result<std::string> KeyStore::GetKey(const RecordId& record_id) const {
   if (it->second.destroyed) {
     return Status::KeyDestroyed("record was crypto-shredded");
   }
-  return it->second.data_key;
+  return AsSlice(it->second.data_key).ToString();
 }
 
 Result<std::string> KeyStore::GetIndexKey(const RecordId& record_id) const {
@@ -297,7 +314,12 @@ Result<std::string> KeyStore::GetKeyRef(const RecordId& record_id) const {
 }
 
 Result<RecordId> KeyStore::ResolveKeyRef(const Slice& key_ref) const {
-  auto it = key_refs_.find(key_ref.ToString());
+  Key32 ref{};
+  if (key_ref.size() != ref.size()) {
+    return Status::NotFound("key ref unknown or destroyed");
+  }
+  std::memcpy(ref.data(), key_ref.data(), ref.size());
+  auto it = key_refs_.find(ref);
   if (it == key_refs_.end()) {
     return Status::NotFound("key ref unknown or destroyed");
   }
@@ -310,10 +332,7 @@ Status KeyStore::DestroyKey(const RecordId& record_id) {
   if (it->second.destroyed) {
     return Status::KeyDestroyed("key already destroyed");
   }
-  std::string ref = crypto::HmacSha256(it->second.data_key,
-                                       "medvault-key-ref");
-  key_refs_.erase(ref);
-  WipeString(&it->second.data_key);
+  ForgetKey(&it->second);
   it->second.destroyed = true;
   // Rewrite the key log immediately: the wrapped blob must not survive
   // on disk (media re-use requirement, HIPAA §164.310(d)(2)(ii)).
@@ -341,11 +360,7 @@ Status KeyStore::RemoveKeysForRecovery(
   for (const RecordId& record_id : record_ids) {
     auto it = keys_.find(record_id);
     if (it == keys_.end()) continue;
-    if (!it->second.destroyed) {
-      key_refs_.erase(crypto::HmacSha256(it->second.data_key,
-                                         "medvault-key-ref"));
-      WipeString(&it->second.data_key);
-    }
+    if (!it->second.destroyed) ForgetKey(&it->second);
     keys_.erase(it);
     changed = true;
   }
@@ -374,8 +389,8 @@ Status KeyStore::Persist() {
             PutLengthPrefixed(&entry, record_id);
             MEDVAULT_ASSIGN_OR_RETURN(
                 std::string blob,
-                master_aead_.Seal(WrapNonce(record_id), state.data_key,
-                                  record_id));
+                master_aead_.Seal(WrapNonce(record_id),
+                                  AsSlice(state.data_key), record_id));
             PutLengthPrefixed(&entry, blob);
           }
           MEDVAULT_RETURN_IF_ERROR(tmp->AddRecord(entry));

@@ -1,6 +1,8 @@
 #ifndef MEDVAULT_CORE_KEYSTORE_H_
 #define MEDVAULT_CORE_KEYSTORE_H_
 
+#include <array>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -124,10 +126,26 @@ class KeyStore {
   uint64_t rewrite_generation() const { return rewrite_generation_; }
 
  private:
+  /// Data keys and key-refs are 32 bytes each, held inline.
+  using Key32 = std::array<char, 32>;
   struct KeyState {
-    std::string data_key;  // empty if destroyed
+    Key32 data_key{};  // zeroes if destroyed
     bool destroyed = false;
   };
+  /// Key-refs are HMAC outputs, so their leading bytes are already a
+  /// uniform hash.
+  struct Key32Hash {
+    size_t operator()(const Key32& k) const {
+      size_t h = 0;
+      std::memcpy(&h, k.data(), sizeof(h));
+      return h;
+    }
+  };
+
+  /// The key-ref of `data_key` (see GetKeyRef).
+  static Key32 KeyRefOf(const Key32& data_key);
+  /// Drops a live key's key-ref and wipes the key in place.
+  void ForgetKey(KeyState* state);
 
   Status InitAead(const Slice& master_key);
 
@@ -141,8 +159,7 @@ class KeyStore {
   Status ParseV1(const std::string& contents);
 
   /// Appends one wrapped-key entry to the key log (create/import path).
-  Status AppendLiveEntry(const RecordId& record_id,
-                         const std::string& data_key);
+  Status AppendLiveEntry(const RecordId& record_id, const Key32& data_key);
 
   storage::Env* env_;
   std::string path_;
@@ -150,7 +167,7 @@ class KeyStore {
   std::unique_ptr<crypto::HmacDrbg> drbg_;
   std::unique_ptr<storage::log::Writer> writer_;
   std::map<RecordId, KeyState> keys_;
-  std::unordered_map<std::string, RecordId> key_refs_;  // key-ref -> record
+  std::unordered_map<Key32, RecordId, Key32Hash> key_refs_;  // ref -> record
   uint64_t rewrite_generation_ = 0;
   bool open_ = false;
 };

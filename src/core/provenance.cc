@@ -74,7 +74,7 @@ ProvenanceTracker::ProvenanceTracker(storage::Env* env, std::string path,
 
 Status ProvenanceTracker::Open() {
   // An event's read bound is the next event's offset, or the log's end.
-  EventSpan* newest = nullptr;
+  storage::log::RecordSpan* newest = nullptr;
   storage::log::LogOpenResult res;
   MEDVAULT_RETURN_IF_ERROR(storage::log::OpenLogForAppend(
       env_, path_,
@@ -104,12 +104,12 @@ storage::WritableFile* ProvenanceTracker::sync_target() {
   return writer_->file();
 }
 
-ProvenanceTracker::EventSpan& ProvenanceTracker::AddEvent(
+storage::log::RecordSpan& ProvenanceTracker::AddEvent(
     Chain* chain, const Slice& encoded, uint64_t offset, uint64_t limit) {
   crypto::Sha256 head;
   head.Update(encoded);
   head.Finish(reinterpret_cast<uint8_t*>(chain->head.data()));
-  chain->events.push_back(EventSpan{offset, limit});
+  chain->events.push_back(storage::log::RecordSpan{offset, limit});
   return chain->events.back();
 }
 
@@ -145,7 +145,7 @@ Status ProvenanceTracker::ReadChain(
   if (it == chains_.end()) return Status::NotFound("no custody chain");
   std::string prev;
   std::string record;
-  for (const EventSpan& span : it->second.events) {
+  for (const storage::log::RecordSpan& span : it->second.events) {
     Status read =
         storage::log::ReadRecordAt(*file_, span.offset, span.limit, &record);
     if (read.IsCorruption()) {

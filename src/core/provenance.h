@@ -13,6 +13,7 @@
 #include "common/result.h"
 #include "core/record.h"
 #include "storage/env.h"
+#include "storage/log_reader.h"
 #include "storage/log_writer.h"
 
 namespace medvault::core {
@@ -126,16 +127,10 @@ class ProvenanceTracker {
   size_t RecordCount() const { return chains_.size(); }
 
  private:
-  /// Where one event's record sits in the log: log::ReadRecordAt's
-  /// address and read bound.
-  struct EventSpan {
-    uint64_t offset = 0;
-    uint64_t limit = 0;
-  };
   /// A record's chain as held in memory.
   struct Chain {
     std::array<char, 32> head{};  ///< SHA-256 of the newest event
-    std::vector<EventSpan> events;
+    std::vector<storage::log::RecordSpan> events;
   };
 
   /// Reads `record_id`'s events back, oldest first, handing each event's
@@ -147,8 +142,9 @@ class ProvenanceTracker {
 
   /// Adds the event encoded as `encoded`, logged at [offset, limit), to
   /// `chain`.
-  static EventSpan& AddEvent(Chain* chain, const Slice& encoded,
-                             uint64_t offset, uint64_t limit);
+  static storage::log::RecordSpan& AddEvent(Chain* chain,
+                                            const Slice& encoded,
+                                            uint64_t offset, uint64_t limit);
 
   /// Appends `e` to the log and to `record_id`'s chain.
   Status LogEvent(const RecordId& record_id, const CustodyEvent& e);

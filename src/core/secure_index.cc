@@ -33,29 +33,57 @@ std::string SecureIndex::BlindTerm(const std::string& term) const {
   return crypto::HmacSha256(master_key_, "term:" + NormalizeTerm(term));
 }
 
+bool SecureIndex::ParsePosting(const Slice& record, PostingView* out) {
+  Slice in = record;
+  return GetLengthPrefixed(&in, &out->blind) &&
+         GetLengthPrefixed(&in, &out->key_ref) &&
+         GetLengthPrefixed(&in, &out->sealed_record_id) && in.empty();
+}
+
+Status SecureIndex::ReadPosting(const storage::log::RecordSpan& span,
+                                std::string* record,
+                                PostingView* out) const {
+  Status read =
+      storage::log::ReadRecordAt(*file_, span.offset, span.limit, record);
+  if (read.IsCorruption()) {
+    return Status::TamperDetected("index posting unreadable: " +
+                                  read.message());
+  }
+  MEDVAULT_RETURN_IF_ERROR(read);
+  if (!ParsePosting(*record, out)) {
+    return Status::TamperDetected("malformed index posting read back");
+  }
+  return Status::OK();
+}
+
 Status SecureIndex::Open() {
+  // A posting's read bound is the next posting's offset, or the log's end.
+  storage::log::RecordSpan* newest = nullptr;
   storage::log::LogOpenResult res;
   MEDVAULT_RETURN_IF_ERROR(storage::log::OpenLogForAppend(
       env_, path_,
-      [this](const Slice& record, uint64_t) -> Status {
-        Slice in = record;
-        Slice blind, key_ref, sealed;
-        if (!GetLengthPrefixed(&in, &blind) ||
-            !GetLengthPrefixed(&in, &key_ref) ||
-            !GetLengthPrefixed(&in, &sealed) || !in.empty()) {
+      [&](const Slice& record, uint64_t offset) -> Status {
+        PostingView posting;
+        if (!ParsePosting(record, &posting)) {
           return Status::Corruption("malformed index posting");
         }
         // A term's postings arrive many times over: look the blind up
         // in place, and copy it only for a term seen the first time.
-        auto it = postings_.find(blind.ToStringView());
+        auto it = postings_.find(posting.blind.ToStringView());
         if (it == postings_.end()) {
-          it = postings_.try_emplace(blind.ToString()).first;
+          it = postings_.try_emplace(posting.blind.ToString()).first;
         }
-        it->second.push_back(Posting{key_ref.ToString(), sealed.ToString()});
+        if (newest != nullptr) newest->limit = offset;
+        newest = &it->second.emplace_back(storage::log::RecordSpan{offset, 0});
         return Status::OK();
       },
       &res));
+  if (newest != nullptr) newest->limit = res.valid_size;
+  // Growth left up to half of each list unused; a replayed index keeps
+  // 16 B per posting.
+  for (auto& [blind, spans] : postings_) spans.shrink_to_fit();
   writer_ = std::move(res.writer);
+  MEDVAULT_RETURN_IF_ERROR(env_->NewRandomAccessFile(path_, &file_));
   open_ = true;
   return Status::OK();
 }
@@ -80,12 +108,8 @@ Status SecureIndex::AddPostingsBatch(const std::vector<PostingBatch>& batch) {
 
   // Seal everything first, then commit with one coalesced log write; the
   // in-memory map is only updated once the bytes are down.
-  struct PendingPosting {
-    std::string blind;
-    Posting posting;
-  };
   std::vector<std::string> entries;
-  std::vector<PendingPosting> pending;
+  std::vector<std::string> blinds;
   for (const PostingBatch& item : batch) {
     MEDVAULT_ASSIGN_OR_RETURN(std::string index_key,
                               keystore_->GetIndexKey(item.record_id));
@@ -109,16 +133,19 @@ Status SecureIndex::AddPostingsBatch(const std::vector<PostingBatch>& batch) {
       PutLengthPrefixed(&entry, key_ref);
       PutLengthPrefixed(&entry, sealed);
       entries.push_back(std::move(entry));
-      pending.push_back(
-          PendingPosting{std::move(blind), Posting{key_ref,
-                                                   std::move(sealed)}});
+      blinds.push_back(std::move(blind));
     }
   }
   if (entries.empty()) return Status::OK();
   std::vector<Slice> slices(entries.begin(), entries.end());
-  MEDVAULT_RETURN_IF_ERROR(writer_->AddRecords(slices.data(), slices.size()));
-  for (PendingPosting& p : pending) {
-    postings_[p.blind].push_back(std::move(p.posting));
+  std::vector<uint64_t> offsets(entries.size());
+  MEDVAULT_RETURN_IF_ERROR(
+      writer_->AddRecords(slices.data(), slices.size(), offsets.data()));
+  for (size_t i = 0; i < blinds.size(); i++) {
+    const uint64_t limit =
+        i + 1 < offsets.size() ? offsets[i + 1] : writer_->FileOffset();
+    postings_[blinds[i]].push_back(
+        storage::log::RecordSpan{offsets[i], limit});
   }
   return Status::OK();
 }
@@ -130,10 +157,17 @@ Result<std::vector<RecordId>> SecureIndex::Search(
   auto it = postings_.find(BlindTerm(term));
   if (it == postings_.end()) return results;
 
-  for (const Posting& posting : it->second) {
-    auto record = keystore_->ResolveKeyRef(posting.key_ref);
-    if (!record.ok()) continue;  // crypto-shredded: dead posting
-    auto index_key = keystore_->GetIndexKey(*record);
+  // Spans are in log order, so the reads walk the file forwards.
+  std::string record;
+  for (const storage::log::RecordSpan& span : it->second) {
+    PostingView posting;
+    MEDVAULT_RETURN_IF_ERROR(ReadPosting(span, &record, &posting));
+    if (posting.blind != Slice(it->first)) {
+      return Status::TamperDetected("index posting filed under another term");
+    }
+    auto record_id = keystore_->ResolveKeyRef(posting.key_ref);
+    if (!record_id.ok()) continue;  // crypto-shredded: dead posting
+    auto index_key = keystore_->GetIndexKey(*record_id);
     if (!index_key.ok()) continue;
     crypto::Aead aead;
     MEDVAULT_RETURN_IF_ERROR(aead.Init(*index_key));
@@ -143,7 +177,7 @@ Result<std::vector<RecordId>> SecureIndex::Search(
       // not deletion.
       return Status::TamperDetected("index posting failed authentication");
     }
-    if (*opened != *record) {
+    if (*opened != *record_id) {
       return Status::TamperDetected("index posting names wrong record");
     }
     if (std::find(results.begin(), results.end(), *opened) ==
@@ -168,14 +202,11 @@ Status SecureIndex::VerifyIntegrity() const {
   std::string record;
   size_t on_disk = 0;
   while (reader.ReadRecord(&record)) {
-    Slice in = record;
-    std::string blind, key_ref, sealed;
-    if (!GetLengthPrefixedString(&in, &blind) ||
-        !GetLengthPrefixedString(&in, &key_ref) ||
-        !GetLengthPrefixedString(&in, &sealed) || !in.empty()) {
+    PostingView posting;
+    if (!ParsePosting(record, &posting)) {
       return Status::TamperDetected("malformed index posting on disk");
     }
-    auto record_id = keystore_->ResolveKeyRef(key_ref);
+    auto record_id = keystore_->ResolveKeyRef(posting.key_ref);
     if (record_id.ok()) {
       auto index_key = keystore_->GetIndexKey(*record_id);
       if (!index_key.ok()) {
@@ -183,7 +214,7 @@ Status SecureIndex::VerifyIntegrity() const {
       }
       crypto::Aead aead;
       MEDVAULT_RETURN_IF_ERROR(aead.Init(*index_key));
-      auto opened = aead.Open(sealed, blind);
+      auto opened = aead.Open(posting.sealed_record_id, posting.blind);
       if (!opened.ok() || *opened != *record_id) {
         return Status::TamperDetected("index posting fails authentication");
       }
@@ -235,9 +266,14 @@ Result<std::vector<RecordId>> SecureIndex::SearchAll(
 
 size_t SecureIndex::LivePostingCount() const {
   size_t live = 0;
-  for (const auto& [blind, list] : postings_) {
-    for (const Posting& p : list) {
-      if (keystore_->ResolveKeyRef(p.key_ref).ok()) live++;
+  std::string record;
+  for (const auto& [blind, spans] : postings_) {
+    for (const storage::log::RecordSpan& span : spans) {
+      PostingView posting;
+      if (ReadPosting(span, &record, &posting).ok() &&
+          keystore_->ResolveKeyRef(posting.key_ref).ok()) {
+        live++;
+      }
     }
   }
   return live;
@@ -249,7 +285,7 @@ size_t SecureIndex::DeadPostingCount() const {
 
 size_t SecureIndex::TotalPostingCount() const {
   size_t total = 0;
-  for (const auto& [blind, list] : postings_) total += list.size();
+  for (const auto& [blind, spans] : postings_) total += spans.size();
   return total;
 }
 

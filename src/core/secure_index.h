@@ -10,6 +10,7 @@
 #include "core/keystore.h"
 #include "core/record.h"
 #include "storage/env.h"
+#include "storage/log_reader.h"
 #include "storage/log_writer.h"
 
 namespace medvault::core {
@@ -64,8 +65,11 @@ class SecureIndex {
   /// single buffered log write instead of one write per term.
   Status AddPostingsBatch(const std::vector<PostingBatch>& batch);
 
-  /// Returns the ids of live records containing `term`. Postings whose
-  /// record was crypto-shredded are skipped (and counted as dead).
+  /// Returns the ids of live records containing `term`, read back from
+  /// the posting log. Postings whose record was crypto-shredded are
+  /// skipped (and counted as dead). kTamperDetected if a posting's bytes
+  /// no longer frame it under `term`, or if a live posting fails
+  /// authentication.
   Result<std::vector<RecordId>> Search(const std::string& term) const;
 
   /// Conjunctive query: records containing *every* term (cf. Mitra et
@@ -83,7 +87,9 @@ class SecureIndex {
   Status VerifyIntegrity() const;
 
   /// Number of postings whose record key still resolves / no longer
-  /// resolves (observability for the secure-deletion experiments).
+  /// resolves (observability for the secure-deletion experiments). Live
+  /// postings are counted by reading every posting back; one that can no
+  /// longer be read counts as dead.
   size_t LivePostingCount() const;
   size_t DeadPostingCount() const;
   size_t TotalPostingCount() const;
@@ -92,10 +98,18 @@ class SecureIndex {
   size_t TermCount() const { return postings_.size(); }
 
  private:
-  struct Posting {
-    std::string key_ref;
-    std::string sealed_record_id;
+  /// One posting's fields, parsed from its log record.
+  struct PostingView {
+    Slice blind;
+    Slice key_ref;
+    Slice sealed_record_id;
   };
+  /// Parses a posting record; false if it is malformed.
+  static bool ParsePosting(const Slice& record, PostingView* out);
+  /// Reads the posting at `span` back into `record` and parses it into
+  /// `out`; kTamperDetected if the bytes there no longer frame a posting.
+  Status ReadPosting(const storage::log::RecordSpan& span,
+                     std::string* record, PostingView* out) const;
 
   std::string BlindTerm(const std::string& term) const;
   static std::string NormalizeTerm(const std::string& term);
@@ -105,8 +119,12 @@ class SecureIndex {
   std::string master_key_;
   KeyStore* keystore_;
   std::unique_ptr<storage::log::Writer> writer_;
-  /// blind -> postings; transparent, so replay looks a blind up in place.
-  std::map<std::string, std::vector<Posting>, std::less<>> postings_;
+  std::unique_ptr<storage::RandomAccessFile> file_;  ///< read-back handle
+  /// blind -> where each of its postings sits in the log, in log order;
+  /// transparent, so replay looks a blind up in place. The postings
+  /// themselves are read back from the log.
+  std::map<std::string, std::vector<storage::log::RecordSpan>, std::less<>>
+      postings_;
   bool open_ = false;
 };
 

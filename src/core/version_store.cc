@@ -1,6 +1,7 @@
 #include "core/version_store.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/coding.h"
 #include "crypto/aead.h"
@@ -47,7 +48,8 @@ Status VersionStore::Open() {
         if (!GetLengthPrefixed(&in, &record_id) ||
             !GetVarint32(&in, &version) ||
             !GetLengthPrefixed(&in, &handle_bytes) ||
-            !GetLengthPrefixed(&in, &entry_hash) || !in.empty()) {
+            !GetLengthPrefixed(&in, &entry_hash) || !in.empty() ||
+            entry_hash.size() != sizeof(Digest)) {
           return Status::Corruption("malformed catalog entry");
         }
         MEDVAULT_ASSIGN_OR_RETURN(storage::EntryHandle handle,
@@ -56,7 +58,9 @@ Status VersionStore::Open() {
         if (version != refs.size() + 1) {
           return Status::Corruption("catalog version discontinuity");
         }
-        refs.push_back(VersionRef{handle, entry_hash.ToString()});
+        VersionRef& ref = refs.emplace_back(VersionRef{handle, {}});
+        std::memcpy(ref.entry_hash.data(), entry_hash.data(),
+                    ref.entry_hash.size());
         return Status::OK();
       },
       &res));
@@ -65,21 +69,29 @@ Status VersionStore::Open() {
   return Status::OK();
 }
 
+VersionStore::Digest VersionStore::HashEntry(const Slice& entry) {
+  Digest hash{};
+  crypto::Sha256 h;
+  h.Update(entry);
+  h.Finish(reinterpret_cast<uint8_t*>(hash.data()));
+  return hash;
+}
+
 std::string VersionStore::EncodeCatalogEntry(
     const RecordId& record_id, uint32_t version,
-    const storage::EntryHandle& handle, const std::string& entry_hash) {
+    const storage::EntryHandle& handle, const Digest& entry_hash) {
   std::string record;
   PutLengthPrefixed(&record, record_id);
   PutVarint32(&record, version);
   PutLengthPrefixed(&record, handle.Encode());
-  PutLengthPrefixed(&record, entry_hash);
+  PutLengthPrefixed(&record, Slice(entry_hash.data(), entry_hash.size()));
   return record;
 }
 
 Status VersionStore::LogCatalogEntry(const RecordId& record_id,
                                      uint32_t version,
                                      const storage::EntryHandle& handle,
-                                     const std::string& entry_hash) {
+                                     const Digest& entry_hash) {
   return catalog_writer_->AddRecord(
       EncodeCatalogEntry(record_id, version, handle, entry_hash));
 }
@@ -172,7 +184,7 @@ Result<VersionHeader> VersionStore::AppendVersion(
   header.content_type = content_type;
   header.reason = reason;
   header.prev_version_hash =
-      refs.empty() ? std::string() : refs.back().entry_hash;
+      refs.empty() ? std::string() : HashString(refs.back().entry_hash);
 
   std::string header_bytes = header.Encode();
   crypto::Aead aead;
@@ -192,7 +204,7 @@ Result<VersionHeader> VersionStore::AppendVersion(
 
   MEDVAULT_ASSIGN_OR_RETURN(storage::EntryHandle handle,
                             segments_->Append(entry));
-  std::string entry_hash = crypto::Sha256Digest(entry);
+  const Digest entry_hash = HashEntry(entry);
   MEDVAULT_RETURN_IF_ERROR(
       LogCatalogEntry(record_id, header.version, handle, entry_hash));
   refs.push_back(VersionRef{handle, entry_hash});
@@ -259,7 +271,7 @@ Result<std::string> VersionStore::EntryHash(const RecordId& record_id,
       version > it->second.size()) {
     return Status::NotFound("unknown record version");
   }
-  return it->second[version - 1].entry_hash;
+  return HashString(it->second[version - 1].entry_hash);
 }
 
 Result<std::vector<VersionHeader>> VersionStore::History(
@@ -301,14 +313,14 @@ Status VersionStore::VerifyRecord(const RecordId& record_id) const {
       if (!key_alive && raw.status().IsNotFound()) {
         // Crypto-shredded AND media reclaimed: the catalog tombstone is
         // all that legitimately remains.
-        prev_hash = it->second[v - 1].entry_hash;
+        prev_hash = HashString(it->second[v - 1].entry_hash);
         continue;
       }
       return Status::TamperDetected("version bytes unreadable: " +
                                     raw.status().ToString());
     }
     // Catalog commitment.
-    std::string actual_hash = crypto::Sha256Digest(*raw);
+    const Digest actual_hash = HashEntry(*raw);
     if (actual_hash != it->second[v - 1].entry_hash) {
       return Status::TamperDetected("version entry hash mismatch");
     }
@@ -320,7 +332,7 @@ Status VersionStore::VerifyRecord(const RecordId& record_id) const {
     if (header.prev_version_hash != prev_hash) {
       return Status::TamperDetected("version hash chain broken");
     }
-    prev_hash = actual_hash;
+    prev_hash = HashString(actual_hash);
 
     if (key_alive) {
       MEDVAULT_ASSIGN_OR_RETURN(std::string data_key,
@@ -347,7 +359,9 @@ std::vector<std::string> VersionStore::AllVersionHashes() const {
   std::vector<std::string> hashes;
   hashes.reserve(TotalVersionCount());
   for (const auto& [record_id, refs] : catalog_) {
-    for (const VersionRef& ref : refs) hashes.push_back(ref.entry_hash);
+    for (const VersionRef& ref : refs) {
+      hashes.push_back(HashString(ref.entry_hash));
+    }
   }
   return hashes;
 }
@@ -360,7 +374,8 @@ Status VersionStore::ForEachRawVersion(
   if (it == catalog_.end()) return Status::NotFound("unknown record");
   for (uint32_t v = 1; v <= it->second.size(); v++) {
     MEDVAULT_ASSIGN_OR_RETURN(std::string raw, ReadRawEntry(record_id, v));
-    MEDVAULT_RETURN_IF_ERROR(fn(v, raw, it->second[v - 1].entry_hash));
+    MEDVAULT_RETURN_IF_ERROR(
+        fn(v, raw, HashString(it->second[v - 1].entry_hash)));
   }
   return Status::OK();
 }
@@ -434,13 +449,13 @@ Status VersionStore::ImportRawVersion(const RecordId& record_id,
     return Status::InvalidArgument("raw entries must arrive in order");
   }
   std::string expected_prev =
-      refs.empty() ? std::string() : refs.back().entry_hash;
+      refs.empty() ? std::string() : HashString(refs.back().entry_hash);
   if (header.prev_version_hash != expected_prev) {
     return Status::TamperDetected("imported version breaks the hash chain");
   }
   MEDVAULT_ASSIGN_OR_RETURN(storage::EntryHandle handle,
                             segments_->Append(raw_entry));
-  std::string entry_hash = crypto::Sha256Digest(raw_entry);
+  const Digest entry_hash = HashEntry(raw_entry);
   MEDVAULT_RETURN_IF_ERROR(
       LogCatalogEntry(record_id, header.version, handle, entry_hash));
   refs.push_back(VersionRef{handle, entry_hash});

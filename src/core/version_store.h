@@ -1,6 +1,7 @@
 #ifndef MEDVAULT_CORE_VERSION_STORE_H_
 #define MEDVAULT_CORE_VERSION_STORE_H_
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -151,20 +152,27 @@ class VersionStore {
   }
 
  private:
+  /// SHA-256 of a version entry, held inline.
+  using Digest = std::array<char, 32>;
   struct VersionRef {
     storage::EntryHandle handle;
-    std::string entry_hash;
+    Digest entry_hash;
   };
+
+  static Digest HashEntry(const Slice& entry);
+  static std::string HashString(const Digest& hash) {
+    return std::string(hash.data(), hash.size());
+  }
 
   Result<std::string> ReadRawEntry(const RecordId& record_id,
                                    uint32_t version) const;
   static std::string EncodeCatalogEntry(const RecordId& record_id,
                                         uint32_t version,
                                         const storage::EntryHandle& handle,
-                                        const std::string& entry_hash);
+                                        const Digest& entry_hash);
   Status LogCatalogEntry(const RecordId& record_id, uint32_t version,
                          const storage::EntryHandle& handle,
-                         const std::string& entry_hash);
+                         const Digest& entry_hash);
   /// Durably rewrites catalog.log from the in-memory catalog
   /// (write-new-then-rename) and re-points the writer.
   Status RewriteCatalog();

@@ -1,6 +1,7 @@
 #ifndef MEDVAULT_STORAGE_LOG_READER_H_
 #define MEDVAULT_STORAGE_LOG_READER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -62,6 +63,14 @@ class Reader {
 
   static constexpr int kEof = kMaxRecordType + 1;
   static constexpr int kBadRecord = kMaxRecordType + 2;
+};
+
+/// Where one logical record sits in a log: ReadRecordAt's address and
+/// read bound. Logs read back after replay keep one per record in place
+/// of the record's bytes.
+struct RecordSpan {
+  uint64_t offset = 0;
+  uint64_t limit = 0;
 };
 
 /// Reads the one logical record whose first fragment header starts at

@@ -24,6 +24,7 @@
 #include "core/backup.h"
 #include "core/replication.h"
 #include "core/scrub.h"
+#include "core/secure_index.h"
 #include "core/vault.h"
 #include "crypto/xmss.h"
 #include "obs/metrics.h"
@@ -421,6 +422,48 @@ TEST(BoundedScanTest, AuditVerifyAllHoldsACompactRange) {
   });
   ASSERT_TRUE(verified.ok()) << verified.ToString();
   EXPECT_LT(growth, kHeapBudget) << growth;
+}
+
+TEST(BoundedScanTest, IndexHoldsAFixedSpanPerPosting) {
+  // 10^5 postings, 10 per record over 64 terms. The postings stay in
+  // index.log; a replayed index keeps where each one sits. A copy of
+  // each posting's key-ref and sealed id would be over 200 B each.
+  storage::MemEnv env;
+  core::KeyStore keystore(&env, "keys.db", std::string(32, 'M'), "seed");
+  ASSERT_TRUE(keystore.Open().ok());
+  constexpr int kRecords = 10000;
+  constexpr int kTermsPerRecord = 10;
+  constexpr int kPostings = kRecords * kTermsPerRecord;
+  {
+    core::SecureIndex index(&env, "index.log", std::string(32, 'I'),
+                            &keystore);
+    ASSERT_TRUE(index.Open().ok());
+    std::vector<core::SecureIndex::PostingBatch> batch;
+    for (int r = 0; r < kRecords; ++r) {
+      const std::string id = "r-" + std::to_string(r + 1);
+      ASSERT_TRUE(keystore.CreateKey(id).ok());
+      core::SecureIndex::PostingBatch item{id, {}};
+      for (int t = 0; t < kTermsPerRecord; ++t) {
+        item.terms.push_back("term-" + std::to_string((r * 7 + t * 13) % 64));
+      }
+      batch.push_back(std::move(item));
+      if (batch.size() == 100) {
+        ASSERT_TRUE(index.AddPostingsBatch(batch).ok());
+        batch.clear();
+      }
+    }
+  }
+  const int64_t before = g_live_bytes.load();
+  auto index = std::make_unique<core::SecureIndex>(
+      &env, "index.log", std::string(32, 'I'), &keystore);
+  ASSERT_TRUE(index->Open().ok());
+  const int64_t resident = g_live_bytes.load() - before;
+  ASSERT_EQ(index->TotalPostingCount(), static_cast<size_t>(kPostings));
+  EXPECT_LE(resident, 24 * kPostings)
+      << static_cast<double>(resident) / kPostings << " B per posting";
+  auto hits = index->Search("term-5");
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_FALSE(hits->empty());
 }
 
 TEST(BoundedScanTest, SmallFileReadSizesItsWindowByTheFile) {

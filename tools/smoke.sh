@@ -16,7 +16,8 @@
 # MEDVAULT_FORCE_SCALAR=1, which also pins the lanes kernel to a loop
 # of scalar calls) and the audit-history
 # battery (pinned roots and proofs, read-back from audit.log, custody
-# chains read back from provenance.log, migration handover) and the
+# chains read back from provenance.log, index postings read back from
+# index.log by concurrent searches, migration handover) and the
 # signer.tree battery (signer_tree_test, labels crash and crypto:
 # tampered, foreign, wrong-height and torn files, a power cut at every
 # boundary of a first open, the upgrade of a layout without the file)
