@@ -1,5 +1,7 @@
 #include "crypto/aead.h"
 
+#include <cstring>
+
 #include "common/coding.h"
 #include "crypto/hkdf.h"
 #include "crypto/sha256.h"
@@ -31,14 +33,15 @@ Result<std::string> Aead::Seal(const Slice& nonce, const Slice& plaintext,
   if (nonce.size() != kCtrNonceSize) {
     return Status::InvalidArgument("AEAD nonce must be 16 bytes");
   }
-  MEDVAULT_ASSIGN_OR_RETURN(std::string ciphertext,
-                            ctr_.Crypt(nonce, plaintext));
-
-  std::string out;
-  out.reserve(nonce.size() + ciphertext.size() + kDigestSize);
-  out.append(nonce.data(), nonce.size());
-  out.append(ciphertext);
-  out.append(ComputeTag(nonce, ciphertext, aad));
+  // nonce || ciphertext || tag in one buffer, the ciphertext written in
+  // place.
+  std::string out(nonce.size() + plaintext.size() + kDigestSize, '\0');
+  char* ciphertext = out.data() + nonce.size();
+  std::memcpy(out.data(), nonce.data(), nonce.size());
+  MEDVAULT_RETURN_IF_ERROR(ctr_.CryptInto(nonce, plaintext, ciphertext));
+  const std::string tag =
+      ComputeTag(nonce, Slice(ciphertext, plaintext.size()), aad);
+  std::memcpy(ciphertext + plaintext.size(), tag.data(), kDigestSize);
   return out;
 }
 

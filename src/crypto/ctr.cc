@@ -32,6 +32,13 @@ Status AesCtr::Init(const Slice& key) { return aes_.Init(key); }
 
 Result<std::string> AesCtr::Crypt(const Slice& nonce,
                                   const Slice& input) const {
+  std::string out(input.size(), '\0');
+  MEDVAULT_RETURN_IF_ERROR(CryptInto(nonce, input, out.data()));
+  return out;
+}
+
+Status AesCtr::CryptInto(const Slice& nonce, const Slice& input,
+                         char* out) const {
   if (!aes_.initialized()) {
     return Status::FailedPrecondition("AesCtr not initialized");
   }
@@ -42,7 +49,6 @@ Result<std::string> AesCtr::Crypt(const Slice& nonce,
   uint8_t counter[16];
   memcpy(counter, nonce.data(), 16);
 
-  std::string out(input.size(), '\0');
   uint8_t counters[kCtrBatchBlocks * 16];
   uint8_t keystream[kCtrBatchBlocks * 16];
   size_t off = 0;
@@ -59,10 +65,10 @@ Result<std::string> AesCtr::Crypt(const Slice& nonce,
     }
     aes_.EncryptBlocks(counters, keystream, blocks);
     const size_t n = std::min(blocks * 16, remaining);
-    XorInto(out.data() + off, input.data() + off, keystream, n);
+    XorInto(out + off, input.data() + off, keystream, n);
     off += n;
   }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace medvault::crypto

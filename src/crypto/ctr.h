@@ -26,6 +26,9 @@ class AesCtr {
   /// `nonce` must be kCtrNonceSize bytes and must never repeat per key.
   Result<std::string> Crypt(const Slice& nonce, const Slice& input) const;
 
+  /// As Crypt, but writes the input.size() output bytes to `out`.
+  Status CryptInto(const Slice& nonce, const Slice& input, char* out) const;
+
  private:
   Aes aes_;
 };

@@ -126,9 +126,18 @@ ReadOutcome ParseRequestLine(std::string_view line, HttpRequest* out) {
   out->method = line.substr(0, sp1);
   out->target = line.substr(sp1 + 1, sp2 - sp1 - 1);
   out->version = line.substr(sp2 + 1);
-  if (out->method.empty() || out->target.empty() ||
-      out->version.rfind("HTTP/", 0) != 0) {
+  // HTTP-version = "HTTP/" DIGIT "." DIGIT (RFC 9112 section 2.3).
+  const std::string& v = out->version;
+  const auto digit = [&](size_t i) {
+    return std::isdigit(static_cast<unsigned char>(v[i])) != 0;
+  };
+  if (out->method.empty() || out->target.empty() || v.size() != 8 ||
+      v.compare(0, 5, "HTTP/") != 0 || !digit(5) || v[6] != '.' ||
+      !digit(7)) {
     return ReadOutcome::kMalformed;
+  }
+  if (v != "HTTP/1.1" && v != "HTTP/1.0") {
+    return ReadOutcome::kVersionNotSupported;
   }
   return ReadOutcome::kOk;
 }
@@ -185,6 +194,7 @@ const char* HttpReasonPhrase(int status) {
     case 500: return "Internal Server Error";
     case 501: return "Not Implemented";
     case 503: return "Service Unavailable";
+    case 505: return "HTTP Version Not Supported";
     default: return "Unknown";
   }
 }

@@ -59,6 +59,7 @@ enum class ReadOutcome {
   kMalformed,     ///< unparsable request (-> 400, close)
   kHeadersTooLarge,  ///< header block over the cap (-> 431, close)
   kBodyTooLarge,  ///< declared body over the cap (-> 413, close)
+  kVersionNotSupported,  ///< well-formed HTTP/x.y, not 1.0/1.1 (-> 505)
   kTimeout,       ///< blocking read timed out (idle connection)
   kError,         ///< socket error
 };

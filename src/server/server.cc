@@ -45,6 +45,7 @@ constexpr FramingRefusal kFramingRefusals[] = {
     {ReadOutcome::kMalformed, 400, "malformed HTTP request"},
     {ReadOutcome::kHeadersTooLarge, 431, "request headers too large"},
     {ReadOutcome::kBodyTooLarge, 413, "request body too large"},
+    {ReadOutcome::kVersionNotSupported, 505, "HTTP version not supported"},
 };
 
 HttpResponse JsonResponse(int status, const Value& v) {
@@ -638,7 +639,7 @@ HttpResponse MedVaultServer::HandleReplicationCut(const Call& call) {
   if (!batch.ok()) return ErrorFromStatus(batch.status());
   HttpResponse r;
   r.status = 200;
-  r.headers["Content-Type"] = "application/octet-stream";
+  r.content_type = "application/octet-stream";
   r.body = *std::move(batch);
   return r;
 }

@@ -176,8 +176,11 @@ Status SegmentStore::Open() {
     }
   }
 
-  // Start a fresh active segment after the highest existing one.
-  active_id_ = max_id + 1;
+  // Start a fresh active segment after the highest existing one, unless
+  // that one holds no frame: then it stays the active one, so opens
+  // without writes leave no empty file behind.
+  active_id_ = max_id > 0 && segments_[max_id].bytes == 0 ? max_id
+                                                          : max_id + 1;
   segments_[active_id_] = SegmentInfo{0, false};
   MEDVAULT_RETURN_IF_ERROR(
       env_->NewWritableFile(SegmentFileName(active_id_), &active_file_));

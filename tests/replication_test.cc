@@ -21,9 +21,14 @@
 // durable on the primary by construction; the matrix checks that the
 // implementation actually upholds this when the power goes out.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <map>
 #include <memory>
 #include <string>
@@ -948,6 +953,30 @@ TEST(ShardedReplicationTest, PerShardStreamsConvergeAndPromote) {
 // endpoint, end to end over real sockets.
 // ---------------------------------------------------------------------------
 
+/// Writes `request` to a fresh loopback connection to `port` and returns
+/// every byte the server sends back until it closes the connection.
+std::string RawExchange(uint16_t port, const std::string& request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  EXPECT_TRUE(server::WriteAll(fd, request));
+  std::string reply;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    reply.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return reply;
+}
+
 // The shard count is on-disk identity for a replica exactly as for the
 // primary: reopening a replica directory with another count is refused
 // with the same InvalidArgument verdict, naming both counts.
@@ -1040,6 +1069,31 @@ TEST(ReplicationServerTest, ReplicaPullsOverHttpAndHealthReportsPosture) {
   }
   EXPECT_EQ((*applier)->lag_bytes(), 0u);
   EXPECT_EQ((*applier)->applied_batches(), 2u);
+
+  // A cut is binary, and says so exactly once.
+  {
+    auto cursor = (*applier)->shard(0)->Cursor();
+    ASSERT_TRUE(cursor.ok());
+    const std::string body = cursor->Encode();
+    std::string head = RawExchange(
+        (*server)->port(),
+        "POST /v1/replication/cut/0 HTTP/1.1\r\nContent-Length: " +
+            std::to_string(body.size()) +
+            "\r\nConnection: close\r\n\r\n" + body);
+    head.resize(std::min(head.size(), head.find("\r\n\r\n") + 2));
+    EXPECT_EQ(head.rfind("HTTP/1.1 200 ", 0), 0u) << head;
+    EXPECT_NE(head.find("\r\nContent-Type: application/octet-stream\r\n"),
+              std::string::npos)
+        << head;
+    std::transform(head.begin(), head.end(), head.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    size_t content_types = 0;
+    for (size_t at = head.find("\r\ncontent-type:"); at != std::string::npos;
+         at = head.find("\r\ncontent-type:", at + 1)) {
+      content_types++;
+    }
+    EXPECT_EQ(content_types, 1u) << head;
+  }
 
   // A caller without the shared secret gets 403 and no vault bytes.
   auto forged = core::CursorForVaultDir(

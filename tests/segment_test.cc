@@ -199,6 +199,45 @@ TEST_F(SegmentTest, ReopenSealsPreviousSegments) {
   EXPECT_GT(h2->segment_id, h1.segment_id);
 }
 
+TEST_F(SegmentTest, OpensWithoutWritesReuseTheEmptyActiveSegment) {
+  const auto file_count = [&] {
+    std::vector<std::string> children;
+    EXPECT_TRUE(env_.GetChildren("seg", &children).ok());
+    return children.size();
+  };
+  for (int i = 0; i < 6; i++) {
+    SegmentStore store(&env_, "seg", {});
+    ASSERT_TRUE(store.Open().ok());
+  }
+  EXPECT_EQ(file_count(), 1u);
+
+  EntryHandle h1;
+  {
+    SegmentStore store(&env_, "seg", {});
+    ASSERT_TRUE(store.Open().ok());
+    auto h = store.Append("persisted");
+    ASSERT_TRUE(h.ok());
+    h1 = *h;
+  }
+  EXPECT_EQ(file_count(), 1u);
+  // The open after a write starts exactly one new segment; later opens
+  // without writes keep using it.
+  for (int i = 0; i < 3; i++) {
+    SegmentStore store(&env_, "seg", {});
+    ASSERT_TRUE(store.Open().ok());
+    EXPECT_EQ(file_count(), 2u);
+    EXPECT_TRUE(store.IsSealed(h1.segment_id));
+    EXPECT_EQ(*store.Read(h1), "persisted");
+  }
+  SegmentStore store(&env_, "seg", {});
+  ASSERT_TRUE(store.Open().ok());
+  auto h2 = store.Append("new data");
+  ASSERT_TRUE(h2.ok());
+  EXPECT_EQ(h2->segment_id, h1.segment_id + 1);
+  EXPECT_EQ(*store.Read(*h2), "new data");
+  EXPECT_EQ(file_count(), 2u);
+}
+
 TEST_F(SegmentTest, DropSegmentOnlyWhenSealed) {
   SegmentStore store(&env_, "seg", SmallSegments());
   ASSERT_TRUE(store.Open().ok());

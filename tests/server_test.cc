@@ -363,6 +363,15 @@ TEST_F(ServerTest, MalformedAndOversizedInputsRejected) {
     EXPECT_EQ(r->status, 400);
   }
 
+  // A well-formed version other than 1.0 and 1.1 -> 505.
+  {
+    HttpClient raw = MakeClient();
+    ASSERT_TRUE(raw.SendRaw("GET /v1/health HTTP/2.0\r\n\r\n").ok());
+    auto r = raw.ReadResponse();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->status, 505);
+  }
+
   // Declared body over the cap -> 413 without buffering the body.
   {
     HttpClient raw = MakeClient();
@@ -1507,6 +1516,8 @@ TEST(HttpFramingTest, VerdictTableHoldsOnBothPaths) {
   const FramingVerdict malformed{ReadOutcome::kMalformed, "", "", "", false};
   const FramingVerdict too_large{ReadOutcome::kBodyTooLarge, "", "", "",
                                  false};
+  const FramingVerdict unsupported{ReadOutcome::kVersionNotSupported, "", "",
+                                   "", false};
 
   const struct {
     const char* name;
@@ -1560,6 +1571,23 @@ TEST(HttpFramingTest, VerdictTableHoldsOnBothPaths) {
       {"HTTP/1.0 without keep-alive",
        "GET /v1/health HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n",
        {ok("GET", "/v1/health", "", false)}},
+      {"HTTP/2.0", "GET /v1/health HTTP/2.0\r\nHost: 127.0.0.1\r\n\r\n",
+       {unsupported}},
+      {"HTTP/0.9", "GET /v1/health HTTP/0.9\r\nHost: 127.0.0.1\r\n\r\n",
+       {unsupported}},
+      {"HTTP/1.1 then HTTP/1.2",
+       "GET /v1/health HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"
+       "GET /v1/health HTTP/1.2\r\n\r\n",
+       {ok("GET", "/v1/health", "", true), unsupported}},
+      {"HTTP/1.1x", "GET /v1/health HTTP/1.1x\r\nHost: 127.0.0.1\r\n\r\n",
+       {malformed}},
+      {"HTTP/11", "GET /v1/health HTTP/11\r\nHost: 127.0.0.1\r\n\r\n",
+       {malformed}},
+      {"HTTP/1.", "GET /v1/health HTTP/1.\r\nHost: 127.0.0.1\r\n\r\n",
+       {malformed}},
+      {"lower-case http/1.1",
+       "GET /v1/health http/1.1\r\nHost: 127.0.0.1\r\n\r\n",
+       {malformed}},
   };
   for (const auto& c : kCases) {
     SCOPED_TRACE(c.name);
