@@ -123,8 +123,9 @@ Result<SignedCheckpoint> SignedCheckpoint::Decode(const Slice& data) {
   return c;
 }
 
-AuditLog::AuditLog(storage::Env* env, std::string path)
-    : env_(env), path_(std::move(path)) {}
+AuditLog::AuditLog(storage::Env* env, std::string path,
+                   const RecordTable* records)
+    : env_(env), path_(std::move(path)), records_(records) {}
 
 Status AuditLog::Open() {
   storage::log::LogOpenResult res;
@@ -204,12 +205,29 @@ AuditEventView ViewOf(const AuditEvent& e) {
 
 }  // namespace
 
+uint64_t& AuditLog::LastSeqLocked(std::string_view record_id) {
+  const uint32_t r =
+      records_ != nullptr ? records_->Find(record_id) : RecordTable::kNone;
+  if (r == RecordTable::kNone) {
+    return stray_last_seq_.try_emplace(std::string(record_id), kNoSeq)
+        .first->second;
+  }
+  uint64_t& last = SlotAt(&last_seq_, r, kNoSeq);
+  if (last == kNoSeq && !stray_last_seq_.empty()) {
+    auto stray = stray_last_seq_.find(std::string(record_id));
+    if (stray != stray_last_seq_.end()) {
+      last = stray->second;
+      stray_last_seq_.erase(stray);
+    }
+  }
+  return last;
+}
+
 void AuditLog::IndexEventLocked(const AuditEventView& event) {
   uint64_t prev = kNoSeq;
   if (!event.record_id.empty()) {
-    auto [it, inserted] = last_seq_by_record_.try_emplace(
-        event.record_id.ToString(), event.seq);
-    if (!inserted) prev = std::exchange(it->second, event.seq);
+    prev = std::exchange(LastSeqLocked(event.record_id.ToStringView()),
+                         event.seq);
   }
   prev_seq_in_record_.push_back(prev);
   if (event.action == AuditAction::kBreakGlass) {
@@ -499,10 +517,14 @@ std::vector<uint64_t> AuditLog::SeqsForRecord(
     const RecordId& record_id) const {
   std::vector<uint64_t> seqs;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = last_seq_by_record_.find(record_id);
-  if (it == last_seq_by_record_.end()) return seqs;
-  for (uint64_t seq = it->second; seq != kNoSeq;
-       seq = prev_seq_in_record_[seq]) {
+  const uint32_t r =
+      records_ != nullptr ? records_->Find(record_id) : RecordTable::kNone;
+  uint64_t last = r < last_seq_.size() ? last_seq_[r] : kNoSeq;
+  if (last == kNoSeq) {
+    auto stray = stray_last_seq_.find(record_id);
+    if (stray != stray_last_seq_.end()) last = stray->second;
+  }
+  for (uint64_t seq = last; seq != kNoSeq; seq = prev_seq_in_record_[seq]) {
     seqs.push_back(seq);
   }
   std::reverse(seqs.begin(), seqs.end());

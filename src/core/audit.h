@@ -15,6 +15,7 @@
 #include "common/result.h"
 #include "common/slice.h"
 #include "core/record.h"
+#include "core/record_table.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
 #include "crypto/xmss.h"
@@ -136,7 +137,11 @@ struct PendingAuditEvent {
 /// exclude concurrent appends.
 class AuditLog {
  public:
-  AuditLog(storage::Env* env, std::string path);
+  /// `records` (the vault's record table, may be null) indexes the
+  /// per-record back-pointers. The log only reads it, under the same
+  /// lock as the vault's readers, and never interns.
+  AuditLog(storage::Env* env, std::string path,
+           const RecordTable* records = nullptr);
 
   AuditLog(const AuditLog&) = delete;
   AuditLog& operator=(const AuditLog&) = delete;
@@ -305,6 +310,10 @@ class AuditLog {
   /// mu_ held (or exclusive access during Open replay).
   void IndexEventLocked(const AuditEventView& event);
 
+  /// The slot holding the newest seq naming `record_id` (kNoSeq before
+  /// the first). Requires mu_ held.
+  uint64_t& LastSeqLocked(std::string_view record_id);
+
   /// SHA-256 of the newest event's encoding, the next event's prev_hash:
   /// empty before the first event. Requires mu_ held.
   Slice LastHashLocked() const {
@@ -327,8 +336,13 @@ class AuditLog {
   /// Per-record seq lists, threaded through the log: the newest seq
   /// naming each record, and for every event the previous seq naming
   /// the same record (kNoSeq at a list's start or for recordless
-  /// events).
-  std::unordered_map<RecordId, uint64_t> last_seq_by_record_;
+  /// events). The newest seq sits in last_seq_ at the record's ordinal,
+  /// or, for an id the table does not hold (a denied probe of an
+  /// unknown id, a record not yet replayed), in stray_last_seq_ until
+  /// the table holds it and its next event moves it over.
+  const RecordTable* records_;
+  std::deque<uint64_t> last_seq_;
+  std::unordered_map<RecordId, uint64_t> stray_last_seq_;
   std::deque<uint64_t> prev_seq_in_record_;
   /// Patient-scoped disclosure index: kBreakGlass and kConsentGrant
   /// seqs per patient. Seqs are naturally ascending (append order).

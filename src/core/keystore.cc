@@ -75,14 +75,30 @@ KeyStore::Key32 KeyStore::KeyRefOf(const Key32& data_key) {
   return ref;
 }
 
-void KeyStore::ForgetKey(KeyState* state) {
-  key_refs_.erase(KeyRefOf(state->data_key));
-  Wipe(&state->data_key);
+void KeyStore::ForgetKey(KeySlot* slot) {
+  key_refs_.erase(KeyRefOf(slot->data_key));
+  Wipe(&slot->data_key);
+}
+
+uint32_t KeyStore::KeyOrdinal(const RecordId& record_id) const {
+  const uint32_t ordinal = records_->Find(record_id);
+  return StatusAt(ordinal) == KeyStatus::kNone ? RecordTable::kNone
+                                                : ordinal;
+}
+
+void KeyStore::SetLiveKey(uint32_t ordinal, const Key32& data_key) {
+  KeySlot& slot = SlotAt(&keys_, ordinal);
+  slot.data_key = data_key;
+  slot.status = KeyStatus::kLive;
+  key_refs_.insert_or_assign(KeyRefOf(data_key), ordinal);
 }
 
 KeyStore::KeyStore(storage::Env* env, std::string path,
-                   const Slice& master_key, const Slice& drbg_seed)
-    : env_(env), path_(std::move(path)) {
+                   const Slice& master_key, const Slice& drbg_seed,
+                   RecordTable* records)
+    : env_(env),
+      path_(std::move(path)),
+      records_(records == nullptr ? &own_records_ : records) {
   // Errors surface on Open(); Init failure leaves master_aead_ unusable.
   InitAead(master_key);
   drbg_ = std::make_unique<crypto::HmacDrbg>(drbg_seed);
@@ -105,13 +121,16 @@ Status KeyStore::ApplyParsedEntry(uint8_t kind, const Slice& record_id,
     }
   }
   // Later entries win: a replayed live key gives way to its tombstone.
-  auto [it, inserted] = keys_.try_emplace(record_id.ToString());
-  KeyState& state = it->second;
-  if (!inserted && !state.destroyed) ForgetKey(&state);
-  state.destroyed = kind == kEntryDestroyed;
-  if (!state.destroyed) {
-    std::memcpy(state.data_key.data(), key.data(), state.data_key.size());
-    key_refs_.insert_or_assign(KeyRefOf(state.data_key), it->first);
+  const uint32_t ordinal = records_->Intern(record_id.ToStringView());
+  KeySlot& slot = SlotAt(&keys_, ordinal);
+  if (slot.status == KeyStatus::kLive) ForgetKey(&slot);
+  if (kind == kEntryDestroyed) {
+    slot.status = KeyStatus::kDestroyed;
+  } else {
+    Key32 data_key;
+    std::memcpy(data_key.data(), key.data(), data_key.size());
+    SetLiveKey(ordinal, data_key);
+    Wipe(&data_key);
   }
   return Status::OK();
 }
@@ -230,43 +249,39 @@ Status KeyStore::AppendLiveEntry(const RecordId& record_id,
 
 Status KeyStore::CreateKey(const RecordId& record_id) {
   if (!open_) return Status::FailedPrecondition("keystore not open");
-  if (keys_.count(record_id) > 0) {
+  if (KeyOrdinal(record_id) != RecordTable::kNone) {
     return Status::AlreadyExists("key already exists for record");
   }
-  KeyState state;
+  Key32 data_key;
   // Mixing the record id in keeps keys unique even if the DRBG stream
   // repeats across reopens (the seed is deterministic by design).
   const std::string key = crypto::HmacSha256(
       drbg_->Generate(crypto::kAes256KeySize), "medvault-key:" + record_id);
-  std::memcpy(state.data_key.data(), key.data(), state.data_key.size());
-  Status append_status = AppendLiveEntry(record_id, state.data_key);
-  if (!append_status.ok()) {
+  std::memcpy(data_key.data(), key.data(), data_key.size());
+  Status append_status = AppendLiveEntry(record_id, data_key);
+  if (append_status.ok()) {
+    SetLiveKey(records_->Intern(record_id), data_key);
+  } else {
     // The entry (or part of it) may still have reached the file even
     // though the caller is told the create failed. Rewrite the log
-    // without it — keys_ was not updated — so the id is not burned:
+    // without it — no slot was updated — so the id is not burned:
     // after a reopen, retrying this record id must see NotFound, not
     // AlreadyExists. Best effort; if the rewrite also fails (e.g. the
     // whole device is gone), vault crash recovery removes the orphan.
     (void)Persist();
-    Wipe(&state.data_key);
-    return append_status;
   }
-  key_refs_[KeyRefOf(state.data_key)] = record_id;
-  keys_[record_id] = state;
-  Wipe(&state.data_key);
-  return Status::OK();
+  Wipe(&data_key);
+  return append_status;
 }
 
 Status KeyStore::ImportKey(const RecordId& record_id, const Slice& key,
                            bool destroyed) {
   if (!open_) return Status::FailedPrecondition("keystore not open");
-  if (keys_.count(record_id) > 0) {
+  if (KeyOrdinal(record_id) != RecordTable::kNone) {
     return Status::AlreadyExists("key already exists for record");
   }
-  KeyState state;
   if (destroyed) {
     if (!writer_) return Status::IoError("key log writer unavailable");
-    state.destroyed = true;
     std::string entry;
     entry.push_back(static_cast<char>(kEntryDestroyed));
     PutLengthPrefixed(&entry, record_id);
@@ -276,31 +291,32 @@ Status KeyStore::ImportKey(const RecordId& record_id, const Slice& key,
       (void)Persist();  // roll back the half-written entry, as above
       return s;
     }
-  } else {
-    if (key.size() != crypto::kAes256KeySize) {
-      return Status::InvalidArgument("imported key must be 32 bytes");
-    }
-    std::memcpy(state.data_key.data(), key.data(), state.data_key.size());
-    Status s = AppendLiveEntry(record_id, state.data_key);
-    if (!s.ok()) {
-      (void)Persist();
-      Wipe(&state.data_key);
-      return s;
-    }
-    key_refs_[KeyRefOf(state.data_key)] = record_id;
+    const uint32_t r = records_->Intern(record_id);
+    SlotAt(&keys_, r).status = KeyStatus::kDestroyed;
+    return Status::OK();
   }
-  keys_[record_id] = state;
-  Wipe(&state.data_key);
-  return Status::OK();
+  if (key.size() != crypto::kAes256KeySize) {
+    return Status::InvalidArgument("imported key must be 32 bytes");
+  }
+  Key32 data_key;
+  std::memcpy(data_key.data(), key.data(), data_key.size());
+  Status s = AppendLiveEntry(record_id, data_key);
+  if (s.ok()) {
+    SetLiveKey(records_->Intern(record_id), data_key);
+  } else {
+    (void)Persist();
+  }
+  Wipe(&data_key);
+  return s;
 }
 
 Result<std::string> KeyStore::GetKey(const RecordId& record_id) const {
-  auto it = keys_.find(record_id);
-  if (it == keys_.end()) return Status::NotFound("no key for record");
-  if (it->second.destroyed) {
+  const uint32_t r = KeyOrdinal(record_id);
+  if (r == RecordTable::kNone) return Status::NotFound("no key for record");
+  if (keys_[r].status == KeyStatus::kDestroyed) {
     return Status::KeyDestroyed("record was crypto-shredded");
   }
-  return AsSlice(it->second.data_key).ToString();
+  return AsSlice(keys_[r].data_key).ToString();
 }
 
 Result<std::string> KeyStore::GetIndexKey(const RecordId& record_id) const {
@@ -323,34 +339,28 @@ Result<RecordId> KeyStore::ResolveKeyRef(const Slice& key_ref) const {
   if (it == key_refs_.end()) {
     return Status::NotFound("key ref unknown or destroyed");
   }
-  return it->second;
+  return records_->id(it->second);
 }
 
 Status KeyStore::DestroyKey(const RecordId& record_id) {
-  auto it = keys_.find(record_id);
-  if (it == keys_.end()) return Status::NotFound("no key for record");
-  if (it->second.destroyed) {
+  const uint32_t r = KeyOrdinal(record_id);
+  if (r == RecordTable::kNone) return Status::NotFound("no key for record");
+  if (keys_[r].status == KeyStatus::kDestroyed) {
     return Status::KeyDestroyed("key already destroyed");
   }
-  ForgetKey(&it->second);
-  it->second.destroyed = true;
+  ForgetKey(&keys_[r]);
+  keys_[r].status = KeyStatus::kDestroyed;
   // Rewrite the key log immediately: the wrapped blob must not survive
   // on disk (media re-use requirement, HIPAA §164.310(d)(2)(ii)).
   return Persist();
 }
 
 bool KeyStore::IsDestroyed(const RecordId& record_id) const {
-  auto it = keys_.find(record_id);
-  return it != keys_.end() && it->second.destroyed;
+  return StatusAt(records_->Find(record_id)) == KeyStatus::kDestroyed;
 }
 
 size_t KeyStore::LiveKeyCount() const {
   return key_refs_.size();
-}
-
-void KeyStore::ForEachKey(
-    const std::function<void(const RecordId&, bool destroyed)>& fn) const {
-  for (const auto& [record_id, state] : keys_) fn(record_id, state.destroyed);
 }
 
 Status KeyStore::RemoveKeysForRecovery(
@@ -358,10 +368,10 @@ Status KeyStore::RemoveKeysForRecovery(
   if (!open_) return Status::FailedPrecondition("keystore not open");
   bool changed = false;
   for (const RecordId& record_id : record_ids) {
-    auto it = keys_.find(record_id);
-    if (it == keys_.end()) continue;
-    if (!it->second.destroyed) ForgetKey(&it->second);
-    keys_.erase(it);
+    const uint32_t r = KeyOrdinal(record_id);
+    if (r == RecordTable::kNone) continue;
+    if (keys_[r].status == KeyStatus::kLive) ForgetKey(&keys_[r]);
+    keys_[r].status = KeyStatus::kNone;
     changed = true;
   }
   if (!changed) return Status::OK();
@@ -379,9 +389,14 @@ Status KeyStore::Persist() {
       env_, path_,
       [this](storage::log::Writer* tmp) -> Status {
         MEDVAULT_RETURN_IF_ERROR(tmp->AddRecord(kKeyLogMagicV2));
-        for (const auto& [record_id, state] : keys_) {
+        // In id order, as the log has always been written.
+        for (uint32_t r : records_->ById(keys_.size(), [this](uint32_t r) {
+               return keys_[r].status != KeyStatus::kNone;
+             })) {
+          const RecordId& record_id = records_->id(r);
+          const KeySlot& slot = keys_[r];
           std::string entry;
-          if (state.destroyed) {
+          if (slot.status == KeyStatus::kDestroyed) {
             entry.push_back(static_cast<char>(kEntryDestroyed));
             PutLengthPrefixed(&entry, record_id);
           } else {
@@ -390,7 +405,7 @@ Status KeyStore::Persist() {
             MEDVAULT_ASSIGN_OR_RETURN(
                 std::string blob,
                 master_aead_.Seal(WrapNonce(record_id),
-                                  AsSlice(state.data_key), record_id));
+                                  AsSlice(slot.data_key), record_id));
             PutLengthPrefixed(&entry, blob);
           }
           MEDVAULT_RETURN_IF_ERROR(tmp->AddRecord(entry));

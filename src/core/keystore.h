@@ -3,8 +3,7 @@
 
 #include <array>
 #include <cstring>
-#include <functional>
-#include <map>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -13,6 +12,7 @@
 #include "common/result.h"
 #include "common/slice.h"
 #include "core/record.h"
+#include "core/record_table.h"
 #include "crypto/aead.h"
 #include "crypto/drbg.h"
 #include "storage/env.h"
@@ -42,9 +42,11 @@ namespace medvault::core {
 /// upgraded in place on Open.
 class KeyStore {
  public:
-  /// `master_key` is 32 bytes; `path` is the key-log file.
+  /// `master_key` is 32 bytes; `path` is the key-log file. Keys are
+  /// held per ordinal of `records` (the vault's table, shared with the
+  /// version store); null gives the store a table of its own.
   KeyStore(storage::Env* env, std::string path, const Slice& master_key,
-           const Slice& drbg_seed);
+           const Slice& drbg_seed, RecordTable* records = nullptr);
 
   KeyStore(const KeyStore&) = delete;
   KeyStore& operator=(const KeyStore&) = delete;
@@ -99,11 +101,14 @@ class KeyStore {
     return writer_ ? writer_->file() : nullptr;
   }
 
-  /// Calls `fn(record_id, destroyed)` for every record with a live or
-  /// destroyed key, in id order: the order of the vault's metas and of
-  /// the version catalog, so crash recovery walks all three in lockstep.
-  void ForEachKey(
-      const std::function<void(const RecordId&, bool destroyed)>& fn) const;
+  /// The table whose ordinals index this store's keys.
+  RecordTable* records() const { return records_; }
+
+  enum class KeyStatus : uint8_t { kNone, kLive, kDestroyed };
+  /// The key of the record with ordinal `ordinal` in records().
+  KeyStatus StatusAt(uint32_t ordinal) const {
+    return ordinal < keys_.size() ? keys_[ordinal].status : KeyStatus::kNone;
+  }
 
   /// Removes entries (live keys wiped, tombstones dropped) for ids that
   /// crash recovery found to have no committed record — keys written
@@ -128,9 +133,9 @@ class KeyStore {
  private:
   /// Data keys and key-refs are 32 bytes each, held inline.
   using Key32 = std::array<char, 32>;
-  struct KeyState {
-    Key32 data_key{};  // zeroes if destroyed
-    bool destroyed = false;
+  struct KeySlot {
+    Key32 data_key{};  // zeroes unless live
+    KeyStatus status = KeyStatus::kNone;
   };
   /// Key-refs are HMAC outputs, so their leading bytes are already a
   /// uniform hash.
@@ -145,12 +150,17 @@ class KeyStore {
   /// The key-ref of `data_key` (see GetKeyRef).
   static Key32 KeyRefOf(const Key32& data_key);
   /// Drops a live key's key-ref and wipes the key in place.
-  void ForgetKey(KeyState* state);
+  void ForgetKey(KeySlot* slot);
+  /// The ordinal of `record_id` if it has a live or destroyed key, else
+  /// RecordTable::kNone.
+  uint32_t KeyOrdinal(const RecordId& record_id) const;
+  /// Records `data_key` as the live key of `ordinal`.
+  void SetLiveKey(uint32_t ordinal, const Key32& data_key);
 
   Status InitAead(const Slice& master_key);
 
-  /// Applies a parsed entry to the in-memory maps (replay path): an AEAD
-  /// unwrap and the key-ref of a live key, and one probe of keys_.
+  /// Applies a parsed entry to the in-memory slots (replay path): an
+  /// AEAD unwrap and the key-ref of a live key, and one intern of the id.
   Status ApplyParsedEntry(uint8_t kind, const Slice& record_id,
                           const Slice& blob);
   /// Parses and applies one framed v2 log record.
@@ -166,8 +176,10 @@ class KeyStore {
   crypto::Aead master_aead_;
   std::unique_ptr<crypto::HmacDrbg> drbg_;
   std::unique_ptr<storage::log::Writer> writer_;
-  std::map<RecordId, KeyState> keys_;
-  std::unordered_map<Key32, RecordId, Key32Hash> key_refs_;  // ref -> record
+  RecordTable own_records_;  ///< used when no table was given
+  RecordTable* records_;
+  std::deque<KeySlot> keys_;  ///< by record ordinal
+  std::unordered_map<Key32, uint32_t, Key32Hash> key_refs_;  // ref -> ordinal
   uint64_t rewrite_generation_ = 0;
   bool open_ = false;
 };

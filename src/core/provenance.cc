@@ -69,8 +69,26 @@ Result<CustodyEvent> CustodyEvent::Decode(const Slice& data) {
 }
 
 ProvenanceTracker::ProvenanceTracker(storage::Env* env, std::string path,
-                                     std::string system_id)
-    : env_(env), path_(std::move(path)), system_id_(std::move(system_id)) {}
+                                     std::string system_id,
+                                     RecordTable* records)
+    : env_(env),
+      path_(std::move(path)),
+      system_id_(std::move(system_id)),
+      records_(records == nullptr ? &own_records_ : records) {}
+
+const ProvenanceTracker::Chain* ProvenanceTracker::Find(
+    const RecordId& record_id) const {
+  const uint32_t ordinal = records_->Find(record_id);
+  if (ordinal >= chains_.size() || chains_[ordinal].events.empty()) {
+    return nullptr;
+  }
+  return &chains_[ordinal];
+}
+
+size_t ProvenanceTracker::RecordCount() const {
+  return std::count_if(chains_.begin(), chains_.end(),
+                       [](const Chain& c) { return !c.events.empty(); });
+}
 
 Status ProvenanceTracker::Open() {
   // An event's read bound is the next event's offset, or the log's end.
@@ -82,8 +100,8 @@ Status ProvenanceTracker::Open() {
         MEDVAULT_ASSIGN_OR_RETURN(CustodyEventView e,
                                   CustodyEventView::Parse(record));
         if (newest != nullptr) newest->limit = offset;
-        newest = &AddEvent(&chains_[e.record_id.ToString()], record, offset,
-                           0);
+        const uint32_t r = records_->Intern(e.record_id.ToStringView());
+        newest = &AddEvent(&SlotAt(&chains_, r), record, offset, 0);
         return Status::OK();
       },
       &res));
@@ -118,7 +136,8 @@ Status ProvenanceTracker::LogEvent(const RecordId& record_id,
   const std::string encoded = e.Encode();
   uint64_t offset = 0;
   MEDVAULT_RETURN_IF_ERROR(writer_->AddRecord(encoded, &offset));
-  AddEvent(&chains_[record_id], encoded, offset, writer_->FileOffset());
+  AddEvent(&SlotAt(&chains_, records_->Intern(record_id)), encoded, offset,
+           writer_->FileOffset());
   return Status::OK();
 }
 
@@ -141,11 +160,11 @@ Result<std::string> ProvenanceTracker::RecordEvent(
 Status ProvenanceTracker::ReadChain(
     const RecordId& record_id,
     const std::function<void(const Slice&, CustodyEvent&&)>& fn) const {
-  auto it = chains_.find(record_id);
-  if (it == chains_.end()) return Status::NotFound("no custody chain");
+  const Chain* chain = Find(record_id);
+  if (chain == nullptr) return Status::NotFound("no custody chain");
   std::string prev;
   std::string record;
-  for (const storage::log::RecordSpan& span : it->second.events) {
+  for (const storage::log::RecordSpan& span : chain->events) {
     Status read =
         storage::log::ReadRecordAt(*file_, span.offset, span.limit, &record);
     if (read.IsCorruption()) {
@@ -179,9 +198,9 @@ Result<std::vector<CustodyEvent>> ProvenanceTracker::GetChain(
 }
 
 std::string ProvenanceTracker::ChainHead(const RecordId& record_id) const {
-  auto it = chains_.find(record_id);
-  if (it == chains_.end()) return std::string();
-  return std::string(it->second.head.data(), it->second.head.size());
+  const Chain* chain = Find(record_id);
+  if (chain == nullptr) return std::string();
+  return std::string(chain->head.data(), chain->head.size());
 }
 
 Status ProvenanceTracker::VerifyChain(const RecordId& record_id) const {
@@ -190,10 +209,14 @@ Status ProvenanceTracker::VerifyChain(const RecordId& record_id) const {
 
 Status ProvenanceTracker::VerifyAllChains() const {
   if (!open_) return Status::FailedPrecondition("provenance not open");
+  // In id order, so the first broken chain reported is the same one
+  // on every run.
   uint64_t chained = 0;
-  for (const auto& [record_id, chain] : chains_) {
-    MEDVAULT_RETURN_IF_ERROR(VerifyChain(record_id));
-    chained += chain.events.size();
+  for (uint32_t r : records_->ById(chains_.size(), [this](uint32_t r) {
+         return !chains_[r].events.empty();
+       })) {
+    MEDVAULT_RETURN_IF_ERROR(VerifyChain(records_->id(r)));
+    chained += chains_[r].events.size();
   }
   // Every whole record on the log must be one of the events just
   // verified: an appended event outside them is tampering too.
@@ -237,7 +260,7 @@ Result<std::string> ProvenanceTracker::ExportChain(
 Status ProvenanceTracker::ImportChain(const RecordId& record_id,
                                       const Slice& data) {
   if (!open_) return Status::FailedPrecondition("provenance not open");
-  if (chains_.count(record_id) > 0) {
+  if (Find(record_id) != nullptr) {
     return Status::AlreadyExists("record already has a custody chain here");
   }
   Slice in = data;

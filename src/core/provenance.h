@@ -3,8 +3,8 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +12,7 @@
 #include "common/clock.h"
 #include "common/result.h"
 #include "core/record.h"
+#include "core/record_table.h"
 #include "storage/env.h"
 #include "storage/log_reader.h"
 #include "storage/log_writer.h"
@@ -71,13 +72,15 @@ struct CustodyEventView {
 };
 
 /// Per-record custody chains on an append-only log. Memory holds, per
-/// record, only its chain head and where its events sit in the log (16
-/// bytes per event); every chain read goes back to the log and is
-/// checked link by link against that head.
+/// record ordinal, only its chain head and where its events sit in the
+/// log (16 bytes per event); every chain read goes back to the log and
+/// is checked link by link against that head.
 class ProvenanceTracker {
  public:
+  /// Chains are held per ordinal of `records` (the vault's table); null
+  /// gives the tracker a table of its own.
   ProvenanceTracker(storage::Env* env, std::string path,
-                    std::string system_id);
+                    std::string system_id, RecordTable* records = nullptr);
 
   ProvenanceTracker(const ProvenanceTracker&) = delete;
   ProvenanceTracker& operator=(const ProvenanceTracker&) = delete;
@@ -124,14 +127,17 @@ class ProvenanceTracker {
   Status ImportChain(const RecordId& record_id, const Slice& data);
 
   const std::string& system_id() const { return system_id_; }
-  size_t RecordCount() const { return chains_.size(); }
+  size_t RecordCount() const;
 
  private:
-  /// A record's chain as held in memory.
+  /// A record's chain as held in memory; no events means no chain.
   struct Chain {
     std::array<char, 32> head{};  ///< SHA-256 of the newest event
     std::vector<storage::log::RecordSpan> events;
   };
+
+  /// The chain of `record_id`, or null if it has none.
+  const Chain* Find(const RecordId& record_id) const;
 
   /// Reads `record_id`'s events back, oldest first, handing each event's
   /// encoding and decoding to `fn`; checks every prev_hash link and the
@@ -154,7 +160,9 @@ class ProvenanceTracker {
   std::string system_id_;
   std::unique_ptr<storage::log::Writer> writer_;
   std::unique_ptr<storage::RandomAccessFile> file_;  ///< read-back handle
-  std::map<RecordId, Chain> chains_;
+  RecordTable own_records_;  ///< used when no table was given
+  RecordTable* records_;
+  std::deque<Chain> chains_;  ///< by record ordinal
   bool open_ = false;
 };
 

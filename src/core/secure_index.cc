@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
+#include <unordered_set>
 
 #include "common/coding.h"
 #include "crypto/aead.h"
@@ -156,6 +158,9 @@ Result<std::vector<RecordId>> SecureIndex::Search(
   std::vector<RecordId> results;
   auto it = postings_.find(BlindTerm(term));
   if (it == postings_.end()) return results;
+  // A record re-posts a term on each correction; it is answered once, at
+  // its first posting.
+  std::unordered_set<RecordId> seen;
 
   // Spans are in log order, so the reads walk the file forwards.
   std::string record;
@@ -180,10 +185,7 @@ Result<std::vector<RecordId>> SecureIndex::Search(
     if (*opened != *record_id) {
       return Status::TamperDetected("index posting names wrong record");
     }
-    if (std::find(results.begin(), results.end(), *opened) ==
-        results.end()) {
-      results.push_back(*opened);
-    }
+    if (seen.insert(*opened).second) results.push_back(std::move(*opened));
   }
   return results;
 }
@@ -253,13 +255,14 @@ Result<std::vector<RecordId>> SecureIndex::SearchAll(
   for (size_t i = 1; i < by_selectivity.size() && !result.empty(); i++) {
     MEDVAULT_ASSIGN_OR_RETURN(std::vector<RecordId> next,
                               Search(by_selectivity[i].second));
-    std::vector<RecordId> merged;
-    for (const RecordId& id : result) {
-      if (std::find(next.begin(), next.end(), id) != next.end()) {
-        merged.push_back(id);
-      }
-    }
-    result = std::move(merged);
+    const std::unordered_set<RecordId> in_next(
+        std::make_move_iterator(next.begin()),
+        std::make_move_iterator(next.end()));
+    result.erase(std::remove_if(result.begin(), result.end(),
+                                [&](const RecordId& id) {
+                                  return in_next.count(id) == 0;
+                                }),
+                 result.end());
   }
   return result;
 }

@@ -198,8 +198,8 @@ Status Vault::Init() {
     return fn();
   };
 
-  keystore_ = std::make_unique<KeyStore>(env, dir + "/keys.db",
-                                         options_.master_key, keystore_seed);
+  keystore_ = std::make_unique<KeyStore>(
+      env, dir + "/keys.db", options_.master_key, keystore_seed, &records_);
   MEDVAULT_RETURN_IF_ERROR(
       phase("vault.open.keystore", [&] { return keystore_->Open(); }));
 
@@ -212,12 +212,12 @@ Status Vault::Init() {
   MEDVAULT_RETURN_IF_ERROR(
       phase("vault.open.index", [&] { return index_->Open(); }));
 
-  audit_ = std::make_unique<AuditLog>(env, dir + "/audit.log");
+  audit_ = std::make_unique<AuditLog>(env, dir + "/audit.log", &records_);
   MEDVAULT_RETURN_IF_ERROR(
       phase("vault.open.audit", [&] { return audit_->Open(); }));
 
   provenance_ = std::make_unique<ProvenanceTracker>(
-      env, dir + "/provenance.log", options_.system_id);
+      env, dir + "/provenance.log", options_.system_id, &records_);
   MEDVAULT_RETURN_IF_ERROR(
       phase("vault.open.provenance", [&] { return provenance_->Open(); }));
 
@@ -314,7 +314,7 @@ Status Vault::LoadState() {
               }
               next_record_num_ = std::max(next_record_num_, n + 1);
             }
-            StoreMetaLocked(std::move(meta));
+            StoreMetaLocked(meta);
             break;
           }
           case kStateSigner: {
@@ -384,38 +384,26 @@ Status Vault::RecoverAfterUncleanShutdown() {
   obs::ScopedOpTimer timer(metrics_, op_metrics_.recover, "vault.recover");
   // Init runs single-threaded, so the *Locked helpers are safe to call.
   // The state log is the commit point: everything else is reconciled
-  // to agree with it. metas_, the key store and the catalog are all
-  // ordered by record id, so one lockstep walk pairs each committed
-  // record with its key and its versions, with no lookup per record.
-  // An undisposed meta without a key is key-lost (tombstoned below), so
-  // the catalog keeps none of its versions: latest 0, in this same pass.
-  std::vector<VersionStore::CommittedRecord> committed;
-  committed.reserve(metas_.size());
-  std::vector<bool> has_key;
-  has_key.reserve(metas_.size());
+  // to agree with it. Metas, keys and catalog entries all sit at their
+  // record's ordinal, so one loop over the record table pairs each
+  // committed record with its key and its versions. An undisposed meta
+  // without a key is key-lost (tombstoned below), so the catalog keeps
+  // none of its versions: latest 0, in this same pass.
+  using KeyStatus = KeyStore::KeyStatus;
+  std::vector<VersionStore::CommittedRecord> committed(records_.size());
   // Keys created for records that never committed (crash mid-create).
   std::vector<RecordId> orphan_keys;
-  auto next = metas_.begin();
-  auto add = [&](bool key, bool shredded) {
-    const RecordMeta& meta = next->second;
-    const bool key_lost = !key && !meta.disposed;
-    committed.push_back(
-        {&next->first, key_lost ? 0 : meta.latest_version, shredded});
-    has_key.push_back(key);
-    ++next;
-  };
-  keystore_->ForEachKey([&](const RecordId& id, bool destroyed) {
-    int order = 0;
-    while (next != metas_.end() && (order = next->first.compare(id)) < 0) {
-      add(false, false);
+  for (uint32_t r = 0; r < records_.size(); ++r) {
+    const KeyStatus key = keystore_->StatusAt(r);
+    const MetaSlot* meta = MetaAt(r);
+    if (meta == nullptr) {
+      if (key != KeyStatus::kNone) orphan_keys.push_back(records_.id(r));
+      continue;
     }
-    if (next != metas_.end() && order == 0) {
-      add(true, destroyed);
-    } else {
-      orphan_keys.push_back(id);
-    }
-  });
-  while (next != metas_.end()) add(false, false);
+    const bool key_lost = key == KeyStatus::kNone && !meta->disposed;
+    committed[r] = {true, key_lost ? 0 : meta->latest_version,
+                    key == KeyStatus::kDestroyed};
+  }
 
   uint64_t dropped_refs = 0;
   MEDVAULT_RETURN_IF_ERROR(
@@ -426,18 +414,20 @@ Status Vault::RecoverAfterUncleanShutdown() {
     actions.push_back("catalog-refs-dropped=" + std::to_string(dropped_refs));
   }
 
-  size_t i = 0;
-  for (auto& [id, meta] : metas_) {
-    const VersionStore::CommittedRecord& c = committed[i];
-    const bool live_key = has_key[i++] && !c.shredded;
+  // (record, action) pairs, put in id order below with the state-log
+  // entries of the records they change.
+  std::vector<std::pair<uint32_t, std::string>> repairs;
+  for (uint32_t r = 0; r < records_.size(); ++r) {
+    const VersionStore::CommittedRecord& c = committed[r];
+    if (!c.committed) continue;
+    MetaSlot& meta = metas_[r];
+    const RecordId& id = records_.id(r);
+    const bool live_key = keystore_->StatusAt(r) == KeyStatus::kLive;
     const uint32_t actual = c.kept;
-    bool changed = false;
     if (!meta.disposed && c.shredded) {
       // Crash between DestroyKey and the meta flip: finish the disposal.
       meta.disposed = true;
-      changed = true;
-      actions.push_back(id + ":disposal-completed");
-      if (options_.cache != nullptr) options_.cache->PurgeRecord(id);
+      repairs.emplace_back(r, id + ":disposal-completed");
     }
     if (!meta.disposed && !live_key) {
       // A committed meta whose key never became durable. Possible only
@@ -447,9 +437,7 @@ Status Vault::RecoverAfterUncleanShutdown() {
       // The ciphertext is undecryptable forever: tombstone it.
       meta.disposed = true;
       meta.latest_version = 0;
-      changed = true;
-      actions.push_back(id + ":key-lost");
-      if (options_.cache != nullptr) options_.cache->PurgeRecord(id);
+      repairs.emplace_back(r, id + ":key-lost");
     }
     if (!meta.disposed && actual == 0) {
       // A committed meta whose version bytes did not survive (possible
@@ -461,17 +449,25 @@ Status Vault::RecoverAfterUncleanShutdown() {
       // Zero the version count too, or the next open would "lower" it
       // and log a second kRecovery — recovery must converge in one pass.
       meta.latest_version = 0;
-      changed = true;
-      actions.push_back(id + ":versions-lost");
-      if (options_.cache != nullptr) options_.cache->PurgeRecord(id);
+      repairs.emplace_back(r, id + ":versions-lost");
     } else if (actual < meta.latest_version) {
       meta.latest_version = actual;
-      changed = true;
-      actions.push_back(id + ":latest-lowered-to-" + std::to_string(actual));
+      repairs.emplace_back(r, id + ":latest-lowered-to-" +
+                                  std::to_string(actual));
     }
-    if (changed) {
-      MEDVAULT_RETURN_IF_ERROR(
-          AppendStateEntryLocked(kStateMeta, meta.Encode()));
+  }
+  std::stable_sort(repairs.begin(), repairs.end(),
+                   [this](const auto& a, const auto& b) {
+                     return records_.id(a.first) < records_.id(b.first);
+                   });
+  for (size_t i = 0; i < repairs.size(); ++i) {
+    const uint32_t r = repairs[i].first;
+    actions.push_back(std::move(repairs[i].second));
+    if (i > 0 && repairs[i - 1].first == r) continue;
+    MEDVAULT_RETURN_IF_ERROR(
+        AppendStateEntryLocked(kStateMeta, MetaOf(r).Encode()));
+    if (options_.cache != nullptr && metas_[r].disposed) {
+      options_.cache->PurgeRecord(records_.id(r));
     }
   }
 
@@ -493,8 +489,8 @@ Status Vault::RecoverAfterUncleanShutdown() {
   // entries must never leave a live capability to a dead record.
   for (const ConsentGrant& g : consent_.Snapshot()) {
     if (g.scope != ConsentScope::kRecord) continue;
-    auto dead = metas_.find(g.record_id);
-    if (dead != metas_.end() && !dead->second.disposed) continue;
+    const MetaSlot* meta = MetaAt(records_.Find(g.record_id));
+    if (meta != nullptr && !meta->disposed) continue;
     (void)consent_.Revoke(g.grant_id);
     MEDVAULT_RETURN_IF_ERROR(AppendStateEntryLocked(
         kStateConsentRevoke, EncodeConsentRevoke(g.grant_id)));
@@ -606,9 +602,34 @@ Result<std::string> Vault::SignStatement(const Slice& payload) {
 
 Result<RecordMeta> Vault::RequireLiveMetaLocked(
     const RecordId& record_id) const {
-  auto it = metas_.find(record_id);
-  if (it == metas_.end()) return Status::NotFound("unknown record");
-  return it->second;
+  const uint32_t r = records_.Find(record_id);
+  if (MetaAt(r) == nullptr) return Status::NotFound("unknown record");
+  return MetaOf(r);
+}
+
+const Vault::MetaSlot* Vault::MetaAt(uint32_t r) const {
+  return r < metas_.size() && metas_[r].patient != RecordTable::kNone
+             ? &metas_[r]
+             : nullptr;
+}
+
+RecordMeta Vault::MetaOf(uint32_t r) const {
+  const MetaSlot& slot = metas_[r];
+  RecordMeta meta;
+  meta.record_id = records_.id(r);
+  meta.patient_id = patients_.id(slot.patient);
+  meta.created_at = slot.created_at;
+  meta.retention_until = slot.retention_until;
+  meta.retention_policy = policies_.id(slot.policy);
+  meta.latest_version = slot.latest_version;
+  meta.disposed = slot.disposed;
+  meta.legal_hold = slot.legal_hold;
+  return meta;
+}
+
+std::vector<uint32_t> Vault::MetaOrdinalsById() const {
+  return records_.ById(metas_.size(),
+                       [this](uint32_t r) { return MetaAt(r) != nullptr; });
 }
 
 Status Vault::CheckAndAuditLocked(const PrincipalId& actor, Operation op,
@@ -757,10 +778,10 @@ Status Vault::RevokeConsent(const PrincipalId& actor,
     if (grant.scope == ConsentScope::kRecord) {
       options_.cache->PurgeRecord(grant.record_id);
     } else {
-      auto pit = records_by_patient_.find(grant.patient);
-      if (pit != records_by_patient_.end()) {
-        for (const RecordId& id : pit->second) {
-          options_.cache->PurgeRecord(id);
+      const uint32_t patient = patients_.Find(grant.patient);
+      if (patient < records_by_patient_.size()) {
+        for (uint32_t r : records_by_patient_[patient]) {
+          options_.cache->PurgeRecord(records_.id(r));
         }
       }
     }
@@ -901,12 +922,20 @@ Status Vault::PutRecordMetaLocked(const RecordMeta& meta) {
   return AppendStateEntryLocked(kStateMeta, meta.Encode());
 }
 
-void Vault::StoreMetaLocked(RecordMeta meta) {
-  auto [it, inserted] = metas_.try_emplace(meta.record_id);
-  if (inserted) {
-    records_by_patient_[meta.patient_id].push_back(meta.record_id);
+void Vault::StoreMetaLocked(const RecordMeta& meta) {
+  const uint32_t r = records_.Intern(meta.record_id);
+  MetaSlot& slot = SlotAt(&metas_, r);
+  const uint32_t patient = patients_.Intern(meta.patient_id);
+  if (slot.patient == RecordTable::kNone) {
+    SlotAt(&records_by_patient_, patient).push_back(r);
   }
-  it->second = std::move(meta);
+  slot = MetaSlot{meta.created_at,
+                  meta.retention_until,
+                  patient,
+                  policies_.Intern(meta.retention_policy),
+                  meta.latest_version,
+                  meta.disposed,
+                  meta.legal_hold};
 }
 
 Status Vault::PutRecordMeta(const RecordMeta& meta) {
@@ -1148,9 +1177,10 @@ Result<std::vector<RecordMeta>> Vault::ListExpiredRecords(
       CheckAndAuditLocked(actor, Operation::kReadAudit, "", ""));
   std::vector<RecordMeta> expired;
   Timestamp now = Now();
-  for (const auto& [id, meta] : metas_) {
+  for (uint32_t r : MetaOrdinalsById()) {
+    RecordMeta meta = MetaOf(r);
     if (retention_.CheckDisposalAllowed(meta, now).ok()) {
-      expired.push_back(meta);
+      expired.push_back(std::move(meta));
     }
   }
   return expired;
@@ -1339,10 +1369,10 @@ Result<std::vector<AuditEvent>> Vault::AccountingOfDisclosures(
   granted.insert(granted.end(), cg.begin(), cg.end());
   std::sort(granted.begin(), granted.end());
   std::vector<uint64_t> seqs = granted;
-  auto pit = records_by_patient_.find(patient_id);
-  if (pit != records_by_patient_.end()) {
-    for (const RecordId& record_id : pit->second) {
-      std::vector<uint64_t> s = audit_->SeqsForRecord(record_id);
+  const uint32_t patient = patients_.Find(patient_id);
+  if (patient < records_by_patient_.size()) {
+    for (uint32_t r : records_by_patient_[patient]) {
+      std::vector<uint64_t> s = audit_->SeqsForRecord(records_.id(r));
       seqs.insert(seqs.end(), s.begin(), s.end());
     }
   }
@@ -1458,8 +1488,7 @@ Result<RecordMeta> Vault::GetRecordMeta(const RecordId& record_id) const {
 std::vector<RecordId> Vault::ListRecordIds() const {
   std::shared_lock lock(mu_);
   std::vector<RecordId> ids;
-  ids.reserve(metas_.size());
-  for (const auto& [id, meta] : metas_) ids.push_back(id);
+  for (uint32_t r : MetaOrdinalsById()) ids.push_back(records_.id(r));
   return ids;
 }
 
@@ -1467,16 +1496,18 @@ Vault::HealthStats Vault::CollectHealthStats() const {
   std::shared_lock lock(mu_);
   HealthStats stats;
   const Timestamp now = Now();
-  for (const auto& [id, meta] : metas_) {
-    if (meta.disposed) {
+  for (uint32_t r = 0; r < metas_.size(); ++r) {
+    const MetaSlot* meta = MetaAt(r);
+    if (meta == nullptr) continue;
+    if (meta->disposed) {
       stats.disposed++;
       continue;
     }
     stats.records++;
-    if (meta.legal_hold) stats.legal_holds++;
+    if (meta->legal_hold) stats.legal_holds++;
     // Backlog = disposal the retention schedule already allows but that
     // nobody has executed yet (the paper's "assured destruction" debt).
-    if (retention_.CheckDisposalAllowed(meta, now).ok()) {
+    if (retention_.CheckDisposalAllowed(MetaOf(r), now).ok()) {
       stats.retention_backlog++;
     }
   }

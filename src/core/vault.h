@@ -1,13 +1,13 @@
 #ifndef MEDVAULT_CORE_VAULT_H_
 #define MEDVAULT_CORE_VAULT_H_
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -19,6 +19,7 @@
 #include "core/provenance.h"
 #include "core/record.h"
 #include "core/record_cache.h"
+#include "core/record_table.h"
 #include "core/retention.h"
 #include "core/scrub.h"
 #include "core/secure_index.h"
@@ -421,6 +422,18 @@ class Vault {
   Status WithQuiescedStore(const std::function<Status()>& fn);
 
  private:
+  /// A RecordMeta as held per record ordinal, with its patient and
+  /// policy interned.
+  struct MetaSlot {
+    Timestamp created_at = 0;
+    Timestamp retention_until = 0;
+    uint32_t patient = RecordTable::kNone;  ///< kNone: no meta
+    uint32_t policy = 0;
+    uint32_t latest_version = 0;
+    bool disposed = false;
+    bool legal_hold = false;
+  };
+
   explicit Vault(VaultOptions options);
 
   Status Init();
@@ -464,6 +477,13 @@ class Vault {
   /// disposal certificate) can at worst waste the leaf, never reuse it.
   Status ReserveSignerLeafLocked();
   Result<RecordMeta> RequireLiveMetaLocked(const RecordId& record_id) const;
+  /// The meta slot of record ordinal `r`, or null if it has no meta
+  /// (kNone included).
+  const MetaSlot* MetaAt(uint32_t r) const;
+  /// The meta of record ordinal `r`, which has one, as the public type.
+  RecordMeta MetaOf(uint32_t r) const;
+  /// The ordinals of every record with a meta, in id order.
+  std::vector<uint32_t> MetaOrdinalsById() const;
   Status AuditLocked(const PrincipalId& actor, AuditAction action,
                      const RecordId& record_id,
                      const std::string& details) const;
@@ -491,9 +511,9 @@ class Vault {
   /// appends it to the state log. Requires exclusive mu_.
   Status PutRecordMetaLocked(const RecordMeta& meta);
   /// In-memory half of PutRecordMetaLocked, shared with state replay:
-  /// updates metas_ and, for a first sighting of the record id, the
-  /// per-patient index (a record's patient never changes).
-  void StoreMetaLocked(RecordMeta meta);
+  /// updates the record's meta slot and, for a first sighting of the
+  /// record, the per-patient index (a record's patient never changes).
+  void StoreMetaLocked(const RecordMeta& meta);
   /// Shared disposal tail: custody event, certificate, key destruction,
   /// meta flip, audit entry. `authorizers` is "a" or "a+b". Requires
   /// exclusive mu_.
@@ -513,6 +533,12 @@ class Vault {
   obs::Counter* consent_exercised_ = nullptr;
   mutable std::shared_mutex mu_;
   ScrubStats last_scrub_;  // guarded by mu_
+
+  /// Every record id the shard's logs name, each held once: the key
+  /// store (and through it the version store), the custody chains, the
+  /// audit log's back-pointers and the metas below keep fixed-width
+  /// slots by its ordinals. Declared before them, so it outlives them.
+  RecordTable records_;
 
   AccessController access_;
   /// Delegated sharing grants. Declared before any use in Init: the
@@ -534,11 +560,14 @@ class Vault {
     PrincipalId requester;
   };
 
-  std::map<RecordId, RecordMeta> metas_;
-  /// Per-patient record-id index (disclosure accounting): rebuilt from
-  /// the same state-log replay that rebuilds metas_, so the two can
-  /// never disagree. Record ids keep insertion order.
-  std::unordered_map<PrincipalId, std::vector<RecordId>> records_by_patient_;
+  std::deque<MetaSlot> metas_;  ///< by record ordinal
+  RecordTable patients_;
+  RecordTable policies_;
+  /// Per-patient record index (disclosure accounting), by patient
+  /// ordinal: rebuilt from the same state-log replay that rebuilds
+  /// metas_, so the two can never disagree. Records keep the order they
+  /// were first seen in.
+  std::deque<std::vector<uint32_t>> records_by_patient_;
   std::map<std::string, DisposalRequest> disposal_requests_;
   uint64_t next_disposal_request_ = 1;
   uint64_t next_record_num_ = 1;

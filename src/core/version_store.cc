@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 
 #include "common/coding.h"
 #include "crypto/aead.h"
@@ -54,7 +55,8 @@ Status VersionStore::Open() {
         }
         MEDVAULT_ASSIGN_OR_RETURN(storage::EntryHandle handle,
                                   storage::EntryHandle::Decode(handle_bytes));
-        auto& refs = catalog_[record_id.ToString()];
+        const uint32_t r = records()->Intern(record_id.ToStringView());
+        Refs& refs = SlotAt(&catalog_, r);
         if (version != refs.size() + 1) {
           return Status::Corruption("catalog version discontinuity");
         }
@@ -67,6 +69,18 @@ Status VersionStore::Open() {
   catalog_writer_ = std::move(res.writer);
   open_ = true;
   return Status::OK();
+}
+
+const VersionStore::Refs* VersionStore::Find(
+    const RecordId& record_id) const {
+  const uint32_t ordinal = records()->Find(record_id);
+  if (ordinal >= catalog_.size() || catalog_[ordinal].empty()) return nullptr;
+  return &catalog_[ordinal];
+}
+
+std::vector<uint32_t> VersionStore::OrdinalsById() const {
+  return records()->ById(catalog_.size(),
+                         [this](uint32_t r) { return !catalog_[r].empty(); });
 }
 
 VersionStore::Digest VersionStore::HashEntry(const Slice& entry) {
@@ -118,10 +132,12 @@ Status VersionStore::RewriteCatalog() {
   return storage::log::RewriteLog(
       env_, dir_ + "/catalog.log",
       [this](storage::log::Writer* tmp) -> Status {
-        for (const auto& [record_id, refs] : catalog_) {
+        for (uint32_t r : OrdinalsById()) {
+          const Refs& refs = catalog_[r];
           for (uint32_t v = 1; v <= refs.size(); v++) {
-            MEDVAULT_RETURN_IF_ERROR(tmp->AddRecord(EncodeCatalogEntry(
-                record_id, v, refs[v - 1].handle, refs[v - 1].entry_hash)));
+            MEDVAULT_RETURN_IF_ERROR(tmp->AddRecord(
+                EncodeCatalogEntry(records()->id(r), v, refs[v - 1].handle,
+                                   refs[v - 1].entry_hash)));
           }
         }
         return Status::OK();
@@ -133,11 +149,10 @@ Status VersionStore::ReconcileCatalog(
     std::vector<CommittedRecord>* committed, uint64_t* dropped_refs) {
   if (!open_) return Status::FailedPrecondition("version store not open");
   *dropped_refs = 0;
-  auto c = committed->begin();
-  for (auto it = catalog_.begin(); it != catalog_.end();) {
-    while (c != committed->end() && it->first.compare(*c->id) > 0) ++c;
-    const bool is_committed = c != committed->end() && *c->id == it->first;
-    auto& refs = it->second;
+  for (uint32_t r = 0; r < catalog_.size(); ++r) {
+    CommittedRecord* c = r < committed->size() ? &(*committed)[r] : nullptr;
+    const bool is_committed = c != nullptr && c->committed;
+    Refs& refs = catalog_[r];
     size_t keep = is_committed ? std::min<size_t>(refs.size(), c->latest) : 0;
     // A crash can lose the tail of the active segment after its catalog
     // entry was written. Never keep a reference whose frame is gone —
@@ -157,11 +172,6 @@ Status VersionStore::ReconcileCatalog(
       *dropped_refs += refs.size() - keep;
       refs.resize(keep);
     }
-    if (refs.empty()) {
-      it = catalog_.erase(it);
-    } else {
-      ++it;
-    }
   }
   if (*dropped_refs == 0) return Status::OK();
   return RewriteCatalog();
@@ -175,7 +185,7 @@ Result<VersionHeader> VersionStore::AppendVersion(
   MEDVAULT_ASSIGN_OR_RETURN(std::string data_key,
                             keystore_->GetKey(record_id));
 
-  auto& refs = catalog_[record_id];
+  Refs& refs = SlotAt(&catalog_, records()->Intern(record_id));
   VersionHeader header;
   header.record_id = record_id;
   header.version = static_cast<uint32_t>(refs.size() + 1);
@@ -213,12 +223,12 @@ Result<VersionHeader> VersionStore::AppendVersion(
 
 Result<std::string> VersionStore::ReadRawEntry(const RecordId& record_id,
                                                uint32_t version) const {
-  auto it = catalog_.find(record_id);
-  if (it == catalog_.end()) return Status::NotFound("unknown record");
-  if (version == 0 || version > it->second.size()) {
+  const Refs* refs = Find(record_id);
+  if (refs == nullptr) return Status::NotFound("unknown record");
+  if (version == 0 || version > refs->size()) {
     return Status::NotFound("no such version");
   }
-  return segments_->Read(it->second[version - 1].handle);
+  return segments_->Read((*refs)[version - 1].handle);
 }
 
 Result<RecordVersion> VersionStore::ReadVersion(const RecordId& record_id,
@@ -257,30 +267,27 @@ Result<RecordVersion> VersionStore::ReadLatest(
 }
 
 Result<uint32_t> VersionStore::LatestVersion(const RecordId& record_id) const {
-  auto it = catalog_.find(record_id);
-  if (it == catalog_.end() || it->second.empty()) {
-    return Status::NotFound("unknown record");
-  }
-  return static_cast<uint32_t>(it->second.size());
+  const Refs* refs = Find(record_id);
+  if (refs == nullptr) return Status::NotFound("unknown record");
+  return static_cast<uint32_t>(refs->size());
 }
 
 Result<std::string> VersionStore::EntryHash(const RecordId& record_id,
                                             uint32_t version) const {
-  auto it = catalog_.find(record_id);
-  if (it == catalog_.end() || version == 0 ||
-      version > it->second.size()) {
+  const Refs* refs = Find(record_id);
+  if (refs == nullptr || version == 0 || version > refs->size()) {
     return Status::NotFound("unknown record version");
   }
-  return HashString(it->second[version - 1].entry_hash);
+  return HashString((*refs)[version - 1].entry_hash);
 }
 
 Result<std::vector<VersionHeader>> VersionStore::History(
     const RecordId& record_id) const {
-  auto it = catalog_.find(record_id);
-  if (it == catalog_.end()) return Status::NotFound("unknown record");
+  const Refs* refs = Find(record_id);
+  if (refs == nullptr) return Status::NotFound("unknown record");
   std::vector<VersionHeader> history;
-  history.reserve(it->second.size());
-  for (uint32_t v = 1; v <= it->second.size(); v++) {
+  history.reserve(refs->size());
+  for (uint32_t v = 1; v <= refs->size(); v++) {
     MEDVAULT_ASSIGN_OR_RETURN(std::string raw, ReadRawEntry(record_id, v));
     MEDVAULT_ASSIGN_OR_RETURN(auto parsed, ParseVersionEntry(raw));
     history.push_back(std::move(parsed.first));
@@ -290,30 +297,29 @@ Result<std::vector<VersionHeader>> VersionStore::History(
 
 std::vector<RecordId> VersionStore::RecordIds() const {
   std::vector<RecordId> ids;
-  ids.reserve(catalog_.size());
-  for (const auto& [id, refs] : catalog_) ids.push_back(id);
+  for (uint32_t r : OrdinalsById()) ids.push_back(records()->id(r));
   return ids;
 }
 
 uint64_t VersionStore::TotalVersionCount() const {
   uint64_t total = 0;
-  for (const auto& [id, refs] : catalog_) total += refs.size();
+  for (const Refs& refs : catalog_) total += refs.size();
   return total;
 }
 
 Status VersionStore::VerifyRecord(const RecordId& record_id) const {
-  auto it = catalog_.find(record_id);
-  if (it == catalog_.end()) return Status::NotFound("unknown record");
+  const Refs* refs = Find(record_id);
+  if (refs == nullptr) return Status::NotFound("unknown record");
 
   const bool key_alive = keystore_->GetKey(record_id).ok();
   std::string prev_hash;
-  for (uint32_t v = 1; v <= it->second.size(); v++) {
+  for (uint32_t v = 1; v <= refs->size(); v++) {
     auto raw = ReadRawEntry(record_id, v);
     if (!raw.ok()) {
       if (!key_alive && raw.status().IsNotFound()) {
         // Crypto-shredded AND media reclaimed: the catalog tombstone is
         // all that legitimately remains.
-        prev_hash = HashString(it->second[v - 1].entry_hash);
+        prev_hash = HashString((*refs)[v - 1].entry_hash);
         continue;
       }
       return Status::TamperDetected("version bytes unreadable: " +
@@ -321,7 +327,7 @@ Status VersionStore::VerifyRecord(const RecordId& record_id) const {
     }
     // Catalog commitment.
     const Digest actual_hash = HashEntry(*raw);
-    if (actual_hash != it->second[v - 1].entry_hash) {
+    if (actual_hash != (*refs)[v - 1].entry_hash) {
       return Status::TamperDetected("version entry hash mismatch");
     }
     MEDVAULT_ASSIGN_OR_RETURN(auto parsed, ParseVersionEntry(*raw));
@@ -349,8 +355,8 @@ Status VersionStore::VerifyRecord(const RecordId& record_id) const {
 }
 
 Status VersionStore::VerifyAllRecords() const {
-  for (const auto& [record_id, refs] : catalog_) {
-    MEDVAULT_RETURN_IF_ERROR(VerifyRecord(record_id));
+  for (uint32_t r : OrdinalsById()) {
+    MEDVAULT_RETURN_IF_ERROR(VerifyRecord(records()->id(r)));
   }
   return Status::OK();
 }
@@ -358,8 +364,8 @@ Status VersionStore::VerifyAllRecords() const {
 std::vector<std::string> VersionStore::AllVersionHashes() const {
   std::vector<std::string> hashes;
   hashes.reserve(TotalVersionCount());
-  for (const auto& [record_id, refs] : catalog_) {
-    for (const VersionRef& ref : refs) {
+  for (uint32_t r : OrdinalsById()) {
+    for (const VersionRef& ref : catalog_[r]) {
       hashes.push_back(HashString(ref.entry_hash));
     }
   }
@@ -370,12 +376,11 @@ Status VersionStore::ForEachRawVersion(
     const RecordId& record_id,
     const std::function<Status(uint32_t, const Slice&, const std::string&)>&
         fn) const {
-  auto it = catalog_.find(record_id);
-  if (it == catalog_.end()) return Status::NotFound("unknown record");
-  for (uint32_t v = 1; v <= it->second.size(); v++) {
+  const Refs* refs = Find(record_id);
+  if (refs == nullptr) return Status::NotFound("unknown record");
+  for (uint32_t v = 1; v <= refs->size(); v++) {
     MEDVAULT_ASSIGN_OR_RETURN(std::string raw, ReadRawEntry(record_id, v));
-    MEDVAULT_RETURN_IF_ERROR(
-        fn(v, raw, HashString(it->second[v - 1].entry_hash)));
+    MEDVAULT_RETURN_IF_ERROR(fn(v, raw, HashString((*refs)[v - 1].entry_hash)));
   }
   return Status::OK();
 }
@@ -395,9 +400,10 @@ std::vector<uint64_t> VersionStore::FullyDisposedSegments() const {
       has_live_entry.try_emplace(segment_id, false);
     }
   }
-  for (const auto& [record_id, refs] : catalog_) {
-    const bool destroyed = keystore_->IsDestroyed(record_id);
-    for (const VersionRef& ref : refs) {
+  for (uint32_t r = 0; r < catalog_.size(); ++r) {
+    const bool destroyed =
+        keystore_->StatusAt(r) == KeyStore::KeyStatus::kDestroyed;
+    for (const VersionRef& ref : catalog_[r]) {
       auto [it, inserted] =
           has_live_entry.try_emplace(ref.handle.segment_id, false);
       if (!destroyed) it->second = true;
@@ -431,9 +437,9 @@ Result<int> VersionStore::ReclaimSegments(
 }
 
 bool VersionStore::IsReclaimed(const RecordId& record_id) const {
-  auto it = catalog_.find(record_id);
-  if (it == catalog_.end() || it->second.empty()) return false;
-  return segments_->Read(it->second.front().handle).status().IsNotFound();
+  const Refs* refs = Find(record_id);
+  if (refs == nullptr) return false;
+  return segments_->Read(refs->front().handle).status().IsNotFound();
 }
 
 Status VersionStore::ImportRawVersion(const RecordId& record_id,
@@ -444,7 +450,7 @@ Status VersionStore::ImportRawVersion(const RecordId& record_id,
   if (header.record_id != record_id) {
     return Status::InvalidArgument("raw entry names a different record");
   }
-  auto& refs = catalog_[record_id];
+  Refs& refs = SlotAt(&catalog_, records()->Intern(record_id));
   if (header.version != refs.size() + 1) {
     return Status::InvalidArgument("raw entries must arrive in order");
   }

@@ -2,8 +2,8 @@
 #define MEDVAULT_CORE_VERSION_STORE_H_
 
 #include <array>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,17 +59,19 @@ class VersionStore {
   storage::WritableFile* SegmentSyncTarget();
   Status SyncCatalog();
 
-  /// One record the commit point (state log) vouches for, as crash
-  /// recovery hands it to ReconcileCatalog.
+  /// What the commit point (state log) vouches for about one record, as
+  /// crash recovery hands it to ReconcileCatalog.
   struct CommittedRecord {
-    const RecordId* id = nullptr;
+    bool committed = false;  ///< the record has a committed meta
     uint32_t latest = 0;  ///< latest version the state log vouches for
     bool shredded = false;  ///< key destroyed: media may be reclaimed
     uint32_t kept = 0;      ///< out: versions the catalog still holds
   };
 
-  /// Crash-recovery reconciliation: one merge of the catalog with
-  /// `committed`, which is sorted by id. Drops catalog references that
+  /// Crash-recovery reconciliation: one pass over the catalog with
+  /// `committed`, indexed by the ordinals of the key store's record
+  /// table (shorter than the table means not committed). Drops catalog
+  /// references that
   /// (a) belong to no committed record, (b) exceed the committed latest
   /// version, or (c) point at segment frames lost with the crash — then
   /// durably rewrites the catalog if anything was dropped. The orphaned
@@ -158,6 +160,13 @@ class VersionStore {
     storage::EntryHandle handle;
     Digest entry_hash;
   };
+  using Refs = std::vector<VersionRef>;
+
+  RecordTable* records() const { return keystore_->records(); }
+  /// The versions of `record_id`, or null if the catalog holds none.
+  const Refs* Find(const RecordId& record_id) const;
+  /// The ordinals of every record with versions, in id order.
+  std::vector<uint32_t> OrdinalsById() const;
 
   static Digest HashEntry(const Slice& entry);
   static std::string HashString(const Digest& hash) {
@@ -182,7 +191,7 @@ class VersionStore {
   KeyStore* keystore_;
   std::unique_ptr<storage::SegmentStore> segments_;
   std::unique_ptr<storage::log::Writer> catalog_writer_;
-  std::map<RecordId, std::vector<VersionRef>> catalog_;
+  std::deque<Refs> catalog_;  ///< by record ordinal; empty: no versions
   uint64_t catalog_rewrite_generation_ = 0;
   bool open_ = false;
 };

@@ -35,8 +35,10 @@ std::string HmacSha256Key::Mac(const Slice& message) const {
 std::string HmacSha256Key::Mac(std::initializer_list<Slice> pieces) const {
   Sha256 inner(inner_, 64);
   for (const Slice& piece : pieces) inner.Update(piece);
+  uint8_t inner_digest[kDigestSize];
+  inner.Finish(inner_digest);
   Sha256 outer(outer_, 64);
-  outer.Update(inner.Finish());
+  outer.Update(Slice(reinterpret_cast<const char*>(inner_digest), kDigestSize));
   return outer.Finish();
 }
 

@@ -514,6 +514,16 @@ void MedVaultServer::ServeConnection(
       HttpRequest request;
       ReadOutcome rc = ReadHttpRequest(fd, kHttpLimits, &leftover, &request);
       if (rc == ReadOutcome::kOk) {
+        // RFC 9112 §3.2: an HTTP/1.1 request without a Host field is a
+        // client error. The framer leaves it to here, so its verdicts
+        // stay those of a well-framed request.
+        if (request.version == "HTTP/1.1" &&
+            request.headers.count("host") == 0) {
+          HttpResponse r = ErrorResponse(400, "HTTP/1.1 request without Host");
+          r.close = true;
+          WriteAll(fd, SerializeHttpResponse(r));
+          break;
+        }
         HttpResponse response = Handle(request);
         response.close = response.close || !request.KeepAlive() ||
                          stopping_.load(std::memory_order_relaxed);

@@ -1077,7 +1077,8 @@ TEST(ReplicationServerTest, ReplicaPullsOverHttpAndHealthReportsPosture) {
     const std::string body = cursor->Encode();
     std::string head = RawExchange(
         (*server)->port(),
-        "POST /v1/replication/cut/0 HTTP/1.1\r\nContent-Length: " +
+        "POST /v1/replication/cut/0 HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        "Content-Length: " +
             std::to_string(body.size()) +
             "\r\nConnection: close\r\n\r\n" + body);
     head.resize(std::min(head.size(), head.find("\r\n\r\n") + 2));

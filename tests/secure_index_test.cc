@@ -85,6 +85,32 @@ TEST_F(SecureIndexTest, DuplicatePostingsDeduplicatedInResults) {
   EXPECT_EQ(index_->TotalPostingCount(), 3u);
 }
 
+TEST_F(SecureIndexTest, RepostedTermAnswersOnceAtFirstPlace) {
+  // r-2 re-posts "cancer" with each of three corrections while other
+  // records post it in between: r-2 is answered once, where its first
+  // posting put it, in a single search and in a conjunctive one.
+  AddRecord("r-1", {"cancer"});
+  AddRecord("r-2", {"cancer", "chemo"});
+  AddRecord("r-3", {"cancer", "chemo"});
+  for (int correction = 0; correction < 3; ++correction) {
+    ASSERT_TRUE(index_->AddPostings("r-2", {"cancer", "chemo"}).ok());
+    AddRecord("r-" + std::to_string(4 + correction), {"cancer", "chemo"});
+  }
+  const std::vector<RecordId> expected = {"r-1", "r-2", "r-3",
+                                          "r-4", "r-5", "r-6"};
+  auto hits = index_->Search("cancer");
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(*hits, expected);
+  auto both = index_->SearchAll({"chemo", "cancer"});
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  EXPECT_EQ(*both, std::vector<RecordId>(expected.begin() + 1,
+                                         expected.end()));
+  OpenIndex();
+  hits = index_->Search("cancer");
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(*hits, expected);
+}
+
 TEST_F(SecureIndexTest, RawIndexBytesLeakNoKeywordsOrIds) {
   AddRecord("r-1", {"cancer", "hiv", "oncology"});
   std::string raw;

@@ -413,14 +413,16 @@ TEST_F(ServerTest, OverloadShedsWith503InsteadOfHanging) {
   // Park connection A in the single worker: send half a request and
   // stop. The worker blocks reading the rest.
   HttpClient a = MakeClient();
-  ASSERT_TRUE(a.SendRaw("GET /v1/health HTTP/1.1\r\nConnection: close\r\n")
+  ASSERT_TRUE(a.SendRaw("GET /v1/health HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                        "Connection: close\r\n")
                   .ok());
   // Let the worker dequeue A before filling the queue behind it.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   // B fills the one queue slot.
   HttpClient b = MakeClient();
-  ASSERT_TRUE(b.SendRaw("GET /v1/health HTTP/1.1\r\nConnection: close\r\n")
+  ASSERT_TRUE(b.SendRaw("GET /v1/health HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                        "Connection: close\r\n")
                   .ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
@@ -1053,6 +1055,29 @@ TEST_F(ServerTest, KeepAliveServesPipelinedSequentialRequests) {
   auto hist = snapshot.histograms.find("server.req.health");
   ASSERT_NE(hist, snapshot.histograms.end());
   EXPECT_GE(hist->second.count, 5u);
+}
+
+TEST_F(ServerTest, Http11RequestWithoutHostIs400) {
+  Bootstrap();
+  StartServer();
+  // RFC 9112 §3.2: an HTTP/1.1 request must carry Host.
+  {
+    HttpClient raw = MakeClient();
+    ASSERT_TRUE(raw.SendRaw("GET /v1/health HTTP/1.1\r\n\r\n").ok());
+    auto r = raw.ReadResponse();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->status, 400);
+  }
+  // The same request with Host is served.
+  {
+    HttpClient raw = MakeClient();
+    ASSERT_TRUE(
+        raw.SendRaw("GET /v1/health HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")
+            .ok());
+    auto r = raw.ReadResponse();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->status, 200);
+  }
 }
 
 

@@ -22,11 +22,13 @@
 # tampered, foreign, wrong-height and torn files, a power cut at every
 # boundary of a first open, the upgrade of a layout without the file)
 # and the fuzz battery (random and mutated bytes through every on-disk
-# decoder and the HTTP request parser; `ctest -L
-# "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit|fuzz"`)
+# decoder and the HTTP request parser) and the vault battery (vault_test
+# and record_table_test: the vault facade and the record table its
+# per-record state is indexed by; `ctest -L
+# "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit|fuzz|vault"`)
 # rebuilt under AddressSanitizer and UndefinedBehaviorSanitizer, then the
 # stress + shard + obs + scrub + commit + serve + repl + transparency +
-# consent + audit batteries under
+# consent + audit + vault batteries under
 # ThreadSanitizer — the shared cache / ingest-pool races, the parallel
 # per-shard scrub-and-open, the lock-free
 # metrics hot path, the group-commit leader/follower handoff, the
@@ -63,8 +65,8 @@ run_config() {
 }
 
 run_config "$prefix" "" ""
-run_config "${prefix}-asan" address "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit|fuzz"
-run_config "${prefix}-ubsan" undefined "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit|fuzz"
-run_config "${prefix}-tsan" thread "stress|shard|obs|scrub|commit|serve|repl|transparency|consent|audit"
+run_config "${prefix}-asan" address "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit|fuzz|vault"
+run_config "${prefix}-ubsan" undefined "crash|stress|shard|obs|scrub|env|commit|serve|repl|transparency|consent|crypto|audit|fuzz|vault"
+run_config "${prefix}-tsan" thread "stress|shard|obs|scrub|commit|serve|repl|transparency|consent|audit|vault"
 
 echo "smoke suite passed"
